@@ -57,7 +57,7 @@ def main() -> None:
     print()
     print("driving FVP with each criticality source (Figure 12):")
     warmup = 24_000
-    baseline = simulate(trace, config, warmup=warmup)
+    baseline = simulate(trace, config=config, warmup=warmup)
     configs = [
         ("retirement stall (FVP)", fvp_default()),
         ("L1 miss", fvp_l1_miss()),
@@ -65,7 +65,7 @@ def main() -> None:
     ]
     print(f"  {'criticality':<24} {'speedup':>9} {'coverage':>9}")
     for label, predictor in configs:
-        result = simulate(trace, config, predictor=predictor,
+        result = simulate(trace, config=config, predictor=predictor,
                           warmup=warmup)
         print(f"  {label:<24} {result.ipc / baseline.ipc - 1:+9.2%} "
               f"{result.coverage:9.1%}")

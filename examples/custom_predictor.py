@@ -59,12 +59,12 @@ def main() -> None:
     config = CoreConfig.skylake()
     warmup = 30_000
 
-    baseline = simulate(trace, config, warmup=warmup)
+    baseline = simulate(trace, config=config, warmup=warmup)
     rows = [("baseline", baseline)]
     for predictor in (NaiveLastValue(threshold=2),
                       NaiveLastValue(threshold=16),
                       FVP()):
-        result = simulate(trace, config, predictor=predictor,
+        result = simulate(trace, config=config, predictor=predictor,
                           warmup=warmup)
         rows.append((predictor.name + f"@{getattr(predictor, 'threshold', '')}"
                      if isinstance(predictor, NaiveLastValue)

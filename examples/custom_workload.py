@@ -46,8 +46,9 @@ def main() -> None:
     for critical_weight in (0.1, 0.2, 0.3, 0.5, 0.7):
         profile = make_profile(critical_weight)
         trace = build_trace(profile, 60_000)
-        baseline = simulate(trace, config, warmup=24_000)
-        focused = simulate(trace, config, predictor=FVP(), warmup=24_000)
+        baseline = simulate(trace, config=config, warmup=24_000)
+        focused = simulate(trace, config=config, predictor=FVP(),
+                           warmup=24_000)
         print(f"{critical_weight:>14.0%} {baseline.ipc:9.3f} "
               f"{focused.ipc / baseline.ipc - 1:+9.2%} "
               f"{focused.coverage:9.1%}")

@@ -26,13 +26,13 @@ def main() -> None:
 
     trace = build_workload(workload, length=length)
     config = CoreConfig.skylake()
-    baseline = simulate(trace, config, warmup=warmup)
+    baseline = simulate(trace, config=config, warmup=warmup)
     print(f"workload {workload}: baseline IPC {baseline.ipc:.3f}\n")
 
     rows = []
     for name in PREDICTORS:
         predictor = make_predictor(name)
-        result = simulate(trace, config, predictor=predictor,
+        result = simulate(trace, config=config, predictor=predictor,
                           warmup=warmup)
         kilobytes = predictor.storage_bits() / 8192
         gain = result.ipc / baseline.ipc - 1

@@ -23,12 +23,12 @@ def main() -> None:
     trace = build_workload(workload, length=length)
 
     print("simulating baseline (Skylake-like core) ...")
-    baseline = simulate(trace, CoreConfig.skylake(), workload=workload,
+    baseline = simulate(trace, config=CoreConfig.skylake(), workload=workload,
                         warmup=warmup)
 
     print("simulating with Focused Value Prediction (1.2 KB) ...")
     predictor = FVP()
-    focused = simulate(trace, CoreConfig.skylake(), predictor=predictor,
+    focused = simulate(trace, config=CoreConfig.skylake(), predictor=predictor,
                        workload=workload, warmup=warmup)
 
     print()

@@ -30,12 +30,12 @@ the factory functions at the bottom (`fvp_l1_miss`, `fvp_oracle`, ...).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Optional, Set
 
 from repro.core.cit import DEFAULT_EPOCH, CriticalInstructionTable
 from repro.core.learning_table import LearningTable
-from repro.core.value_table import CONF_MAX, CV_FAIL_MAX, ValueTable
+from repro.core.value_table import (CONF_MAX, CV_FAIL_MAX, NO_PREDICT_MAX,
+                                    ValueTable)
 from repro.errors import ConfigError
 from repro.isa import opcodes
 from repro.isa.instruction import MicroOp
@@ -117,116 +117,135 @@ class FVP(ValuePredictor):
         self.cv_predictions = 0
         self.mr_predictions = 0
         self.walks = 0
+        # The hooks run once per op, so the mode checks are resolved
+        # here and the table geometry is bound for the inlined probes
+        # (only the CIT's entry list is replaced at run time, by its
+        # epoch reset, so it is read through self.cit).
+        self._cit_roots = criticality in (RETIRE_STALL, L1_MISS)
+        self._oracle = criticality == ORACLE
+        self._walking = criticality != L1_MISS_ONLY
+        self._stall_signal = criticality == RETIRE_STALL
+        self._miss_signal = criticality in (L1_MISS, L1_MISS_ONLY)
+        self._vt_rows = self.vt.rows
+        self._vt_sets = self.vt.sets
+        self._lt_slots = self.lt._slots
+        assoc = self.mr.assoc
+        self._mr_rows = assoc.rows
+        self._mr_sets = assoc.sets
+        self._mr_tag_mask = assoc._tag_mask
+        self._mr_conf = self.mr.conf_threshold
+        self._value_file = self.mr._value_file
 
     # ------------------------------------------------------------------
-    # Criticality.
-    # ------------------------------------------------------------------
-    def _is_critical_root(self, pc: int) -> bool:
-        if self.criticality == RETIRE_STALL:
-            return self.cit.is_critical(pc)
-        if self.criticality == L1_MISS:
-            return self.cit.is_critical(pc)  # CIT trained on L1 misses
-        if self.criticality == ORACLE:
-            return pc in self.oracle_pcs
-        return False  # l1-miss-only never walks
-
-    def _criticality_signal(self, uop: MicroOp, ctx: EngineContext) -> bool:
-        """Should this executed op train the CIT?"""
-        if self.loads_only and uop.op != opcodes.LOAD:
-            return False
-        if not self.loads_only and uop.dest is None:
-            return False
-        if self.criticality == RETIRE_STALL:
-            return ctx.stalls_retirement
-        if self.criticality in (L1_MISS, L1_MISS_ONLY):
-            return uop.op == opcodes.LOAD and not ctx.l1_hit
-        return False  # oracle mode: the set is externally supplied
-
-    # ------------------------------------------------------------------
-    # Front-end lookup (allocation).
+    # The two per-op hooks.  Both inline their table probes, so an op
+    # costs at most one CIT, one Value Table and one Memory Renaming
+    # probe per hook.  The Value Table and the MR Store/Load cache hash
+    # a key the same way (ValueTable.lookup, TaggedTable.lookup):
+    # ``mixed = key * 0x9E3779B1 mod 2**32`` selects the set
+    # (``mixed % sets``) and the tag (``mixed >> 12``, 11 bits).  The
+    # CIT is direct-mapped on the PC (CriticalInstructionTable.record).
     # ------------------------------------------------------------------
     def predict(self, uop: MicroOp, ctx: EngineContext) -> Optional[Prediction]:
+        """Front-end lookup at allocation: MR, then last value, then
+        context; an op left unpredicted may extend the focused walk."""
         op = uop.op
-        if op == opcodes.STORE:
-            if self.use_mr:
-                # MR's store-allocation path (publishes SQID + data).
-                self.mr.predict(uop, ctx)
-            self._maybe_walk(uop, ctx)
-            return None
-        if uop.dest is None:
-            return None
-
         is_load = op == opcodes.LOAD
-        prediction = None
-
-        # 1. Loads preemptively check Memory Renaming (§IV-D).
-        if is_load and self.use_mr:
-            prediction = self.mr.predict(uop, ctx)
-            if prediction is not None:
-                self.mr_predictions += 1
-                return replace(prediction, source="fvp-mr")
-
-        if self.use_vt and (is_load or not self.loads_only):
-            # lv_key(pc) is the identity; look up by PC directly and
-            # hand the entry to _maybe_walk so it is not re-fetched.
-            lv_entry = self.vt.lookup(uop.pc)
-            if lv_entry is not None:
-                # 2. Last-value prediction.
-                if lv_entry.predictable:
-                    if lv_entry.confidence >= CONF_MAX:
-                        self.lv_predictions += 1
-                        return Prediction(lv_entry.data, source="fvp-lv")
-                else:
-                    # 3. Context prediction for LV-hostile entries.
-                    cv_entry = self.vt.lookup(
-                        ValueTable.cv_key(uop.pc, ctx.history32),
-                        context=True)
-                    if cv_entry is not None and cv_entry.predictable \
-                            and cv_entry.confident:
-                        self.cv_predictions += 1
-                        return Prediction(cv_entry.data, source="fvp-cv")
-            # 4. Nothing predicted: possibly extend the focused walk.
-            self._maybe_walk(uop, ctx, lv_entry)
+        is_store = op == opcodes.STORE
+        if not is_store and uop.dest is None:
             return None
+        pc = uop.pc
+        mixed = (pc * 0x9E3779B1) & 0xFFFFFFFF
 
-        self._maybe_walk(uop, ctx)
-        return None
+        # 1. Memory Renaming (§IV-D).  A store with a confident
+        # association publishes its SQID and data into the Value File
+        # for its partner load; loads check MR before the Value Table.
+        assoc = None
+        if self.use_mr and (is_load or is_store):
+            tag = (mixed >> 12) & self._mr_tag_mask
+            for way in self._mr_rows[mixed % self._mr_sets]:
+                if way.tag == tag:
+                    assoc = way
+                    break
+            if assoc is not None and assoc.confidence >= self._mr_conf:
+                value_file = self._value_file
+                if is_store:
+                    load_pc = assoc.value  # partner PC in the value field
+                    if len(value_file) >= self.mr.vf_entries \
+                            and load_pc not in value_file:
+                        value_file.pop(next(iter(value_file)))
+                    value_file[load_pc] = (ctx.seq, uop.value)
+                else:
+                    record = value_file.get(pc)
+                    if record is not None:
+                        self.mr.renames += 1
+                        self.mr_predictions += 1
+                        return Prediction(record[1], record[0], "fvp-mr")
 
-    # ------------------------------------------------------------------
-    _NO_ENTRY = object()  # "lv_entry not looked up yet" sentinel
+        # 2-3. Last-value prediction, then context prediction for
+        # LV-hostile entries.  A disabled Value Table is never written,
+        # so its probe would always miss.
+        lv = None
+        if self.use_vt:
+            tag = (mixed >> 12) & 0x7FF
+            for way in self._vt_rows[mixed % self._vt_sets]:
+                if way.tag == tag and not way.context:
+                    lv = way
+                    break
+            if lv is not None and not is_store \
+                    and (is_load or not self.loads_only):
+                if lv.no_predict < NO_PREDICT_MAX:
+                    if lv.confidence >= CONF_MAX:
+                        self.lv_predictions += 1
+                        return Prediction(lv.data, None, "fvp-lv")
+                else:
+                    # ValueTable.cv_key: the PC hashed with the last 8
+                    # branch outcomes (folding 8 bits to 16 is the
+                    # identity).
+                    key = pc ^ ((ctx.history32 & 0xFF) * 40503)
+                    mixed_cv = (key * 0x9E3779B1) & 0xFFFFFFFF
+                    tag = (mixed_cv >> 12) & 0x7FF
+                    for way in self._vt_rows[mixed_cv % self._vt_sets]:
+                        if way.tag == tag and way.context:
+                            if way.no_predict < NO_PREDICT_MAX \
+                                    and way.confidence >= CONF_MAX:
+                                self.cv_predictions += 1
+                                return Prediction(way.data, None, "fvp-cv")
+                            break
 
-    def _maybe_walk(self, uop: MicroOp, ctx: EngineContext,
-                    lv_entry=_NO_ENTRY) -> None:
-        """One level of the backward walk (§IV-B): park this op's
-        parent-source PCs in the Learning Table when the op is a
-        confident critical root, or an already-targeted op that has
-        proven unpredictable."""
-        if not uop.srcs:
-            return
-        if self.criticality == L1_MISS_ONLY:
-            return  # this variant predicts the misses themselves only
-        if self._is_critical_root(uop.pc):
+        # 4. Nothing predicted: one level of the backward walk (§IV-B).
+        # A confident critical root parks its parent-source PCs in the
+        # Learning Table; so does an already-targeted op that has
+        # proven unpredictable.
+        if not uop.srcs or not self._walking:
+            return None  # l1-miss-only predicts the misses themselves
+        if self._cit_roots:
+            cit = self.cit
+            size = cit.size
+            entry = cit.entries[pc % size]
+            critical = entry is not None \
+                and entry[0] == (pc // size) & 0x7FF \
+                and entry[1] >= cit.conf_max
+        else:
+            critical = pc in self.oracle_pcs
+        if critical:
             self._walk_parents(uop, ctx)
-            return
-        if lv_entry is FVP._NO_ENTRY:
-            lv_entry = self.vt.lookup(uop.pc)
-        if lv_entry is None or lv_entry.predictable:
-            return
+            return None
+        if lv is None or lv.no_predict < NO_PREDICT_MAX:
+            return None
         # The op is targeted but LV-unpredictable.  Loads get their
         # second chances first: memory renaming, then context.
-        if uop.op == opcodes.LOAD:
-            if self.use_mr:
-                assoc = self.mr.assoc.lookup(uop.pc)
-                if assoc is not None:
-                    # A memory dependence is known (or forming): rely on
-                    # MR rather than predicting the address chain.
-                    if self.accelerate_store_chains and \
-                            assoc.confidence >= self.mr.conf_threshold:
-                        self.lt.insert(assoc.value)  # the store's PC
-                    return
-            if lv_entry.cv_marked and lv_entry.cv_fail < CV_FAIL_MAX:
-                return  # context prediction still has a chance
+        if is_load:
+            if assoc is not None:
+                # A memory dependence is known (or forming): rely on MR
+                # rather than predicting the address chain.
+                if self.accelerate_store_chains \
+                        and assoc.confidence >= self._mr_conf:
+                    self.lt.insert(assoc.value)  # the store's PC
+                return None
+            if lv.cv_marked and lv.cv_fail < CV_FAIL_MAX:
+                return None  # context prediction still has a chance
         self._walk_parents(uop, ctx)
+        return None
 
     def _walk_parents(self, uop: MicroOp, ctx: EngineContext) -> None:
         """Park parent PCs that are not already tracked: a parent with a
@@ -244,86 +263,107 @@ class FVP(ValuePredictor):
             self.walks += 1
 
     # ------------------------------------------------------------------
-    # Execution-time training.
-    # ------------------------------------------------------------------
     def train_execute(self, uop: MicroOp, ctx: EngineContext,
                       used_prediction: Optional[Prediction],
                       correct: bool) -> None:
-        if self.use_mr:
-            self.mr.train_execute(uop, ctx, used_prediction, correct)
-
-        is_load = uop.op == opcodes.LOAD
+        """Execution-time training: criticality learning, Learning
+        Table allocation, Value Table training, then the Criticality
+        Epoch, which closes every path (nothing returns early)."""
+        op = uop.op
+        pc = uop.pc
+        is_load = op == opcodes.LOAD
         producing = uop.dest is not None
+        predictable = is_load or not self.loads_only
 
-        # Criticality learning.  The leading type check mirrors
-        # _criticality_signal's own first test — it just skips the call
-        # for ops that can never signal.
-        if (is_load if self.loads_only else producing) \
-                and self._criticality_signal(uop, ctx):
-            self.cit.record(uop.pc)
-            # A confident root is itself a prediction target (§IV-A1:
-            # "value predicting the root ... may also be beneficial").
-            if self.use_vt and self.cit.is_critical(uop.pc):
-                self._allocate_target(uop)
-        if self.criticality == ORACLE and is_load \
-                and uop.pc in self.oracle_pcs and self.use_vt:
-            self._allocate_target(uop)
+        lv = None
+        if self.use_vt and (producing or is_load):
+            mixed = (pc * 0x9E3779B1) & 0xFFFFFFFF
+            tag = (mixed >> 12) & 0x7FF
+            for way in self._vt_rows[mixed % self._vt_sets]:
+                if way.tag == tag and not way.context:
+                    lv = way
+                    break
+
+        # Criticality learning.  A confident root is itself a
+        # prediction target (§IV-A1: "value predicting the root ... may
+        # also be beneficial").  Oracle mode never trains the CIT: its
+        # root set is supplied.
+        if (is_load if self.loads_only else producing) and (
+                ctx.stalls_retirement if self._stall_signal
+                else self._miss_signal and is_load and not ctx.l1_hit):
+            cit = self.cit
+            cit.record(pc)
+            if self.use_vt and lv is None:
+                size = cit.size
+                entry = cit.entries[pc % size]  # record() filled the slot
+                if entry[0] == (pc // size) & 0x7FF \
+                        and entry[1] >= cit.conf_max:
+                    lv = self.vt.allocate(pc, uop.value,
+                                          predictable=predictable)
+        elif self._oracle and is_load and self.use_vt and lv is None \
+                and pc in self.oracle_pcs:
+            lv = self.vt.allocate(pc, uop.value, predictable=predictable)
         if self.target_branch_chains and ctx.branch_mispredicted:
-            count = self._branch_roots.get(uop.pc, 0) + 1
-            self._branch_roots[uop.pc] = count
+            count = self._branch_roots.get(pc, 0) + 1
+            self._branch_roots[pc] = count
             if count >= 4:
                 self._walk_parents(uop, ctx)
 
-        if not self.use_vt or not producing:
-            return
+        if self.use_vt and producing:
+            # Learning Table hit: a parked parent executes, is released
+            # (LearningTable.hit) and is allocated.
+            slots = self._lt_slots
+            if pc in slots:
+                slots.remove(pc)
+                self.lt.hits += 1
+                if lv is None:
+                    lv = self.vt.allocate(pc, uop.value,
+                                          predictable=predictable)
+            # Memory-renamed loads do not train the Value Table (§IV-D).
+            # §IV-B: non-loads are never trained toward prediction —
+            # they only mark the walk path (their entries stay
+            # no-predict).
+            if lv is not None and predictable and (
+                    used_prediction is None
+                    or used_prediction.source != "fvp-mr"):
+                vt = self.vt
+                value = uop.value
+                if not vt.train(lv, value) and is_load \
+                        and lv.no_predict >= NO_PREDICT_MAX \
+                        and not lv.cv_marked:
+                    lv.cv_marked = True
+                # Context re-record: only near-head instances (§IV-C),
+                # which bounds the number of histories tracked.  A PC
+                # whose context entries keep proving unpredictable — or
+                # that keeps needing fresh context allocations because
+                # its histories never repeat — saturates cv_fail and
+                # stops re-recording; the walk then proceeds to its
+                # parent sources.
+                if lv.cv_marked and lv.cv_fail < CV_FAIL_MAX \
+                        and ctx.stalls_retirement:
+                    key = pc ^ ((ctx.history32 & 0xFF) * 40503)  # cv_key
+                    mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
+                    tag = (mixed >> 12) & 0x7FF
+                    cv = None
+                    for way in self._vt_rows[mixed % self._vt_sets]:
+                        if way.tag == tag and way.context:
+                            cv = way
+                            break
+                    if cv is None:
+                        vt.allocate(key, value, context=True)
+                        lv.cv_fail += 1
+                    elif vt.train(cv, value):
+                        if lv.cv_fail:
+                            lv.cv_fail -= 1
+                    elif cv.no_predict >= NO_PREDICT_MAX:
+                        lv.cv_fail += 1
 
-        # Learning Table hit: a parked parent executes and is allocated.
-        if self.lt.hit(uop.pc):
-            predictable = is_load or not self.loads_only
-            self.vt.allocate(uop.pc, uop.value, predictable=predictable)
-
-        # Memory-renamed loads do not train the Value Table (§IV-D).
-        if used_prediction is not None and \
-                used_prediction.source == "fvp-mr":
-            return
-        # §IV-B: non-loads are never trained toward prediction — they
-        # only mark the walk path (their entries stay no-predict).
-        if self.loads_only and not is_load:
-            return
-
-        lv_entry = self.vt.lookup(uop.pc)
-        if lv_entry is None:
-            return
-        repeated = self.vt.train(lv_entry, uop.value)
-        if not repeated and not lv_entry.predictable and is_load \
-                and not lv_entry.cv_marked:
-            lv_entry.cv_marked = True
-
-        # Context re-record: only near-head instances (§IV-C), which
-        # bounds the number of histories tracked.  A PC whose context
-        # entries keep proving unpredictable — or that keeps needing
-        # fresh context allocations because its histories never repeat
-        # — saturates cv_fail and stops re-recording; the walk then
-        # proceeds to its parent sources.
-        if lv_entry.cv_marked and lv_entry.cv_fail < CV_FAIL_MAX \
-                and ctx.stalls_retirement:
-            cv_key = ValueTable.cv_key(uop.pc, ctx.history32)
-            cv_entry = self.vt.lookup(cv_key, context=True)
-            if cv_entry is None:
-                self.vt.allocate(cv_key, uop.value, context=True)
-                lv_entry.cv_fail += 1
-            else:
-                repeated_cv = self.vt.train(cv_entry, uop.value)
-                if repeated_cv:
-                    if lv_entry.cv_fail:
-                        lv_entry.cv_fail -= 1
-                elif not cv_entry.predictable:
-                    lv_entry.cv_fail += 1
-
-    def _allocate_target(self, uop: MicroOp) -> None:
-        if self.vt.lookup(uop.pc) is None:
-            predictable = uop.op == opcodes.LOAD or not self.loads_only
-            self.vt.allocate(uop.pc, uop.value, predictable=predictable)
+        # Criticality Epoch (§IV-A1): the op has retired once its
+        # training ends, and the CIT resets once per `epoch` of them.
+        cit = self.cit
+        retired = ctx.seq + 1
+        if cit.epoch and retired - cit._last_reset >= cit.epoch:
+            cit.tick(retired)
 
     # ------------------------------------------------------------------
     def on_forwarding(self, store_pc: int, load_pc: int,
@@ -341,13 +381,6 @@ class FVP(ValuePredictor):
                     lv_entry is None or lv_entry.predictable):
                 return
         self.mr.on_forwarding(store_pc, load_pc, store_seq)
-
-    def epoch_tick(self, retired: int) -> None:
-        # Inline guard (same test as cit.tick): this runs once per
-        # retired op, and the reset fires once per 400k.
-        cit = self.cit
-        if cit.epoch and retired - cit._last_reset >= cit.epoch:
-            cit.tick(retired)
 
     def storage_bits(self) -> int:
         """Table I accounting: CIT + VT + MR (S/L cache and Value File)
@@ -469,9 +502,6 @@ class FvpPlusStride(ValuePredictor):
 
     def on_forwarding(self, store_pc, load_pc, store_seq):
         self.fvp.on_forwarding(store_pc, load_pc, store_seq)
-
-    def epoch_tick(self, retired):
-        self.fvp.epoch_tick(retired)
 
     def storage_bits(self):
         return self.fvp.storage_bits() + self.stride.storage_bits()

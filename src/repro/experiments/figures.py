@@ -9,7 +9,6 @@ side.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.reporting import (
@@ -230,15 +229,7 @@ def render_figure13(data: Dict[str, Dict[str, float]]) -> str:
 
 
 # ----------------------------------------------------------------------
-#: Positional order ``default_runner`` accepted before the
-#: keyword-only redesign.
-_DEFAULT_RUNNER_LEGACY_ORDER = ("length", "warmup", "per_category",
-                                "jobs", "use_cache", "cache_dir",
-                                "progress", "timeout", "retries",
-                                "strict")
-
-
-def default_runner(*legacy,
+def default_runner(*,
                    length: Optional[int] = None,
                    warmup: Optional[int] = None,
                    per_category: Optional[int] = None,
@@ -257,32 +248,7 @@ def default_runner(*legacy,
     rendered from a partial campaign carries explicit gap
     annotations instead of aborting.  ``seed`` reseeds every generated
     trace (run-to-run variation studies) and ``backend`` pins the
-    engine timing loop (docs/VECTOR.md).  Everything is keyword-only;
-    old positional call sites still work for one release behind a
-    :class:`DeprecationWarning`."""
-    if legacy:
-        if len(legacy) > len(_DEFAULT_RUNNER_LEGACY_ORDER):
-            raise TypeError(
-                f"default_runner() takes at most "
-                f"{len(_DEFAULT_RUNNER_LEGACY_ORDER)} positional "
-                f"arguments ({len(legacy)} given)")
-        warnings.warn(
-            "positional arguments to default_runner() are deprecated; "
-            "pass length=, warmup=, ... as keywords",
-            DeprecationWarning, stacklevel=2)
-        defaults = (None, None, None, 1, False, None, None, None, 2, True)
-        current = (length, warmup, per_category, jobs, use_cache,
-                   cache_dir, progress, timeout, retries, strict)
-        for name, value, default in zip(
-                _DEFAULT_RUNNER_LEGACY_ORDER[:len(legacy)], current,
-                defaults):
-            if value is not default:
-                raise TypeError(
-                    f"default_runner() got multiple values for argument "
-                    f"{name!r}")
-        (length, warmup, per_category, jobs, use_cache, cache_dir,
-         progress, timeout, retries, strict) = \
-            tuple(legacy) + current[len(legacy):]
+    engine timing loop (docs/VECTOR.md).  Everything is keyword-only."""
     workloads: Optional[List[str]] = None
     if per_category is not None:
         seen: Dict[str, int] = {}

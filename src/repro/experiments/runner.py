@@ -34,7 +34,6 @@ and ``REPRO_WARMUP`` override the defaults globally.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import SuiteResult, WorkloadRun
@@ -124,16 +123,10 @@ class Runner:
         every job this runner creates; ``None`` defers to
         ``REPRO_ENGINE_BACKEND`` and the engine default.
 
-    Everything is keyword-only; old positional call sites still work
-    for one release behind a :class:`DeprecationWarning`.
+    Everything is keyword-only.
     """
 
-    #: Positional order accepted before the keyword-only redesign.
-    _LEGACY_ORDER = ("length", "warmup", "workloads", "jobs", "use_cache",
-                     "cache_dir", "progress", "timeout", "retries",
-                     "strict")
-
-    def __init__(self, *legacy,
+    def __init__(self, *,
                  length: Optional[int] = None,
                  warmup: Optional[int] = None,
                  workloads: Optional[Sequence[str]] = None,
@@ -145,28 +138,6 @@ class Runner:
                  seed: Optional[int] = None,
                  trace_file: Optional[str] = None,
                  backend: Optional[str] = None) -> None:
-        if legacy:
-            if len(legacy) > len(self._LEGACY_ORDER):
-                raise TypeError(
-                    f"Runner() takes at most {len(self._LEGACY_ORDER)} "
-                    f"positional arguments ({len(legacy)} given)")
-            warnings.warn(
-                "positional arguments to Runner() are deprecated; pass "
-                "length=, warmup=, ... as keywords",
-                DeprecationWarning, stacklevel=2)
-            defaults = (None, None, None, 1, False, None, None, None, 2,
-                        True)
-            current = (length, warmup, workloads, jobs, use_cache,
-                       cache_dir, progress, timeout, retries, strict)
-            for name, value, default in zip(
-                    self._LEGACY_ORDER[:len(legacy)], current, defaults):
-                if value is not default:
-                    raise TypeError(
-                        f"Runner() got multiple values for argument "
-                        f"{name!r}")
-            (length, warmup, workloads, jobs, use_cache, cache_dir,
-             progress, timeout, retries, strict) = \
-                tuple(legacy) + current[len(legacy):]
         self.seed = seed
         self.trace_file = trace_file
         self.backend = backend

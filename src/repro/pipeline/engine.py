@@ -54,7 +54,6 @@ from __future__ import annotations
 import heapq
 import importlib.util
 import os
-import warnings
 from bisect import bisect_right
 from typing import Optional, Sequence, Union
 
@@ -283,17 +282,13 @@ class Engine:
 
         # Context shared with the predictor.
         self._ctx = EngineContext()
-        self._ctx.store_inflight_by_pc = self._store_inflight_by_pc
         self._ctx.store_inflight_to_addr = self._store_inflight_to_addr
         self._ctx.probe_level = self.memory.probe_level
 
         # Per-run state initialised in run().
         self._reg_ready = None
-        self._writer_pc = None
-        self._writer_seq = None
         self._retire_times = None
         self._store_by_addr = None
-        self._store_by_pc = None
         self._store_records = None
         self._now_alloc = 0
 
@@ -306,19 +301,8 @@ class Engine:
         self._vec_delegated = False
 
     # ------------------------------------------------------------------
-    # Store-tracking callables exposed through the context.
+    # Store-tracking callable exposed through the context.
     # ------------------------------------------------------------------
-    def _store_inflight_by_pc(self, store_pc: int):
-        """(seq, value, complete) of the newest in-flight store from
-        ``store_pc``, else None."""
-        seq = self._store_by_pc.get(store_pc)
-        if seq is None:
-            return None
-        pc, addr8, complete, retire, value = self._store_records[seq]
-        if retire < self._now_alloc:
-            return None
-        return seq, value, complete
-
     def _store_inflight_to_addr(self, addr: int):
         """(seq, pc, value, complete) of the newest in-flight store to
         ``addr`` (8-byte aligned), else None."""
@@ -485,10 +469,8 @@ class Engine:
         reg_ready = [0] * 16
         reg_writer_load = [False] * 16
         writer_pc = [0] * 16
-        writer_seq = [-1] * 16
         self._reg_ready = reg_ready
         ctx.writer_pc = writer_pc
-        ctx.writer_seq = writer_seq
 
         retire_times: list = []
         self._retire_times = retire_times
@@ -497,10 +479,8 @@ class Engine:
         iq_heap: list = []
 
         self._store_by_addr = {}
-        self._store_by_pc = {}
         self._store_records = {}
         store_by_addr = self._store_by_addr
-        store_by_pc = self._store_by_pc
         store_records = self._store_records
 
         # Inlined bandwidth machines (see _WidthMachine.schedule).
@@ -580,7 +560,6 @@ class Engine:
         heappush = heapq.heappush
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
-        bisect = bisect_right
         memory_access = memory.access
         process_control = frontend.process_control
         fetch_bubbles = frontend.fetch_bubbles
@@ -671,8 +650,6 @@ class Engine:
                 if need_ctx:
                     self._now_alloc = alloc_t
                     ctx.seq = idx
-                    ctx.forwarding_store = (
-                        None if fwd is None else (fwd[0], fwd[1], fwd[4]))
 
                 prediction = predict(uop, ctx) if predict is not None else None
 
@@ -800,14 +777,17 @@ class Engine:
                 prev_retire = retire_t
 
                 # ---------------- criticality signal ----------------
+                # The reference loop's bisect in O(1): fewer than
+                # retire_width older ops retire after complete_t iff the
+                # retire_width-th newest does not (retire times never
+                # decrease).
                 if need_crit:
-                    head = bisect(retire_times, complete_t, 0, idx)
-                    rob_distance = idx - head
-                    ctx.rob_distance = rob_distance
-                    ctx.stalls_retirement = (rob_distance < retire_width
-                                             and retire_t == complete_t + 1)
+                    ctx.stalls_retirement = (
+                        retire_t == complete_t + 1
+                        and (idx < retire_width
+                             or retire_times[idx - retire_width]
+                             <= complete_t))
                     ctx.l1_hit = level == "L1"
-                    ctx.hit_level = level
 
                 # ---------------- control flow ----------------
                 branch_misp = False
@@ -885,7 +865,6 @@ class Engine:
                         reg_writer_load[dest] = is_load
                     if need_ctx:
                         writer_pc[dest] = pc
-                        writer_seq[dest] = idx
 
                 if is_store:
                     num_stores += 1
@@ -895,7 +874,6 @@ class Engine:
                     addr8 = uop.addr & ADDR_ALIGN
                     value = uop.value
                     store_by_addr[addr8] = (idx, pc, complete_t, retire_t, value)
-                    store_by_pc[pc] = idx
                     store_records[idx] = (pc, addr8, complete_t, retire_t, value)
                     store_retires.append(retire_t)
                     if len(store_records) > store_prune_limit:
@@ -978,10 +956,8 @@ class Engine:
         # waiting on memory).
         reg_writer_load = [False] * 16
         writer_pc = [0] * 16
-        writer_seq = [-1] * 16
         self._reg_ready = reg_ready
         ctx.writer_pc = writer_pc
-        ctx.writer_seq = writer_seq
 
         retire_times: list = []
         self._retire_times = retire_times
@@ -994,10 +970,8 @@ class Engine:
         iq_heap: list = []
 
         self._store_by_addr = {}
-        self._store_by_pc = {}
         self._store_records = {}
         store_by_addr = self._store_by_addr
-        store_by_pc = self._store_by_pc
         store_records = self._store_records
 
         alloc_machine = _WidthMachine(cfg.fetch_width)
@@ -1096,8 +1070,6 @@ class Engine:
                     entry = store_by_addr.get(uop.addr & _ADDR_ALIGN)
                     if entry is not None and entry[3] >= alloc_t:
                         fwd = entry  # (seq, pc, complete, retire, value)
-                ctx.forwarding_store = (
-                    None if fwd is None else (fwd[0], fwd[1], fwd[4]))
 
                 prediction = predictor.predict(uop, ctx)
 
@@ -1216,11 +1188,9 @@ class Engine:
                 head = bisect_right(retire_times, complete_t, 0, idx)
                 rob_distance = idx - head
                 completion_bound = retire_t == complete_t + 1
-                ctx.rob_distance = rob_distance
                 ctx.stalls_retirement = (rob_distance < cfg.retire_width
                                          and completion_bound)
                 ctx.l1_hit = level == "L1"
-                ctx.hit_level = level
 
                 # ---------------- control flow ----------------
                 ctx.branch_mispredicted = False
@@ -1287,7 +1257,6 @@ class Engine:
                         reg_ready[dest] = complete_t
                         reg_writer_load[dest] = is_load
                     writer_pc[dest] = uop.pc
-                    writer_seq[dest] = idx
 
                 if is_store:
                     num_stores += 1
@@ -1296,7 +1265,6 @@ class Engine:
                     self.store_sets.store_dispatched(uop.pc, idx)
                     record = (idx, uop.pc, complete_t, retire_t, uop.value)
                     store_by_addr[uop.addr & _ADDR_ALIGN] = record
-                    store_by_pc[uop.pc] = idx
                     store_records[idx] = (uop.pc, uop.addr & _ADDR_ALIGN,
                                           complete_t, retire_t, uop.value)
                     store_retires.append(retire_t)
@@ -1481,24 +1449,13 @@ class Engine:
         dead = [seq for seq, rec in self._store_records.items()
                 if rec[3] < now]
         for seq in dead:
-            rec = self._store_records.pop(seq)
-            pc, addr8 = rec[0], rec[1]
-            if self._store_by_pc.get(pc) == seq:
-                del self._store_by_pc[pc]
+            addr8 = self._store_records.pop(seq)[1]
             entry = self._store_by_addr.get(addr8)
             if entry is not None and entry[0] == seq:
                 del self._store_by_addr[addr8]
 
 
-#: Keyword order ``simulate`` accepted positionally before the
-#: keyword-only redesign; the deprecation shim maps old call sites
-#: through it for one release.
-_SIMULATE_LEGACY_ORDER = ("config", "predictor", "workload", "warmup",
-                          "collect_timing", "collect_events",
-                          "collect_stalls", "max_cycles")
-
-
-def simulate(trace: Union[TraceSource, Sequence[MicroOp]], *legacy,
+def simulate(trace: Union[TraceSource, Sequence[MicroOp]], *,
              config: Optional[CoreConfig] = None,
              predictor: Optional[ValuePredictor] = None,
              workload: str = "trace", warmup: int = 0,
@@ -1509,10 +1466,7 @@ def simulate(trace: Union[TraceSource, Sequence[MicroOp]], *legacy,
              backend: Optional[str] = None) -> SimResult:
     """One-call convenience wrapper: build an engine and run a trace.
 
-    Everything beyond the trace is keyword-only.  Old positional call
-    sites (``simulate(trace, config, predictor, ...)``) still work for
-    one release behind a :class:`DeprecationWarning`; see
-    docs/TRACES.md for the migration guide.
+    Everything beyond the trace is keyword-only.
 
     Parameters
     ----------
@@ -1542,27 +1496,6 @@ def simulate(trace: Union[TraceSource, Sequence[MicroOp]], *legacy,
     >>> r.instructions
     64
     """
-    if legacy:
-        if len(legacy) > len(_SIMULATE_LEGACY_ORDER):
-            raise TypeError(
-                f"simulate() takes at most "
-                f"{1 + len(_SIMULATE_LEGACY_ORDER)} positional arguments "
-                f"({1 + len(legacy)} given)")
-        warnings.warn(
-            "positional arguments to simulate() beyond the trace are "
-            "deprecated; pass config=, predictor=, ... as keywords",
-            DeprecationWarning, stacklevel=2)
-        defaults = (None, None, "trace", 0, False, False, True, None)
-        current = (config, predictor, workload, warmup, collect_timing,
-                   collect_events, collect_stalls, max_cycles)
-        for name, value, default in zip(_SIMULATE_LEGACY_ORDER[:len(legacy)],
-                                        current, defaults):
-            if value is not default:
-                raise TypeError(
-                    f"simulate() got multiple values for argument {name!r}")
-        (config, predictor, workload, warmup, collect_timing,
-         collect_events, collect_stalls, max_cycles) = \
-            tuple(legacy) + current[len(legacy):]
     engine = Engine(config or CoreConfig.skylake(), predictor,
                     collect_timing=collect_timing,
                     collect_events=collect_events,

@@ -34,7 +34,7 @@ Fallback rules (docs/VECTOR.md):
 1. **Whole-run delegation** — the predictor overrides any engine hook
    (``predict`` / ``train_execute`` / ``epoch_tick`` /
    ``on_forwarding``), or the run collects pipeline events.  Hooks see
-   per-op context (branch history, ROB distance) that only a scalar
+   per-op context (branch history, retirement stalls) that only a scalar
    sweep maintains.
 2. **Per-window scalar fallback** — some load's 8-byte block matches an
    in-window store or a carried in-flight store
@@ -103,11 +103,7 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
 
     reg_ready = [0] * 16
     reg_writer_load = [False] * 16
-    writer_pc = [0] * 16
-    writer_seq = [-1] * 16
     engine._reg_ready = reg_ready
-    engine._ctx.writer_pc = writer_pc
-    engine._ctx.writer_seq = writer_seq
 
     retire_times: list = []
     engine._retire_times = retire_times
@@ -116,10 +112,8 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
     iq_heap: list = []
 
     engine._store_by_addr = {}
-    engine._store_by_pc = {}
     engine._store_records = {}
     store_by_addr = engine._store_by_addr
-    store_by_pc = engine._store_by_pc
     store_records = engine._store_records
 
     # Inlined bandwidth machines (see _WidthMachine.schedule).
@@ -450,7 +444,6 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
                     value = values[i]
                     store_by_addr[addr8] = (gidx, pc, complete_t,
                                             retire_t, value)
-                    store_by_pc[pc] = gidx
                     store_records[gidx] = (pc, addr8, complete_t,
                                            retire_t, value)
                     store_retires.append(retire_t)
@@ -691,7 +684,6 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
                     value = uop.value
                     store_by_addr[addr8] = (gidx, pc, complete_t,
                                             retire_t, value)
-                    store_by_pc[pc] = gidx
                     store_records[gidx] = (pc, addr8, complete_t,
                                            retire_t, value)
                     store_retires.append(retire_t)

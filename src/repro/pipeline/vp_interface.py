@@ -13,13 +13,20 @@ into the engine through :class:`ValuePredictor`.  The engine calls:
   retirement-stall signal the CIT heuristic needs.
 * :meth:`ValuePredictor.on_forwarding` when the LSQ forwards a store's
   data to a load (the MR training tap of §IV-D).
-* :meth:`ValuePredictor.epoch_tick` once per retired instruction so
-  predictors can implement epoch resets (§IV-A1).
+* :meth:`ValuePredictor.epoch_tick` once per retired instruction, right
+  after :meth:`~ValuePredictor.train_execute`, so predictors can
+  implement epoch resets (§IV-A1).  FVP folds its Criticality Epoch
+  into ``train_execute`` instead (``ctx.seq + 1`` ops have retired when
+  it ends), which lets the engine skip this call for it.
+
+The scalar and vector loops only call the hooks a predictor overrides:
+one left at the no-op base implementation costs nothing per op.
 
 The :class:`EngineContext` gives predictors exactly the architectural
 visibility the paper's hardware has: the 32-branch global history, the
-PC-augmented RAT (last writer PC per architectural register), and the
-in-flight store tracking that MR and DLVP tap.
+PC-augmented RAT (last writer PC per architectural register), the
+retirement-stall and L1-hit signals at execution, and the in-flight
+store and cache probes DLVP taps.
 """
 
 from __future__ import annotations
@@ -73,11 +80,9 @@ class EngineContext:
     fields across calls.
     """
 
-    __slots__ = ("history32", "history", "writer_pc", "writer_seq",
-                 "forwarding_store", "stalls_retirement", "rob_distance",
-                 "seq", "l1_hit", "hit_level", "branch_mispredicted",
-                 "store_inflight_by_pc", "store_inflight_to_addr",
-                 "probe_level")
+    __slots__ = ("history32", "history", "writer_pc", "stalls_retirement",
+                 "seq", "l1_hit", "branch_mispredicted",
+                 "store_inflight_to_addr", "probe_level")
 
     def __init__(self) -> None:
         #: Outcomes of the last 32 branches (bit 0 = newest).
@@ -87,27 +92,16 @@ class EngineContext:
         self.history = 0
         #: tuple(reg -> PC of last writer), the RAT-PC of §IV-B.
         self.writer_pc: Tuple[int, ...] = ()
-        #: tuple(reg -> sequence number of last writer), -1 if none.
-        self.writer_seq: Tuple[int, ...] = ()
-        #: (store_seq, store_pc, store_value) of the in-flight store that
-        #: would forward to the current load's address, or None.
-        self.forwarding_store = None
         #: True when the current op executed within commit-width of the
-        #: ROB head (the retirement-stall criticality signal).
+        #: ROB head and its own completion bound its retirement (the
+        #: retirement-stall criticality signal).
         self.stalls_retirement = False
-        #: Distance from the ROB retirement pointer at execution.
-        self.rob_distance = 0
         #: Dynamic sequence number of the current op.
         self.seq = 0
         #: For loads at execution: did the access hit L1?
         self.l1_hit = True
-        #: For loads at execution: the level that served it.
-        self.hit_level = "L1"
         #: For control ops at execution: did the front end mispredict it?
         self.branch_mispredicted = False
-        #: Callable(store_pc) -> (seq, value, complete) for the newest
-        #: in-flight store from that PC, or None — the MR Value File tap.
-        self.store_inflight_by_pc = lambda pc: None
         #: Callable(addr) -> (seq, pc, value, complete) for the newest
         #: in-flight store to that (8-byte aligned) address, or None —
         #: the DLVP conflicting-store check.
@@ -145,10 +139,8 @@ class ValuePredictor:
     name = "none"
 
     #: Declare False when the predictor never reads the per-op
-    #: criticality context (``ctx.rob_distance``,
-    #: ``ctx.stalls_retirement``, ``ctx.l1_hit``, ``ctx.hit_level``).
-    #: The engine's fast path then skips computing them — the ROB-head
-    #: bisect in particular is measurable per-op work.  The default is
+    #: criticality context (``ctx.stalls_retirement``, ``ctx.l1_hit``).
+    #: The engine's fast path then skips computing them.  The default is
     #: conservative: unless a predictor opts out, the fields are always
     #: valid in :meth:`train_execute`.  Wrappers that delegate to
     #: component predictors must OR their components' flags.
@@ -212,8 +204,9 @@ class ValuePredictor:
         """LSQ store→load forwarding observed (MR's training tap)."""
 
     def epoch_tick(self, retired: int) -> None:
-        """Called with the running retired-instruction count; predictors
-        implement periodic resets (e.g. the Criticality Epoch) here."""
+        """Called with the running retired-instruction count, after
+        :meth:`train_execute`; predictors implement periodic resets
+        here."""
 
     def storage_bits(self) -> int:
         """Total state in bits, for Table I-style accounting."""

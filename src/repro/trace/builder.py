@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-import warnings
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Type)
 
@@ -147,8 +146,7 @@ def _iteration_stream(profile: WorkloadProfile, length: int,
         yield ops
 
 
-def build_trace(profile: WorkloadProfile, length: int,
-                *legacy_mem: Optional[MemImage],
+def build_trace(profile: WorkloadProfile, length: int, *,
                 mem: Optional[MemImage] = None) -> List[MicroOp]:
     """Assemble ``length`` (±one iteration) micro-ops for a profile.
 
@@ -175,16 +173,8 @@ def build_trace(profile: WorkloadProfile, length: int,
     mem:
         Keyword-only: optional pre-built :class:`MemImage` to share
         between traces; by default a fresh image salted with
-        ``profile.seed``.  (Passing it positionally is deprecated and
-        will be removed in the next release.)
+        ``profile.seed``.
     """
-    if legacy_mem:
-        if len(legacy_mem) > 1 or mem is not None:
-            raise TypeError("build_trace() takes at most one mem argument")
-        warnings.warn(
-            "passing mem positionally to build_trace() is deprecated; "
-            "use the mem= keyword", DeprecationWarning, stacklevel=2)
-        mem = legacy_mem[0]
     if length <= 0:
         raise ValueError("trace length must be positive")
     trace: List[MicroOp] = []

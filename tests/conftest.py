@@ -10,5 +10,4 @@ def ctx():
     """A default EngineContext predictors can be driven with."""
     context = EngineContext()
     context.writer_pc = [0] * 16
-    context.writer_seq = [-1] * 16
     return context

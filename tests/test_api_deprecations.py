@@ -1,11 +1,10 @@
-"""The keyword-only API redesign and its one-release legacy shims.
+"""The keyword-only API after its deprecation window closed.
 
-``simulate``, ``build_trace``, ``Runner`` and ``default_runner`` are
-keyword-only since the streaming redesign; old positional call sites
-keep working for one release behind a ``DeprecationWarning``, and a
-positional value that *collides* with an explicitly passed keyword is
-a ``TypeError`` (same contract CPython applies).  These tests pin both
-halves of that promise.
+``simulate``, ``build_trace``, ``Runner`` and ``default_runner`` take
+everything beyond the trace/profile argument as keywords.  The
+one-release positional shims are gone, so a positional call is now the
+plain ``TypeError`` CPython raises, and the keyword forms stay
+warning-free.
 """
 
 import warnings
@@ -31,21 +30,8 @@ class TestSimulateShim:
                               warmup=800)
         assert result.cycles > 0
 
-    def test_legacy_positional_config_warns_and_matches(self, trace):
-        keyword = simulate(trace, config=CoreConfig.skylake(), warmup=800)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = simulate(trace, CoreConfig.skylake(), warmup=800)
-        assert legacy.to_dict() == keyword.to_dict()
-
-    def test_legacy_positional_predictor_slot(self, trace):
-        with pytest.warns(DeprecationWarning):
-            result = simulate(trace, CoreConfig.skylake(), None,
-                              "astar", 800)
-        assert result.workload == "astar"
-
     def test_collision_is_type_error(self, trace):
-        with pytest.raises(TypeError, match="multiple values"), \
-                pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError, match="positional"):
             simulate(trace, CoreConfig.skylake(),
                      config=CoreConfig.skylake())
 
@@ -61,38 +47,18 @@ class TestSimulateShim:
 
 
 class TestBuildTraceShim:
-    def test_positional_mem_warns_and_matches(self):
-        profile = get_profile("astar")
-        keyword = build_trace(profile, 2000,
-                              mem=MemImage(salt=profile.seed))
-        with pytest.warns(DeprecationWarning, match="mem"):
-            legacy = build_trace(profile, 2000,
-                                 MemImage(salt=profile.seed))
-        assert len(legacy) == len(keyword)
-        assert [u.value for u in legacy] == [u.value for u in keyword]
-
     def test_double_mem_is_type_error(self):
         profile = get_profile("astar")
-        with pytest.raises(TypeError, match="mem"):
+        with pytest.raises(TypeError, match="positional"):
             build_trace(profile, 2000, MemImage(salt=1),
                         mem=MemImage(salt=1))
 
 
 class TestRunnerShim:
-    def test_legacy_positional_scale_knobs_warn(self):
-        from repro.experiments.runner import Runner
-
-        with pytest.warns(DeprecationWarning, match="positional"):
-            runner = Runner(4000, 1000, ["astar"])
-        assert runner.length == 4000
-        assert runner.warmup == 1000
-        assert runner.workloads == ["astar"]
-
     def test_collision_is_type_error(self):
         from repro.experiments.runner import Runner
 
-        with pytest.raises(TypeError, match="multiple values"), \
-                pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError, match="positional"):
             Runner(4000, length=4000)
 
     def test_keyword_form_is_warning_free(self):
@@ -106,14 +72,6 @@ class TestRunnerShim:
 
 
 class TestDefaultRunnerShim:
-    def test_legacy_positional_warns(self):
-        from repro.experiments.figures import default_runner
-
-        with pytest.warns(DeprecationWarning, match="positional"):
-            runner = default_runner(4000, 1000)
-        assert runner.length == 4000
-        assert runner.warmup == 1000
-
     def test_keyword_form_is_warning_free(self):
         from repro.experiments.figures import default_runner
 

@@ -173,6 +173,25 @@ class TestMemoryDependencePath:
         predictor = fvp_register_only()
         assert self.run_pair(predictor, ctx) == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known deviation (DESIGN.md): FVP relabels MR predictions "
+        "'fvp-mr', so a wrong renaming never resets the association's "
+        "confidence; fixing it changes cycle counts"))
+    def test_wrong_renaming_resets_association_confidence(self, ctx):
+        # §IV-D: a wrong memory-renaming prediction flushes and resets
+        # the association, as standalone MR does.
+        predictor = fvp_memory_only()
+        for i in range(8):
+            predictor.on_forwarding(self.STORE_PC, self.LOAD_PC, i)
+        ctx.seq = 50
+        drive(predictor, store(self.STORE_PC, addr=0x3000, srcs=(1,),
+                               value=7), ctx)
+        ctx.seq = 51
+        ld = load(self.LOAD_PC, dest=2, addr=0x3000, value=8)
+        prediction = drive(predictor, ld, ctx)
+        assert prediction is not None and prediction.value == 7
+        assert predictor.mr.assoc.lookup(self.LOAD_PC).confidence == 0
+
 
 class TestVariants:
     def test_l1_miss_only_never_walks(self, ctx):

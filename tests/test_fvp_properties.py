@@ -108,6 +108,5 @@ def test_engine_context_defaults_are_safe():
     """A predictor driven with a fresh context must not crash on the
     default callables."""
     ctx = EngineContext()
-    assert ctx.store_inflight_by_pc(0x400000) is None
     assert ctx.store_inflight_to_addr(0x1000) is None
     assert ctx.probe_level(0x1000) == "DRAM"

@@ -194,3 +194,31 @@ def test_skylake2x_never_slower(seed):
     narrow = simulate(trace, config=CoreConfig.skylake())
     wide = simulate(trace, config=CoreConfig.skylake_2x())
     assert wide.cycles <= narrow.cycles * 1.02 + 8
+
+
+# ----------------------------------------------------------------------
+# Retirement-stall signal: the scalar loop's O(1) rule.
+# ----------------------------------------------------------------------
+@given(st.lists(st.integers(min_value=0, max_value=20), max_size=60),
+       st.integers(min_value=0, max_value=600),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_o1_stall_rule_matches_rob_head_bisect(gaps, complete_t, late,
+                                               retire_width):
+    """The reference loop finds the ROB head by bisecting the retire
+    times of older ops; the scalar loop compares one of them.  The two
+    agree on any non-decreasing retire-time array."""
+    from bisect import bisect_right
+    from itertools import accumulate
+
+    retire_times = list(accumulate(gaps))  # non-decreasing
+    idx = len(retire_times)
+    # retire_t is complete_t + 1 (completion-bound) or later.
+    retire_t = complete_t + 1 + late
+    head = bisect_right(retire_times, complete_t, 0, idx)
+    spec = idx - head < retire_width and retire_t == complete_t + 1
+    o1 = retire_t == complete_t + 1 and (
+        idx < retire_width
+        or retire_times[idx - retire_width] <= complete_t)
+    assert o1 == spec

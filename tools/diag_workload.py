@@ -9,7 +9,7 @@ from repro.isa import opcodes
 wl = sys.argv[1] if len(sys.argv) > 1 else 'bwaves'
 tr = build_trace(get_profile(wl), 60000)
 print(trace_stats(tr))
-base = simulate(tr, CoreConfig.skylake(), warmup=29000, collect_timing=True)
+base = simulate(tr, config=CoreConfig.skylake(), warmup=29000, collect_timing=True)
 print('base IPC %.3f' % base.ipc, base.level_counts, 'brMiss', base.branch_mispredicts)
 p = fvp_default()
 pred_pcs = Counter()
@@ -20,7 +20,7 @@ def spy(uop, ctx):
         pred_pcs[(hex(uop.pc), out.source)] += 1
     return out
 p.predict = spy
-r = simulate(tr, CoreConfig.skylake(), predictor=p, warmup=29000)
+r = simulate(tr, config=CoreConfig.skylake(), predictor=p, warmup=29000)
 print('fvp IPC %.3f (%+.1f%%) cov %.2f acc %.3f' % (r.ipc, 100*(r.ipc/base.ipc-1), r.coverage, r.accuracy))
 print('top predicted:', pred_pcs.most_common(8))
 # what level do meta loads hit? pc 0x400000 region kernel0

@@ -23,8 +23,8 @@ for hops, pad, w in ((3, 10, 0.12), (4, 16, 0.12), (5, 24, 0.12), (6, 10, 0.08))
     tr = build_trace(profile, args.length)
     out = []
     for core in (CoreConfig.skylake(), CoreConfig.skylake_2x()):
-        base = simulate(tr, core, warmup=args.warmup)
-        f = simulate(tr, core, predictor=fvp_default(), warmup=args.warmup)
+        base = simulate(tr, config=core, warmup=args.warmup)
+        f = simulate(tr, config=core, predictor=fvp_default(), warmup=args.warmup)
         out.append((base.ipc, 100*(f.ipc/base.ipc-1)))
     print('hops %d pad %2d w %.2f | sky base %.2f fvp %+5.1f%% | 2x base %.2f fvp %+5.1f%% | amp %.1fx' % (
         hops, pad, w, out[0][0], out[0][1], out[1][0], out[1][1],

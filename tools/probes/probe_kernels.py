@@ -16,11 +16,11 @@ def probe(label, spec):
     profile = WorkloadProfile(label, "ISPEC06", args.seed, [spec])
     tr = build_trace(profile, args.length)
     w = args.warmup
-    base = simulate(tr, CoreConfig.skylake(), warmup=w)
-    f = simulate(tr, CoreConfig.skylake(), predictor=fvp_default(), warmup=w)
-    m = simulate(tr, CoreConfig.skylake(), predictor=make_predictor('mr-8kb'), warmup=w)
-    base2 = simulate(tr, CoreConfig.skylake_2x(), warmup=w)
-    f2 = simulate(tr, CoreConfig.skylake_2x(), predictor=fvp_default(), warmup=w)
+    base = simulate(tr, config=CoreConfig.skylake(), warmup=w)
+    f = simulate(tr, config=CoreConfig.skylake(), predictor=fvp_default(), warmup=w)
+    m = simulate(tr, config=CoreConfig.skylake(), predictor=make_predictor('mr-8kb'), warmup=w)
+    base2 = simulate(tr, config=CoreConfig.skylake_2x(), warmup=w)
+    f2 = simulate(tr, config=CoreConfig.skylake_2x(), predictor=fvp_default(), warmup=w)
     print('%-40s base %.3f | fvp %+6.1f%% cov %3.0f%% | mr8 %+5.1f%% | 2x base %.3f fvp %+6.1f%% | DRAM %d LLC %d L2 %d' % (
         label, base.ipc, 100*(f.ipc/base.ipc-1), 100*f.coverage, 100*(m.ipc/base.ipc-1),
         base2.ipc, 100*(f2.ipc/base2.ipc-1),

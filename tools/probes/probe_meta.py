@@ -20,12 +20,12 @@ for slots in (128, 256, 512, 1024):
     ]
     profile = WorkloadProfile('probe%d' % slots, 'ISPEC06', args.seed, specs)
     tr = build_trace(profile, args.length)
-    base = simulate(tr, CoreConfig.skylake(), warmup=args.warmup,
+    base = simulate(tr, config=CoreConfig.skylake(), warmup=args.warmup,
                     collect_timing=True)
     t = base.timing
     lat = [t['complete'][i] - t['issue'][i]
            for i, u in enumerate(tr) if u.pc == 0x400000]
-    f = simulate(tr, CoreConfig.skylake(), predictor=fvp_default(),
+    f = simulate(tr, config=CoreConfig.skylake(), predictor=fvp_default(),
                  warmup=args.warmup)
     print('slots %4d: meta lat %.1f | base %.3f fvp %+6.1f%% cov %.2f' % (
         slots, statistics.mean(lat[len(lat)//2:]), base.ipc,

@@ -24,8 +24,8 @@ for hops, pad, w, miss_fp in ((4, 10, 0.08, 0), (6, 10, 0.08, 0),
     tr = build_trace(profile, args.length)
     out = []
     for core in (CoreConfig.skylake(), CoreConfig.skylake_2x()):
-        base = simulate(tr, core, warmup=args.warmup)
-        f = simulate(tr, core, predictor=fvp_default(), warmup=args.warmup)
+        base = simulate(tr, config=core, warmup=args.warmup)
+        f = simulate(tr, config=core, predictor=fvp_default(), warmup=args.warmup)
         out.append((base.ipc, 100*(f.ipc/base.ipc-1)))
     print('hops %d pad %2d w %.2f fp %dM | sky %.2f %+6.1f%% | 2x %.2f %+6.1f%% | amp %.1fx' % (
         hops, pad, w, miss_fp >> 20, out[0][0], out[0][1], out[1][0],

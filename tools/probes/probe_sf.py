@@ -17,11 +17,11 @@ def probe(label, spec):
     profile = WorkloadProfile(label, "Server", args.seed, [spec])
     tr = build_trace(profile, args.length)
     w = args.warmup
-    base = simulate(tr, CoreConfig.skylake(), warmup=w)
-    f = simulate(tr, CoreConfig.skylake(), predictor=fvp_default(), warmup=w)
-    fm = simulate(tr, CoreConfig.skylake(), predictor=fvp_memory_only(), warmup=w)
-    fr = simulate(tr, CoreConfig.skylake(), predictor=fvp_register_only(), warmup=w)
-    m = simulate(tr, CoreConfig.skylake(), predictor=make_predictor('mr-8kb'), warmup=w)
+    base = simulate(tr, config=CoreConfig.skylake(), warmup=w)
+    f = simulate(tr, config=CoreConfig.skylake(), predictor=fvp_default(), warmup=w)
+    fm = simulate(tr, config=CoreConfig.skylake(), predictor=fvp_memory_only(), warmup=w)
+    fr = simulate(tr, config=CoreConfig.skylake(), predictor=fvp_register_only(), warmup=w)
+    m = simulate(tr, config=CoreConfig.skylake(), predictor=make_predictor('mr-8kb'), warmup=w)
     print('%-34s base %.3f | fvp %+6.1f%% cov %3.0f%% | fvp-mem %+6.1f%% | fvp-reg %+6.1f%% | mr8 %+6.1f%% cov %2.0f%%' % (
         label, base.ipc, 100*(f.ipc/base.ipc-1), 100*f.coverage,
         100*(fm.ipc/base.ipc-1), 100*(fr.ipc/base.ipc-1),

@@ -23,7 +23,7 @@ loads = [u.pc for u in tr if u.op == opcodes.LOAD]
 print('load pcs:', Counter(loads).most_common(3))
 
 for pred in (None, fvp_default()):
-    r = simulate(tr, CoreConfig.skylake(), predictor=pred, collect_timing=True)
+    r = simulate(tr, config=CoreConfig.skylake(), predictor=pred, collect_timing=True)
     t = r.timing
     # miss loads carry srcs (the computed index); meta loads do not.
     miss_idx = [i for i, u in enumerate(tr)

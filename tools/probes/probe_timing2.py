@@ -19,7 +19,7 @@ profile = WorkloadProfile('probe', 'ISPEC06', args.seed, [spec])
 tr = build_trace(profile, args.length)
 
 for pred in (None, fvp_default()):
-    r = simulate(tr, CoreConfig.skylake(), predictor=pred, collect_timing=True)
+    r = simulate(tr, config=CoreConfig.skylake(), predictor=pred, collect_timing=True)
     t = r.timing
     miss_idx = [i for i, u in enumerate(tr)
                 if u.op == opcodes.LOAD and u.srcs]
