@@ -20,8 +20,8 @@ Commands
                 stale sweep checkpoints, quarantine files, and dead
                 service sockets, removable with ``--fix``
 ``serve``     — run the campaign service daemon: a job queue over a
-                unix socket (and optional localhost HTTP) backed by
-                the shared cache tier (docs/SERVICE.md)
+                unix socket backed by the shared cache tier
+                (docs/SERVICE.md)
 ``submit``    — send a sweep to the daemon and stream its progress
 ``watch``     — re-attach to a submission's event stream
 ``jobs``      — daemon queue/record summary (``--stats`` adds the
@@ -72,7 +72,6 @@ from repro.experiments.runner import (
     Runner,
     default_warmup,
 )
-from repro.pipeline.engine import BACKENDS
 from repro.predictors import make_predictor
 from repro.telemetry.trace import DEFAULT_CAPACITY
 from repro.trace.workloads import CATALOGUE, CATEGORIES, get_profile
@@ -100,19 +99,6 @@ def _trace_shape_parent(default_length: int = DEFAULT_LENGTH
                             "trace build`) instead of generating the "
                             "trace; --length is then taken from the "
                             "file header")
-    return parent
-
-
-def _backend_parent() -> argparse.ArgumentParser:
-    """Shared ``--backend`` flag for every simulating subcommand: pins
-    the engine timing-loop backend (docs/VECTOR.md) instead of letting
-    ``REPRO_ENGINE_BACKEND`` / the numpy autodetect decide."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="engine timing-loop backend (default: "
-                             "$REPRO_ENGINE_BACKEND, else 'vector' "
-                             "when numpy is available; all backends "
-                             "are bit-identical — docs/VECTOR.md)")
     return parent
 
 
@@ -169,7 +155,6 @@ def _progress(event: JobEvent) -> None:
 def _runner(args, workloads: Optional[List[str]] = None) -> Runner:
     trace_file = getattr(args, "trace_file", None)
     seed = getattr(args, "seed", None)
-    backend = getattr(args, "backend", None)
     if trace_file is not None:
         # The whole file is replayed: its header supplies the length,
         # so --length is ignored on this path.
@@ -177,12 +162,12 @@ def _runner(args, workloads: Optional[List[str]] = None) -> Runner:
                       jobs=args.jobs, use_cache=not args.no_cache,
                       cache_dir=args.cache_dir, progress=_progress,
                       timeout=args.timeout, retries=args.retries,
-                      seed=seed, trace_file=trace_file, backend=backend)
+                      seed=seed, trace_file=trace_file)
     return Runner(length=args.length, warmup=_warmup(args),
                   workloads=workloads, jobs=args.jobs,
                   use_cache=not args.no_cache, cache_dir=args.cache_dir,
                   progress=_progress, timeout=args.timeout,
-                  retries=args.retries, seed=seed, backend=backend)
+                  retries=args.retries, seed=seed)
 
 
 def _reject_trace_file(args, command: str) -> bool:
@@ -295,8 +280,7 @@ def _export_event_trace(args, runner) -> None:
     config = core_config(args.core)
     predictor = build_predictor(args.predictor, trace, config)
     engine = Engine(config, predictor, collect_events=True,
-                    event_capacity=args.trace_events,
-                    backend=getattr(args, "backend", None))
+                    event_capacity=args.trace_events)
     result = engine.run(trace, workload=args.workload,
                         warmup=_warmup(args))
     label = f"{args.workload}/{args.core}/{args.predictor}"
@@ -334,8 +318,7 @@ def cmd_figure(args) -> int:
                                     timeout=args.timeout,
                                     retries=args.retries,
                                     strict=False,
-                                    seed=args.seed,
-                                    backend=args.backend)
+                                    seed=args.seed)
     print(renderer(driver(runner)))
     return _report_failures(runner)
 
@@ -365,7 +348,6 @@ def cmd_sweep(args) -> int:
     from repro.analysis.reporting import format_suite, format_table
     from repro.experiments.campaign import (
         DEFAULT_CACHE_DIR,
-        append_journal,
         finish_campaign,
         load_campaign,
         save_campaign,
@@ -394,18 +376,20 @@ def cmd_sweep(args) -> int:
         args.warmup = meta["warmup"]
         args.per_category = meta["per_category"]
         args.seed = meta.get("seed")
-        args.backend = meta.get("backend")
         args.no_cache = False
 
     runner = _default_runner_for(args, strict=False)
-    cid = None
-    if not args.no_cache:
+    # A resumed sweep finishes the manifest it was given: recomputing
+    # the id from the meta dict would miss manifests written by older
+    # versions, whose meta carried more keys.
+    cid = args.resume
+    if cid is None and not args.no_cache:
         meta = {"command": "sweep", "predictors": list(args.predictors),
                 "cores": list(args.cores), "length": args.length,
                 "warmup": _warmup(args),
-                "per_category": args.per_category,
-                "seed": args.seed, "backend": args.backend}
+                "per_category": args.per_category, "seed": args.seed}
         cid = save_campaign(cache_root, meta)
+    if cid is not None:
         print(f"campaign {cid} (resume with: repro sweep --resume {cid})",
               file=sys.stderr)
 
@@ -418,10 +402,6 @@ def cmd_sweep(args) -> int:
                              f"{suite.coverage:.1%}", len(suite)))
             else:  # every workload quarantined — aggregates undefined
                 rows.append((core, predictor, "-", "-", 0))
-            if cid is not None:
-                append_journal(cache_root, cid, {
-                    "core": core, "predictor": predictor,
-                    "runs": len(suite), "gaps": list(suite.gaps)})
             if args.per_workload and suite.runs:
                 print(format_suite(f"{predictor} on {core}", suite))
                 print()
@@ -442,8 +422,7 @@ def _default_runner_for(args, strict: bool = True) -> Runner:
                           jobs=args.jobs, use_cache=not args.no_cache,
                           cache_dir=args.cache_dir, progress=_progress,
                           timeout=args.timeout, retries=args.retries,
-                          strict=strict, seed=getattr(args, "seed", None),
-                          backend=getattr(args, "backend", None))
+                          strict=strict, seed=getattr(args, "seed", None))
 
 
 def cmd_storage(_args) -> int:
@@ -588,10 +567,8 @@ def cmd_serve(args) -> int:
             return 2
     daemon = ServiceDaemon(path, cache=cache, jobs=args.jobs,
                            timeout=args.timeout, retries=args.retries,
-                           http_port=args.http,
                            max_pending=args.max_pending)
-    extra = f" (http 127.0.0.1:{args.http})" if args.http else ""
-    print(f"serving campaigns on {path}{extra}", file=sys.stderr)
+    print(f"serving campaigns on {path}", file=sys.stderr)
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:  # clean ^C shutdown
@@ -652,7 +629,7 @@ def cmd_submit(args) -> int:
             for workload in args.workloads:
                 jobs.append(Job(workload, core, spec, args.length,
                                 _warmup(args), args.seed,
-                                args.trace_file, args.backend))
+                                args.trace_file))
     path = _service_socket(args)
     try:
         stream = service_client.submit(path, jobs,
@@ -882,6 +859,8 @@ def _doctor_hygiene(args) -> None:
         except OSError:
             continue
         findings.append(("stale sweep checkpoint", base + ".json"))
+        # Caches written by older versions may hold a sweep journal
+        # beside the manifest.
         if os.path.exists(base + ".journal"):
             findings.append(("stale sweep journal", base + ".journal"))
 
@@ -1083,20 +1062,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Focused Value Prediction (ISCA 2020) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
     shape = _trace_shape_parent()
-    backend = _backend_parent()
 
     p_list = sub.add_parser("list", help="list workloads")
     p_list.add_argument("--category", choices=CATEGORIES)
     p_list.set_defaults(func=cmd_list)
 
-    p_run = sub.add_parser("run", parents=[shape, backend],
+    p_run = sub.add_parser("run", parents=[shape],
                            help="simulate one workload")
     p_run.add_argument("workload")
     p_run.add_argument("--predictor", default="fvp")
     _add_scale_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", parents=[shape, backend],
+    p_cmp = sub.add_parser("compare", parents=[shape],
                            help="compare predictors")
     p_cmp.add_argument("workload")
     p_cmp.add_argument("predictors", nargs="+")
@@ -1104,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_prof = sub.add_parser(
-        "profile", parents=[shape, backend],
+        "profile", parents=[shape],
         help="per-bucket CPI breakdown and delta vs another predictor")
     p_prof.add_argument("workload")
     p_prof.add_argument("--predictor", default="fvp")
@@ -1122,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
-    p_fig = sub.add_parser("figure", parents=[shape, backend],
+    p_fig = sub.add_parser("figure", parents=[shape],
                            help="regenerate a paper figure")
     p_fig.add_argument("number", type=_figure_number,
                        choices=range(6, 14), metavar="{6..13|fig06..fig13}")
@@ -1131,7 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[shape, backend],
+        "sweep", parents=[shape],
         help="sweep predictors × cores over the suite")
     p_sweep.add_argument("predictors", nargs="*",
                          help="predictor registry names (omit when "
@@ -1150,7 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_storage = sub.add_parser("storage", help="print Table I")
     p_storage.set_defaults(func=cmd_storage)
 
-    p_report = sub.add_parser("report", parents=[shape, backend],
+    p_report = sub.add_parser("report", parents=[shape],
                               help="write a full reproduction report")
     p_report.add_argument("--output", default="report.md")
     p_report.add_argument("--figures", type=int, nargs="+",
@@ -1263,10 +1241,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="unix socket path (default: "
                               "$REPRO_SERVICE_SOCKET or "
                               "<cache-dir>/service.sock)")
-    p_serve.add_argument("--http", type=int, default=None,
-                         metavar="PORT",
-                         help="also serve ping/stats/jobs/submit on "
-                              "127.0.0.1:PORT")
     p_serve.add_argument("--cache-budget", default=None, metavar="SIZE",
                          help="cache-tier eviction budget (e.g. 256M; "
                               "default: $REPRO_CACHE_BUDGET)")
@@ -1283,7 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
-        "submit", parents=[shape, backend],
+        "submit", parents=[shape],
         help="submit a sweep to the service daemon")
     p_submit.add_argument("predictors", nargs="+",
                           help="predictor registry names "

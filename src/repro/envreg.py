@@ -60,9 +60,6 @@ REGISTRY: Dict[str, EnvVar] = {
                "override the default warmup prefix outright",
                "40% of length, capped at 100k",
                "repro.experiments.runner"),
-        EnvVar("REPRO_SLOW_PATH",
-               "1 selects the readable reference timing loop",
-               "0 (optimized hot path)", "repro.pipeline.engine"),
         EnvVar("REPRO_ENGINE_BACKEND",
                "timing-loop backend: vector, scalar or reference",
                "vector (scalar when numpy is unavailable)",

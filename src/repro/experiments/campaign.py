@@ -38,10 +38,9 @@ things the plain :class:`~repro.experiments.runner.Runner` loop lacks:
   prune --older-than 7d``) ages out stale entries.
 
 Campaign checkpointing: :func:`save_campaign` records a campaign's
-defining arguments under ``<cache>/campaigns/<id>.json`` and
-:func:`append_journal` keeps a crash-safe per-job journal next to it,
-so ``repro sweep --resume <id>`` can replay an interrupted campaign —
-finished jobs are served from the cache, only missing or failed jobs
+defining arguments under ``<cache>/campaigns/<id>.json``, so ``repro
+sweep --resume <id>`` can replay an interrupted campaign — finished
+jobs are served from the result cache, only missing or failed jobs
 simulate again.
 
 Observability: the engine emits a :class:`JobEvent` per job (cache hit,
@@ -139,11 +138,6 @@ class Job:
     from a v2 trace file referenced by ``trace_file`` — in which case
     ``length`` is ignored and the file's content hash joins the cache
     key.
-
-    ``backend`` pins the engine timing-loop backend (docs/VECTOR.md);
-    ``None`` lets the engine resolve it (env var, then default).  It
-    deliberately does NOT join the cache key: the three backends are
-    bit-identical by contract, so their results are interchangeable.
     """
 
     workload: str
@@ -153,7 +147,6 @@ class Job:
     warmup: int = 40_000
     seed: Optional[int] = None
     trace_file: Optional[str] = None
-    backend: Optional[str] = None
 
     @property
     def distributable(self) -> bool:
@@ -361,7 +354,7 @@ def execute_job(job: Job, trace: Optional[List[MicroOp]] = None,
     config = core_config(job.core)
     predictor = build_predictor(job.spec, source, config)
     _claim_predictor(predictor)
-    engine = Engine(config, predictor, backend=job.backend)
+    engine = Engine(config, predictor)
     try:
         return engine.run(source, workload=job.workload, warmup=job.warmup)
     finally:
@@ -375,19 +368,18 @@ class _PoolUnavailable(Exception):
 
 
 def _pool_worker(payload: Tuple[str, str, Optional[str], int, int,
-                                Optional[int], Optional[str],
-                                Optional[str]],
+                                Optional[int], Optional[str]],
                  attempt: int, conn) -> None:
     """Worker-process entry point: rebuild everything locally and send
     ``("ok", result, elapsed)`` or ``("err", taxonomy, message)`` back
     over the pipe.  A crash (or injected ``os._exit``) sends nothing —
     the parent watchdog classifies that as a ``WorkerCrash``."""
     try:
-        (workload, core, spec, length, warmup, seed, trace_file,
-         backend) = payload
+        (workload, core, spec, length, warmup, seed,
+         trace_file) = payload
         start = time.perf_counter()
         result = execute_job(Job(workload, core, spec, length, warmup,
-                                 seed, trace_file, backend),
+                                 seed, trace_file),
                              attempt=attempt)
         conn.send(("ok", result, time.perf_counter() - start))
     # Crash-isolation boundary: the worker must classify *anything* and
@@ -814,33 +806,6 @@ def list_campaigns(cache_root: str) -> List[Dict[str, Any]]:
     return manifests
 
 
-def append_journal(cache_root: str, cid: str,
-                   record: Dict[str, Any]) -> None:
-    """Append one JSON line to the campaign's crash-safe journal
-    (``<cache_root>/campaigns/<id>.journal``)."""
-    path = os.path.join(cache_root, CAMPAIGN_DIR, cid + ".journal")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
-def read_journal(cache_root: str, cid: str) -> List[Dict[str, Any]]:
-    """Parse the campaign journal; torn trailing lines (a crash mid-
-    append) are skipped, earlier records always survive."""
-    path = os.path.join(cache_root, CAMPAIGN_DIR, cid + ".journal")
-    records = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    continue
-    except FileNotFoundError:
-        pass
-    return records
-
-
 # ----------------------------------------------------------------------
 # The engine.
 # ----------------------------------------------------------------------
@@ -1167,7 +1132,7 @@ class CampaignEngine:
                     job, attempt, _ = queue.pop(ready)
                     payload = (job.workload, job.core, job.spec,
                                job.length, job.warmup, job.seed,
-                               job.trace_file, job.backend)
+                               job.trace_file)
                     parent_conn, child_conn = ctx.Pipe(duplex=False)
                     proc = ctx.Process(target=_pool_worker,
                                        args=(payload, attempt, child_conn),
@@ -1257,7 +1222,6 @@ __all__ = [
     "PredictorSpec",
     "RETRYABLE_ERRORS",
     "ResultCache",
-    "append_journal",
     "build_predictor",
     "campaign_id",
     "execute_job",
@@ -1266,6 +1230,5 @@ __all__ = [
     "job_key",
     "list_campaigns",
     "load_campaign",
-    "read_journal",
     "save_campaign",
 ]

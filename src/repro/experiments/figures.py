@@ -238,8 +238,7 @@ def default_runner(*,
                    progress: Optional[Callable[[JobEvent], None]] = None,
                    timeout: Optional[float] = None, retries: int = 2,
                    strict: bool = True,
-                   seed: Optional[int] = None,
-                   backend: Optional[str] = None) -> Runner:
+                   seed: Optional[int] = None) -> Runner:
     """Runner over the full 60-workload suite, optionally subsampled to
     ``per_category`` workloads per category (benchmark scaling).
     ``jobs``/``use_cache`` configure the campaign engine and
@@ -247,8 +246,8 @@ def default_runner(*,
     :class:`repro.experiments.Runner`); with ``strict=False`` a figure
     rendered from a partial campaign carries explicit gap
     annotations instead of aborting.  ``seed`` reseeds every generated
-    trace (run-to-run variation studies) and ``backend`` pins the
-    engine timing loop (docs/VECTOR.md).  Everything is keyword-only."""
+    trace (run-to-run variation studies).  Everything is
+    keyword-only."""
     workloads: Optional[List[str]] = None
     if per_category is not None:
         seen: Dict[str, int] = {}
@@ -260,7 +259,7 @@ def default_runner(*,
     return Runner(length=length, warmup=warmup, workloads=workloads,
                   jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
                   progress=progress, timeout=timeout, retries=retries,
-                  strict=strict, seed=seed, backend=backend)
+                  strict=strict, seed=seed)
 
 
 __all__ = [

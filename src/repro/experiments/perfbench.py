@@ -101,8 +101,8 @@ def _run_once(trace, config, predictor_spec: str, workload: str,
     single-simulation; see ``ValuePredictor``) and only the engine run
     is timed — trace construction is deterministic and not part of
     simulator throughput.  The explicit ``backend=`` pin outranks
-    ``REPRO_SLOW_PATH`` and ``REPRO_ENGINE_BACKEND``, so the bench
-    measures what it says regardless of the environment.
+    ``REPRO_ENGINE_BACKEND``, so the bench measures what it says
+    regardless of the environment.
     """
     from repro.experiments.campaign import build_predictor
     from repro.pipeline.engine import Engine

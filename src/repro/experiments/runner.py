@@ -117,11 +117,6 @@ class Runner:
         (mmap-backed, bounded RSS).  Requires exactly one explicit
         workload — the label the replayed trace is recorded under —
         and defaults ``length`` to the file's op count.
-    backend:
-        Optional engine timing-loop backend (``"vector"``,
-        ``"scalar"`` or ``"reference"`` — docs/VECTOR.md) pinned on
-        every job this runner creates; ``None`` defers to
-        ``REPRO_ENGINE_BACKEND`` and the engine default.
 
     Everything is keyword-only.
     """
@@ -136,11 +131,9 @@ class Runner:
                  timeout: Optional[float] = None, retries: int = 2,
                  strict: bool = True,
                  seed: Optional[int] = None,
-                 trace_file: Optional[str] = None,
-                 backend: Optional[str] = None) -> None:
+                 trace_file: Optional[str] = None) -> None:
         self.seed = seed
         self.trace_file = trace_file
-        self.backend = backend
         if trace_file is not None:
             if workloads is None or len(list(workloads)) != 1:
                 raise ConfigError(
@@ -185,7 +178,7 @@ class Runner:
             predictor: Optional[PredictorSpec]) -> Job:
         """The campaign job this runner would execute for the triple."""
         return Job(workload, core, predictor, self.length, self.warmup,
-                   self.seed, self.trace_file, self.backend)
+                   self.seed, self.trace_file)
 
     def _build_predictor(self, spec, trace, config):
         # Retained for API compatibility; construction lives in

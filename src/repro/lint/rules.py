@@ -160,9 +160,9 @@ def find_loop_dispatch(tree: ast.Module) -> Optional[LoopDispatch]:
     """Locate the timing-loop dispatch *structurally*.
 
     The engine's ``run()`` selects a timing loop either with the
-    legacy two-way shape::
+    two-way shape::
 
-        if _slow_path_requested():
+        if self._resolve_backend() == "reference":
             self._time_trace_reference(trace, warmup, result, gap_hist)
         else:
             self._time_trace(trace, warmup, result, gap_hist)

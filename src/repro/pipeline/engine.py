@@ -37,10 +37,9 @@ docs/VECTOR.md):
 * the **reference** backend, :meth:`Engine._time_trace_reference` —
   the readable specification loop.
 
-Selection: the ``backend=`` engine/CLI parameter wins, then the legacy
-``REPRO_SLOW_PATH=1`` (→ ``reference``), then the registered
-``REPRO_ENGINE_BACKEND`` environment variable, then the default
-(``vector``, or ``scalar`` without numpy).
+Selection: the ``backend=`` engine parameter wins, then the
+registered ``REPRO_ENGINE_BACKEND`` environment variable, then the
+default (``vector``, or ``scalar`` without numpy).
 
 All three produce **bit-identical**
 :class:`~repro.pipeline.results.SimResult` objects for any
@@ -128,11 +127,6 @@ BACKENDS = ("reference", "scalar", "vector")
 #: Whether the vector backend's numpy dependency is importable (probed
 #: without importing, so scalar-only runs never pay the import).
 _HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-
-def _slow_path_requested() -> bool:
-    """True when ``REPRO_SLOW_PATH`` selects the reference loop."""
-    return os.environ.get("REPRO_SLOW_PATH", "") not in ("", "0")
 
 
 def _backend_requested() -> Optional[str]:
@@ -225,11 +219,10 @@ class Engine:
     backend:
         Which timing-loop implementation runs (docs/VECTOR.md):
         ``"vector"``, ``"scalar"`` or ``"reference"``.  ``None`` (the
-        default) defers to ``REPRO_SLOW_PATH``, then
-        ``REPRO_ENGINE_BACKEND``, then ``vector`` when numpy is
-        importable (``scalar`` otherwise).  All backends are
-        bit-identical; an explicit ``"vector"`` without numpy raises
-        :class:`~repro.errors.ConfigError` at run time.
+        default) defers to ``REPRO_ENGINE_BACKEND``, then ``vector``
+        when numpy is importable (``scalar`` otherwise).  All backends
+        are bit-identical; an explicit ``"vector"`` without numpy
+        raises :class:`~repro.errors.ConfigError` at run time.
     """
 
     def __init__(self, config: CoreConfig,
@@ -394,7 +387,6 @@ class Engine:
         """Which timing loop this run uses (docs/VECTOR.md).
 
         Precedence: the explicit ``backend=`` constructor argument,
-        then the legacy ``REPRO_SLOW_PATH=1`` reference-loop switch,
         then the registered ``REPRO_ENGINE_BACKEND`` environment
         variable, then the default — ``vector`` when numpy is
         importable, ``scalar`` otherwise.  An explicit ``vector``
@@ -402,8 +394,6 @@ class Engine:
         silent downgrade."""
         backend = self.backend
         if backend is None:
-            if _slow_path_requested():
-                return "reference"
             backend = _backend_requested()
         if backend is None:
             return "vector" if _HAVE_NUMPY else "scalar"
@@ -934,7 +924,7 @@ class Engine:
                               result: SimResult, gap_hist) -> None:
         """Readable reference implementation of the per-op loop.
 
-        Selected by ``REPRO_SLOW_PATH=1``.  This is the behavioural
+        Selected by ``backend="reference"``.  This is the behavioural
         specification :meth:`_time_trace` is validated against; keep
         the two in lockstep when changing the timing model.
         """

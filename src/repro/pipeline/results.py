@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.telemetry.stalls import cpi_breakdown, empty_buckets
-from repro.telemetry.stats import Counter, StatGroup
+from repro.telemetry.stats import StatGroup
 from repro.telemetry.trace import EventTrace
 
 #: Bump when the shape of the serialised result (telemetry tree, stall
@@ -118,29 +118,6 @@ class SimResult:
         if not self.instructions:
             return 0.0
         return 1000.0 * self.level_counts.get("DRAM", 0) / self.instructions
-
-    # -- telemetry views ----------------------------------------------
-    @property
-    def frontend_stats(self) -> Dict[str, float]:
-        """Flat front-end counters (compatibility view over the
-        ``frontend`` telemetry group)."""
-        return self._group_view("frontend")
-
-    @property
-    def predictor_stats(self) -> Dict[str, float]:
-        """Flat predictor-internal counters (compatibility view over
-        the ``predictor`` telemetry group)."""
-        return self._group_view("predictor")
-
-    def _group_view(self, name: str) -> Dict[str, float]:
-        if self.telemetry is None:
-            return {}
-        group = self.telemetry.get(name)
-        if not isinstance(group, StatGroup):
-            return {}
-        return {child_name: child.value
-                for child_name, child in group.children.items()
-                if isinstance(child, Counter)}
 
     def cpi_breakdown(self) -> Dict[str, float]:
         """Per-bucket cycles-per-instruction; sums to this run's CPI."""

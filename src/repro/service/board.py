@@ -104,6 +104,18 @@ def _strip_result(frame: Dict[str, Any]) -> Dict[str, Any]:
     return slim
 
 
+def _logged_job(wire: Dict[str, Any]) -> Job:
+    """A job from a WAL record.  Logs written before the per-job
+    ``backend`` field was removed still carry it; it never joined the
+    job key, so dropping it here keeps those logs replayable.  Client
+    frames go through :func:`job_from_wire` directly and keep
+    rejecting it."""
+    if isinstance(wire, dict):
+        wire = {name: value for name, value in wire.items()
+                if name != "backend"}
+    return job_from_wire(wire)
+
+
 def _sid_seq(sid: str) -> int:
     """The sequence number embedded in a submission id (``S0012`` →
     12); 0 for foreign ids."""
@@ -433,7 +445,7 @@ class JobBoard:
         sid = str(record.get("sid", ""))
         if not sid or sid in self.submissions:
             return False
-        jobs = [job_from_wire(wire) for wire in record.get("jobs", [])]
+        jobs = [_logged_job(wire) for wire in record.get("jobs", [])]
         ordered: List[Tuple[str, Job]] = []
         seen: Set[str] = set()
         for job in jobs:
@@ -478,7 +490,7 @@ class JobBoard:
         if not key or key in self.records:
             return
         job_record = JobRecord(
-            job=job_from_wire(record.get("job", {})), key=key,
+            job=_logged_job(record.get("job", {})), key=key,
             state=str(record.get("state", "pending")),
             from_cache=bool(record.get("from_cache", False)),
             error=record.get("error"),

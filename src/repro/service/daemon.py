@@ -35,10 +35,6 @@ queued) from a merely *busy* one.  Backpressure bounds queue depth:
 past ``--max-pending`` (``REPRO_SERVICE_MAX_PENDING``) submissions are
 rejected with a typed ``ServiceOverloaded`` error instead of growing
 memory without bound.
-
-An optional localhost HTTP shim mirrors ``ping`` / ``stats`` /
-``jobs`` / ``submit`` for curl-friendly monitoring; the unix socket
-remains the primary, streaming interface.
 """
 
 from __future__ import annotations
@@ -117,8 +113,6 @@ class ServiceDaemon:
     Parameters mirror the campaign flags: ``jobs`` is the worker-pool
     width, ``timeout``/``retries`` the per-job fault policy, and
     ``cache`` the shared :class:`ResultCache` tier (budget included).
-    ``http_port`` additionally serves the read-side ops over
-    ``127.0.0.1:<port>``.
 
     Locking (docs/SERVICE.md §Locking): ``_stats_lock`` guards the
     request/submission counters and scheduler-liveness fields,
@@ -149,7 +143,6 @@ class ServiceDaemon:
                  jobs: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retries: int = 2,
-                 http_port: Optional[int] = None,
                  max_pending: Optional[int] = None) -> None:
         self.socket_path = socket_path
         self.cache = cache
@@ -171,7 +164,6 @@ class ServiceDaemon:
                                      progress=self._on_engine_event,
                                      timeout=timeout, retries=retries,
                                      strict=False)
-        self.http_port = http_port
         self.started = time.time()
         self.requests = 0
         self.submissions = 0
@@ -193,7 +185,6 @@ class ServiceDaemon:
             threading.Lock(), "daemon._cleanup_lock")
         self._cleaned = False
         self._listener: Optional[socket.socket] = None
-        self._http_server: Any = None
         self._scheduler: Optional[threading.Thread] = None
         self._heartbeat: Optional[threading.Thread] = None
         self._conns_lock = synccheck.wrap_lock(
@@ -223,8 +214,6 @@ class ServiceDaemon:
                 target=self._heartbeat_loop, name="repro-heartbeat",
                 daemon=True)
             self._heartbeat.start()
-        if self.http_port is not None:
-            self._start_http()
         try:
             while not self._stop.is_set():
                 try:
@@ -270,8 +259,6 @@ class ServiceDaemon:
         # the loop's wait() returns immediately.)
         if self._heartbeat is not None:
             self._heartbeat.join(timeout=10)
-        if self._http_server is not None:
-            self._http_server.shutdown()
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
@@ -689,84 +676,6 @@ class ServiceDaemon:
         tier.counter("size-bytes", "current entry bytes on disk",
                      cache.size_bytes() if cache else 0)
         return root
-
-    # -- HTTP shim -----------------------------------------------------
-    def _start_http(self) -> None:
-        """Serve ping/stats/jobs/submit over localhost HTTP (read
-        mirror + non-streaming submit; monitoring convenience only)."""
-        from http.server import (
-            BaseHTTPRequestHandler,
-            ThreadingHTTPServer,
-        )
-
-        daemon = self
-
-        class Handler(BaseHTTPRequestHandler):
-            """Maps a few fixed paths onto the socket ops."""
-
-            def log_message(self, *args: Any) -> None:
-                """Silence per-request stderr noise."""
-
-            def _reply(self, status: int,
-                       payload: Dict[str, Any]) -> None:
-                body = json.dumps(payload).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                """Read-side mirror: /ping, /stats, /jobs."""
-                daemon._bump("requests")
-                if self.path == "/ping":
-                    self._reply(200, {"event": "pong",
-                                      "pid": os.getpid()})
-                elif self.path == "/stats":
-                    self._reply(200, {
-                        "event": "stats",
-                        "tree": daemon.stats_tree().to_dict()})
-                elif self.path == "/jobs":
-                    self._reply(200, {"event": "jobs",
-                                      **daemon.board.summary()})
-                else:
-                    self._reply(404, {"event": "error",
-                                      "error": "unknown path"})
-
-            def do_POST(self) -> None:  # noqa: N802 - http.server API
-                """Non-streaming /submit: returns the accepted frame;
-                progress is then available via the socket ops."""
-                daemon._bump("requests")
-                if self.path != "/submit":
-                    self._reply(404, {"event": "error",
-                                      "error": "unknown path"})
-                    return
-                length = int(self.headers.get("Content-Length", "0"))
-                try:
-                    frame = json.loads(
-                        self.rfile.read(length).decode("utf-8"))
-                    jobs = daemon._parse_jobs(frame)
-                    daemon._bump("submissions")
-                    submission = daemon.board.submit(
-                        jobs, frame.get("priority", 0))
-                except (ValueError, ReproError) as exc:
-                    self._reply(400, {"event": "error",
-                                      "error": str(exc)})
-                    return
-                self._reply(200, {"event": "accepted",
-                                  "id": submission.sid,
-                                  "total": submission.total,
-                                  **submission.counts})
-
-        port = self.http_port
-        if port is None:  # pragma: no cover - guarded by the caller
-            return
-        self._http_server = ThreadingHTTPServer(
-            ("127.0.0.1", port), Handler)
-        # daemon-thread: shut down via _http_server.shutdown() in
-        # stop(); daemonized so a stuck keep-alive cannot block exit.
-        threading.Thread(target=self._http_server.serve_forever,
-                         name="repro-http", daemon=True).start()
 
 
 __all__ = ["ServiceDaemon"]

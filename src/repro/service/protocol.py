@@ -52,7 +52,7 @@ REQUEST_OPS = ("ping", "submit", "watch", "jobs", "stats", "shutdown")
 
 #: Wire fields of a job, in :class:`Job` declaration order.
 _JOB_FIELDS = ("workload", "core", "spec", "length", "warmup",
-               "seed", "trace_file", "backend")
+               "seed", "trace_file")
 
 
 def socket_path(cache_dir: Optional[str] = None) -> str:
@@ -169,14 +169,10 @@ def job_from_wire(wire: Dict[str, Any]) -> Job:
     if trace_file is not None and not isinstance(trace_file, str):
         raise ProtocolError(
             "job field 'trace_file' must be a string or null")
-    backend = wire.get("backend")
-    if backend is not None and not isinstance(backend, str):
-        raise ProtocolError(
-            "job field 'backend' must be a string or null")
     return Job(workload=wire["workload"], core=wire["core"], spec=spec,
                length=wire.get("length", 100_000),
                warmup=wire.get("warmup", 40_000),
-               seed=seed, trace_file=trace_file, backend=backend)
+               seed=seed, trace_file=trace_file)
 
 
 __all__ = [

@@ -32,9 +32,8 @@ WARMUP = 1000
 
 @pytest.fixture(autouse=True)
 def _clean_backend_env(monkeypatch):
-    """Backend resolution reads two env vars; scrub both so tests see
+    """Backend resolution reads one env var; scrub it so tests see
     only what they set themselves."""
-    monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
     monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
 
 
@@ -72,13 +71,7 @@ class TestBackendResolution:
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "")
         assert _engine()._resolve_backend() == "vector"
 
-    def test_slow_path_wins_over_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "vector")
-        assert _engine()._resolve_backend() == "reference"
-
     def test_constructor_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "vector")
         assert _engine(backend="scalar")._resolve_backend() == "scalar"
 

@@ -289,6 +289,8 @@ class TestSweepResume:
         manifest = json.load(open(os.path.join(campaigns, cid + ".json"),
                                   encoding="utf-8"))
         assert manifest["completed"] is True
+        # The checkpoint is the manifest alone: no side journal.
+        assert os.listdir(campaigns) == [cid + ".json"]
 
 
 # ----------------------------------------------------------------------

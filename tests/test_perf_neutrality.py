@@ -3,7 +3,7 @@
 The engine keeps three per-op loop implementations:
 
 * ``_time_trace_reference`` — the readable reference
-  (``backend="reference"``, or ``REPRO_SLOW_PATH=1``),
+  (``backend="reference"``),
 * ``_time_trace`` — the optimized scalar loop (``backend="scalar"``),
 * ``engine_vector.time_trace_vector`` — the vectorized
   structure-of-arrays loop (``backend="vector"``, the default when
@@ -313,22 +313,3 @@ def test_million_op_streaming_run_is_rss_bounded(tmp_path):
     peak_kb = int(proc.stdout.strip())
     assert peak_kb < 256 * 1024, \
         f"peak RSS {peak_kb / 1024:.1f} MB exceeds the 256 MB budget"
-
-
-def test_slow_path_env_gate():
-    """REPRO_SLOW_PATH selects the path: "", "0" = fast, else slow."""
-    from repro.pipeline.engine import _slow_path_requested
-
-    saved = os.environ.get("REPRO_SLOW_PATH")
-    try:
-        for value, expect in (("", False), ("0", False), ("1", True),
-                              ("yes", True)):
-            os.environ["REPRO_SLOW_PATH"] = value
-            assert _slow_path_requested() is expect
-        os.environ.pop("REPRO_SLOW_PATH")
-        assert _slow_path_requested() is False
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SLOW_PATH", None)
-        else:
-            os.environ["REPRO_SLOW_PATH"] = saved

@@ -136,7 +136,7 @@ class TestMaxCycles:
         assert 0 <= snapshot["op_index"] < len(trace)
 
     def test_reference_loop_same_watchdog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "reference")
         engine = Engine(CoreConfig.skylake(), max_cycles=10)
         with pytest.raises(NonTerminatingSimulation):
             engine.run(make_trace(), warmup=WARMUP)

@@ -113,6 +113,7 @@ class TestProtocol:
         {"workload": "astar", "core": "skylake", "length": "big"},
         {"workload": "astar", "core": "skylake", "seed": "x"},
         {"workload": "astar", "core": "skylake", "bogus": 1},
+        {"workload": "astar", "core": "skylake", "backend": "scalar"},
     ])
     def test_job_from_wire_rejects_bad_fields(self, wire):
         with pytest.raises(ProtocolError):
@@ -372,6 +373,29 @@ class TestBoardDurability:
         assert stats["requeued"] == 1
         assert fresh.records[job_key(job)].state == "pending"
         assert fresh.next_batch() == [job]
+
+    def test_restore_accepts_logs_with_a_backend_field(self):
+        # Logs written while jobs carried a ``backend`` field store it
+        # in both incremental submits and snapshot records; a daemon
+        # must still start over such a log.
+        done, queued = make_job(workload="astar"), make_job(workload="mcf")
+        old_wire = [dict(job_to_wire(job), backend="scalar")
+                    for job in (done, queued)]
+        records = [
+            {"t": "seq", "value": 1},
+            {"t": "rec", "key": job_key(done), "job": old_wire[0],
+             "state": "done", "from_cache": False, "error": None,
+             "subscribers": ["S0001"]},
+            {"t": "submit", "sid": "S0002", "priority": 0,
+             "jobs": [old_wire[1]]},
+        ]
+        board = JobBoard()
+        stats = board.restore(records, {job_key(done): {"cycles": 3}}.get)
+        assert stats["submissions"] == 1
+        assert board.records[job_key(done)].job == done
+        assert board.records[job_key(done)].result == {"cycles": 3}
+        assert board.records[job_key(queued)].job == queued
+        assert board.next_batch() == [queued]
 
     def test_restore_skips_unknown_record_types(self):
         board = JobBoard()
@@ -1073,10 +1097,9 @@ class TestServiceParser:
 
         args = build_parser().parse_args(
             ["serve", "--socket", "/tmp/x.sock", "--cache-budget",
-             "256M", "--http", "8321", "--jobs", "4"])
+             "256M", "--jobs", "4"])
         assert args.socket == "/tmp/x.sock"
         assert args.cache_budget == "256M"
-        assert args.http == 8321
         assert args.jobs == 4
         assert build_parser().parse_args(["serve", "--stop"]).stop
 
