@@ -26,11 +26,6 @@ Commands
 ``watch``     — re-attach to a submission's event stream
 ``jobs``      — daemon queue/record summary (``--stats`` adds the
                 service telemetry tree)
-``bench``     — simulator performance benchmark: sim-KIPS over a fixed
-                (workload × predictor) matrix, fast-vs-slow-path
-                speedup, baseline comparison, the CI regression gate
-                (``--check``) and the peak-RSS gate (``--rss-budget``);
-                writes ``BENCH_<date>.json``
 ``trace``     — build (``trace build``) and inspect (``trace
                 inspect``) compact binary trace files for mmap-backed
                 streaming replay (docs/TRACES.md)
@@ -39,7 +34,7 @@ Trace-shape flags (``--length``/``--warmup``/``--seed``/
 ``--trace-file``) are shared by every simulating command via one
 argparse parent; ``--trace-file`` replays a ``repro trace build``
 artefact under bounded RSS and is accepted by the single-workload
-commands (``run``, ``compare``, ``profile``, ``bench``).
+commands (``run``, ``compare``, ``profile``).
 
 Every simulating command runs through the campaign engine
 (:mod:`repro.experiments.campaign`): ``--jobs N`` fans simulations out
@@ -51,6 +46,9 @@ hung jobs, ``--retries`` bounds retry attempts, sweeps checkpoint
 under the cache so ``repro sweep --resume <campaign-id>`` replays only
 the jobs an interrupted run never finished, and failed jobs surface as
 an explicit summary (exit status 1) instead of aborting the sweep.
+A :class:`~repro.errors.ConfigError`, such as a ``--warmup`` that is
+negative or not below ``--length``, is a usage error: one stderr line,
+exit status 2.
 """
 
 from __future__ import annotations
@@ -77,16 +75,15 @@ from repro.telemetry.trace import DEFAULT_CAPACITY
 from repro.trace.workloads import CATALOGUE, CATEGORIES, get_profile
 
 
-def _trace_shape_parent(default_length: int = DEFAULT_LENGTH
-                        ) -> argparse.ArgumentParser:
+def _trace_shape_parent() -> argparse.ArgumentParser:
     """Shared ``--length/--warmup/--seed/--trace-file`` flags — one
     argparse parent reused by every simulating subcommand (mirroring
     ``tools/probes/_common.probe_args``), so trace shape is spelled
-    identically across ``run``, ``sweep``, ``bench``, ``profile`` and
+    identically across ``run``, ``sweep``, ``profile`` and
     ``trace build``."""
     parent = argparse.ArgumentParser(add_help=False)
     shape = parent.add_argument_group("trace shape")
-    shape.add_argument("--length", type=int, default=default_length,
+    shape.add_argument("--length", type=int, default=DEFAULT_LENGTH,
                        help="trace length in micro-ops")
     shape.add_argument("--warmup", type=int, default=None,
                        help="warmup prefix excluded from statistics "
@@ -176,8 +173,8 @@ def _reject_trace_file(args, command: str) -> bool:
     it."""
     if getattr(args, "trace_file", None) is not None:
         print(f"{command} runs multiple workloads; --trace-file applies "
-              "to single-workload commands (run, compare, profile, "
-              "bench)", file=sys.stderr)
+              "to single-workload commands (run, compare, profile)",
+              file=sys.stderr)
         return True
     return False
 
@@ -965,7 +962,7 @@ def cmd_trace_build(args) -> int:
 
     if args.trace_file is not None:
         print("trace build generates a trace file; --trace-file is for "
-              "replaying one (use run/compare/profile/bench)",
+              "replaying one (use run/compare/profile)",
               file=sys.stderr)
         return 2
     profile = get_profile(args.workload)
@@ -999,59 +996,6 @@ def cmd_trace_inspect(args) -> int:
         print(f"static PCs: {stats['static_pcs']}")
         for kind in ("loads", "stores", "branches", "alu", "fp", "other"):
             print(f"  {kind:<9} {stats[kind]:6.1%}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Simulator throughput benchmark + regression gate (docs/PERF.md)."""
-    from repro.experiments import perfbench
-
-    if args.trace_file is not None and len(args.workloads) != 1:
-        print("bench --trace-file requires exactly one --workloads entry "
-              "(the label the replayed trace is recorded under)",
-              file=sys.stderr)
-        return 2
-    report = perfbench.run_bench(
-        workloads=args.workloads, predictors=args.predictors,
-        length=args.length, warmup=args.warmup, repeats=args.repeats,
-        core=args.core, measure_slow=not args.no_slow,
-        measure_vector=False if args.no_vector else None,
-        seed=args.seed, trace_file=args.trace_file,
-        progress=lambda line: print(f"  {line}", file=sys.stderr))
-
-    comparison = None
-    baseline = perfbench.load_baseline(args.baseline)
-    if baseline is not None:
-        comparison = perfbench.compare_to_baseline(report, baseline)
-        report["baseline_comparison"] = comparison
-    print(perfbench.format_report(report, comparison))
-
-    if not args.no_output:
-        path = perfbench.write_report(report, args.output)
-        print(f"wrote {path}")
-    if args.update_baseline:
-        perfbench.write_report(report, args.baseline)
-        print(f"updated baseline {args.baseline}")
-        return 0
-    if args.rss_budget is not None:
-        failure = perfbench.check_rss(report, args.rss_budget)
-        if failure is not None:
-            print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"peak RSS {report['peak_rss_kb'] / 1024:.0f} MB within "
-              f"budget {args.rss_budget} MB")
-    if args.check:
-        if comparison is None:
-            print(f"no baseline at {args.baseline} to check against",
-                  file=sys.stderr)
-            return 2
-        failures = perfbench.check_regression(comparison, args.tolerance,
-                                              report=report)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"check passed (tolerance {args.tolerance:.0%})")
     return 0
 
 
@@ -1138,51 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="include the (slow) DDG-oracle bar")
     _add_scale_args(p_report)
     p_report.set_defaults(func=cmd_report)
-
-    from repro.experiments.perfbench import (
-        BASELINE_PATH,
-        CHECK_TOLERANCE,
-        DEFAULT_LENGTH as BENCH_LENGTH,
-        DEFAULT_PREDICTORS,
-        DEFAULT_REPEATS,
-        DEFAULT_WORKLOADS,
-    )
-
-    p_bench = sub.add_parser(
-        "bench", parents=[_trace_shape_parent(BENCH_LENGTH)],
-        help="simulator performance benchmark (sim-KIPS)")
-    p_bench.add_argument("--workloads", nargs="+",
-                         default=list(DEFAULT_WORKLOADS))
-    p_bench.add_argument("--predictors", nargs="+",
-                         default=list(DEFAULT_PREDICTORS))
-    p_bench.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                         help="per-cell repeats; best time kept")
-    p_bench.add_argument("--core", choices=("skylake", "skylake-2x"),
-                         default="skylake")
-    p_bench.add_argument("--rss-budget", type=int, default=None,
-                         metavar="MB",
-                         help="fail (exit 1) when the bench process's "
-                              "peak RSS exceeds this many MB")
-    p_bench.add_argument("--no-slow", action="store_true",
-                         help="skip the slow-path runs (no speedup "
-                              "column; faster)")
-    p_bench.add_argument("--no-vector", action="store_true",
-                         help="skip the vector-backend runs (no vec "
-                              "KIPS column; faster)")
-    p_bench.add_argument("--output", default=None, metavar="FILE",
-                         help="report path (default: BENCH_<date>.json)")
-    p_bench.add_argument("--no-output", action="store_true",
-                         help="do not write a BENCH_*.json file")
-    p_bench.add_argument("--baseline", default=BASELINE_PATH, metavar="FILE",
-                         help="committed baseline to compare against")
-    p_bench.add_argument("--check", action="store_true",
-                         help="exit non-zero on >tolerance speedup "
-                              "regression or any cycle-count drift")
-    p_bench.add_argument("--tolerance", type=float, default=CHECK_TOLERANCE,
-                         help="--check regression tolerance (fraction)")
-    p_bench.add_argument("--update-baseline", action="store_true",
-                         help="overwrite the baseline with this run")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_trace = sub.add_parser(
         "trace", help="build and inspect binary trace files "
@@ -1317,8 +1216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     single = getattr(args, "workload", None)
     workloads = [single] if single is not None else []
     if args.command == "submit":
-        # bench --workloads stays unvalidated: with --trace-file the
-        # entry is a recording label, not a catalogue name.
         workloads += list(args.workloads)
     for workload in workloads:
         try:
@@ -1338,7 +1235,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

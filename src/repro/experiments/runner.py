@@ -144,7 +144,11 @@ class Runner:
         self.length = length if length is not None else DEFAULT_LENGTH
         self.warmup = warmup if warmup is not None \
             else default_warmup(self.length)
-        if not 0 <= self.warmup < self.length:
+        if self.length <= 0:
+            raise ConfigError(f"length {self.length} must be positive")
+        if self.warmup < 0:
+            raise ConfigError(f"warmup {self.warmup} must be >= 0")
+        if self.warmup >= self.length:
             raise ConfigError(
                 f"warmup {self.warmup} must be < length {self.length}")
         self.workloads = list(workloads) if workloads is not None \

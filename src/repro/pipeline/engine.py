@@ -205,8 +205,8 @@ class Engine:
         Run the per-gap stall-attribution pass (default).  Disabling it
         leaves ``SimResult.stall_cycles`` zeroed and the stall-gap
         histogram empty but does not change any timing outcome; the
-        ``repro bench`` harness uses this to measure the engine's pure
-        simulation throughput.
+        ablation ladder in ``bench/`` uses this to measure what stall
+        attribution costs.
     max_cycles:
         Watchdog budget for the whole run, in simulated cycles
         (including warmup).  A run that exceeds it aborts with

@@ -21,7 +21,8 @@ chaos matrix fails loudly instead of deadlocking quietly.
 
 When ``REPRO_SYNC_CHECKS`` is unset, :func:`wrap_lock` returns the raw
 lock unchanged and :func:`guard_instance` is a no-op — the service pays
-nothing (``repro bench --check`` gates on exactly that).
+nothing (``tests/test_synccheck.py::test_off_returns_raw_lock`` pins
+that).
 
 The lock hierarchy the service declares (docs/SERVICE.md §Locking)::
 

@@ -154,7 +154,7 @@ class TestSharedTraceShapeFlags:
         ["compare", "astar", "fvp"],
         ["profile", "astar"],
         ["sweep", "fvp"],
-        ["bench"],
+        ["figure", "6"],
         ["trace", "build", "astar"],
     ])
     def test_every_simulating_command_accepts_shape_flags(self, command):
@@ -174,6 +174,25 @@ class TestSharedTraceShapeFlags:
                      "--warmup", "800", "--seed", "99",
                      "--no-cache"]) == 0
         assert capsys.readouterr().out != base
+
+    @pytest.mark.parametrize("command", [
+        ["run", "astar"],
+        ["compare", "astar", "fvp"],
+        ["profile", "astar"],
+        ["figure", "6"],
+        ["sweep", "fvp"],
+        ["report"],
+    ])
+    @pytest.mark.parametrize("length,warmup,message", [
+        ("3000", "5000", "warmup 5000 must be < length 3000"),
+        ("3000", "-1", "warmup -1 must be >= 0"),
+        ("0", "0", "length 0 must be positive"),
+    ])
+    def test_invalid_shape_is_a_usage_error(self, command, length, warmup,
+                                            message, capsys):
+        assert main(command + ["--length", length, "--warmup", warmup,
+                               "--no-cache"]) == 2
+        assert capsys.readouterr().err.strip() == message
 
     def test_figure_rejects_trace_file(self, capsys):
         assert main(["figure", "6", "--trace-file", "t.rvt",

@@ -15,8 +15,9 @@ output on all three, with telemetry collection on or off.  The single
 permitted difference is the ``engine.*`` telemetry group, which
 *truthfully* reports which backend ran and its vector/fallback
 coverage — :func:`_strip_engine_group` removes it before comparing.
-This test is the contract the perf work is held to — see also ``repro
-bench --check``, which enforces cycle-equality continuously in CI.
+This test is the contract the perf work is held to.  Identity alone
+cannot catch a change that moves all three loops together, so
+:func:`test_paper_matrix_cycle_pins` also pins absolute cycle counts.
 """
 
 from __future__ import annotations
@@ -85,6 +86,47 @@ def test_three_loops_match(workload, predictor):
     for backend in ("scalar", "vector"):
         assert _simulate(workload, predictor, backend) == reference, \
             backend
+
+
+# Simulated cycles at 100k ops (warmup 40k, skylake) for one
+# memory-bound, one control-bound and one mixed workload under no
+# prediction, the paper's predictor and a prior-art budget point.  Any
+# timing-model change moves at least one of these; update them only in
+# a change that means to move cycles, and say so.
+PINNED_LENGTH = 100_000
+PINNED_WARMUP = 40_000
+PINNED_CYCLES = {
+    ("mcf", "baseline"): 356376,
+    ("mcf", "fvp"): 355918,
+    ("mcf", "mr-8kb"): 356376,
+    ("gcc", "baseline"): 348249,
+    ("gcc", "fvp"): 347792,
+    ("gcc", "mr-8kb"): 348249,
+    ("omnetpp", "baseline"): 79421,
+    ("omnetpp", "fvp"): 74710,
+    ("omnetpp", "mr-8kb"): 76365,
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_traces():
+    return {workload: build_trace(get_profile(workload), PINNED_LENGTH)
+            for workload in {workload for workload, _ in PINNED_CYCLES}}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_paper_matrix_cycle_pins(backend, pinned_traces):
+    """Every loop reproduces the pinned cycle counts (simulator drift
+    gate: the three loops agreeing with each other is not enough)."""
+    config = CoreConfig.skylake()
+    measured = {}
+    for workload, spec in PINNED_CYCLES:
+        trace = pinned_traces[workload]
+        predictor = build_predictor(spec, trace, config)
+        result = Engine(config, predictor, backend=backend).run(
+            trace, workload=workload, warmup=PINNED_WARMUP)
+        measured[(workload, spec)] = result.cycles
+    assert measured == PINNED_CYCLES
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
