@@ -554,17 +554,18 @@ def cmd_serve(args) -> int:
         print(f"daemon at {path} stopped")
         return 0
     cache = None
-    if not args.no_cache:
-        try:
+    try:
+        if not args.no_cache:
             budget = parse_size(args.cache_budget) \
                 if args.cache_budget else None
             cache = ResultCache(args.cache_dir, budget_bytes=budget)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    daemon = ServiceDaemon(path, cache=cache, jobs=args.jobs,
-                           timeout=args.timeout, retries=args.retries,
-                           max_pending=args.max_pending)
+        daemon = ServiceDaemon(path, cache=cache, jobs=args.jobs,
+                               timeout=args.timeout,
+                               retries=args.retries,
+                               max_pending=args.max_pending)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(f"serving campaigns on {path}", file=sys.stderr)
     try:
         daemon.serve_forever()
@@ -581,34 +582,29 @@ def _drain_service_stream(stream, output: Optional[str]) -> int:
     collected results JSON; exit status reflects failed jobs."""
     import json
 
-    complete = None
-    results = {}
-    failures = {}
-    try:
+    from repro.service.client import collect_results
+
+    def rendered():
         for frame in stream:
             _render_service_event(frame)
-            kind = frame.get("event")
-            if kind == "complete":
-                complete = frame
-            elif kind == "job":
-                if frame["status"] in ("hit", "done"):
-                    results[frame["key"]] = frame.get("result")
-                elif frame["status"] == "fail":
-                    failures[frame["key"]] = frame.get("error")
+            yield frame
+
+    try:
+        out = collect_results(rendered())
     except ReproError as exc:
         print(exc, file=sys.stderr)
         return 1
     if output is not None:
-        payload = {"results": results, "failures": failures,
-                   "complete": complete}
+        payload = {name: out[name]
+                   for name in ("results", "failures", "complete")}
         with open(output, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"wrote {output} ({len(results)} result(s))")
-    if complete is None:
+        print(f"wrote {output} ({len(out['results'])} result(s))")
+    if out["complete"] is None:
         print("stream ended before completion (daemon stopped?)",
               file=sys.stderr)
         return 1
-    return 1 if failures else 0
+    return 1 if out["failures"] else 0
 
 
 def cmd_submit(args) -> int:
@@ -671,6 +667,32 @@ def _flatten_stat_payload(payload, prefix: str = "") -> List[tuple]:
     return rows
 
 
+#: Seconds without a scheduler event, while work is queued or in
+#: flight, after which the daemon counts as wedged.
+WEDGE_SECONDS = 300
+
+
+def _scheduler_verdict(summary, flat) -> Optional[str]:
+    """The scheduler line ``repro jobs --stats`` and ``repro doctor``
+    print, from a ``jobs`` summary and the flattened ``stats`` tree:
+    ``WEDGED?`` when work is queued or in flight and the scheduler has
+    been silent past :data:`WEDGE_SECONDS` (``None`` without the
+    scheduler stats)."""
+    busy = flat.get("service.scheduler.busy")
+    age = flat.get("service.scheduler.activity-age")
+    if busy is None or age is None:
+        return None
+    records = summary["records"]
+    backlog = summary["queued_batches"] + records["pending"] \
+        + records["running"]
+    verdict = ""
+    if backlog and age > WEDGE_SECONDS:
+        verdict = " — WEDGED? work is queued but the scheduler has " \
+            "been silent"
+    return (f"scheduler: {'busy' if busy else 'idle'}, last activity "
+            f"{age:.1f}s ago{verdict}")
+
+
 def cmd_jobs(args) -> int:
     """Daemon queue/record summary, optionally with telemetry."""
     from repro.analysis.reporting import format_table
@@ -700,18 +722,9 @@ def cmd_jobs(args) -> int:
         flat = dict(_flatten_stat_payload(stats["tree"]))
         for dotted, value in sorted(flat.items()):
             print(f"  {dotted:<28} {value}")
-        busy = flat.get("service.scheduler.busy")
-        age = flat.get("service.scheduler.activity-age")
-        if busy is not None and age is not None:
-            state = "busy" if busy else "idle"
-            backlog = summary["queued_batches"] \
-                + records["pending"] + records["running"]
-            verdict = ""
-            if backlog and age > 300:
-                verdict = (" — WEDGED? work is queued but the "
-                           "scheduler has been silent")
-            print(f"scheduler: {state}, last activity {age:.1f}s "
-                  f"ago{verdict}")
+        verdict = _scheduler_verdict(summary, flat)
+        if verdict is not None:
+            print(verdict)
     return 0
 
 
@@ -824,11 +837,13 @@ def cmd_doctor(args) -> int:
 def _doctor_hygiene(args) -> None:
     """Cache-tier hygiene report: stale sweep checkpoints, quarantined
     ``*.bad`` entries, a dead service socket, and service-tier debris —
-    orphaned/corrupt WAL segments and a stale heartbeat sidecar (only
-    scanned when no daemon is live, so an active WAL is never touched).
-    Findings are advisory (they never fail ``doctor``); ``--fix``
-    removes them.  Also reports the daemon's last WAL-recovery stats
-    and, for a live daemon, its heartbeat (wedged vs busy)."""
+    orphaned/corrupt WAL segments (only scanned when no daemon is
+    live, so an active WAL is never touched).  Findings are advisory
+    (they never fail ``doctor``); ``--fix`` removes them.  Also
+    reports, for a live daemon, its scheduler verdict (wedged vs
+    busy, as ``repro jobs --stats``) and, with no live daemon, an
+    unsealed WAL — the crash evidence the next ``repro serve``
+    recovers, which ``--fix`` never touches."""
     import time
 
     from repro.errors import ServiceUnavailable
@@ -871,48 +886,30 @@ def _doctor_hygiene(args) -> None:
     sock = socket_path(root)
     if os.path.exists(sock):
         try:
-            service_client.ping(sock, timeout=2.0)
+            summary = service_client.list_jobs(sock, timeout=2.0)
+            stats = service_client.fetch_stats(sock, timeout=2.0)
             live = True
         except ServiceUnavailable:
             findings.append(("dead service socket", sock))
     if live:
-        beat = wal_mod.read_heartbeat(wal_root)
-        if beat is None:
-            print(f"  ok  service daemon live on {sock}")
-        else:
-            age = max(0.0, time.time() - float(beat.get("ts", 0.0)))
-            quiet = max(0.0, time.time()
-                        - float(beat.get("activity", 0.0)))
-            state = str(beat.get("state", "idle"))
-            print(f"  ok  service daemon live on {sock} (heartbeat "
-                  f"{age:.1f}s ago, scheduler {state}, last activity "
-                  f"{quiet:.1f}s ago)")
-            if state == "busy" and quiet > 300:
-                print(f"  WARN scheduler busy but silent for "
-                      f"{quiet:.0f}s — wedged? (`repro jobs --stats` "
-                      "for queue depth)", file=sys.stderr)
+        print(f"  ok  service daemon live on {sock}")
+        verdict = _scheduler_verdict(
+            summary, dict(_flatten_stat_payload(stats["tree"])))
+        if verdict is not None:
+            print(f"      {verdict}")
     else:
         # No live daemon: WAL debris is safe to report/clean.  Intact
         # segments are NOT findings — they hold queue state the next
         # daemon start will recover.
-        if os.path.exists(wal_mod.heartbeat_path(wal_root)):
-            findings.append(("stale service heartbeat",
-                             wal_mod.heartbeat_path(wal_root)))
         for orphan in wal_mod.orphan_files(wal_root):
             findings.append(("orphaned WAL temporary", orphan))
         for corrupt in wal_mod.corrupt_segments(wal_root):
             findings.append(("corrupt WAL segment (no decodable "
                              "records)", corrupt))
-    recovery = wal_mod.read_recovery(wal_root)
-    if recovery is not None:
-        when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(
-            float(recovery.get("ts", 0.0))))
-        print(f"last WAL recovery ({when}): "
-              f"{recovery.get('records', 0)} record(s) replayed, "
-              f"{recovery.get('submissions', 0)} submission(s) "
-              f"rebuilt, {recovery.get('requeued', 0)} job(s) "
-              f"requeued, {recovery.get('torn', 0)} torn record(s) "
-              "dropped")
+        records, torn = wal_mod.replay_segments(wal_root)
+        if (records or torn) and records[-1:] != [{"t": "seal"}]:
+            print(f"unsealed WAL: {len(records)} trusted record(s), "
+                  f"{torn} torn; the next repro serve recovers it")
 
     if not findings:
         print("cache hygiene: clean (no stale checkpoints, "
@@ -1146,12 +1143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--stop", action="store_true",
                          help="ask the running daemon to drain and "
                               "exit")
-    p_serve.add_argument("--max-pending", type=int, default=None,
+    p_serve.add_argument("--max-pending", type=int, default=0,
                          metavar="N",
                          help="backpressure bound: reject submissions "
                               "once N job records are pending/running "
-                              "(default: $REPRO_SERVICE_MAX_PENDING "
-                              "or 0 = unbounded)")
+                              "(default: 0 = unbounded)")
     _add_campaign_args(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 

@@ -70,9 +70,6 @@ REGISTRY: Dict[str, EnvVar] = {
         EnvVar("REPRO_MAX_CYCLES",
                "non-termination watchdog budget in simulated cycles",
                "0 (watchdog disarmed)", "repro.pipeline.engine"),
-        EnvVar("REPRO_SERVICE_MAX_PENDING",
-               "daemon backpressure: max pending+running job records",
-               "0 (unbounded queue depth)", "repro.service.daemon"),
         EnvVar("REPRO_FAULTS",
                "JSON fault-injection plan for the testing harness",
                "unset (no faults)", "repro.testing.faults"),

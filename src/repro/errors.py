@@ -111,7 +111,7 @@ class ServiceUnavailable(ServiceError):
 
 class ServiceOverloaded(ServiceError):
     """The daemon's job board is at its bounded queue depth
-    (``--max-pending`` / ``REPRO_SERVICE_MAX_PENDING``) and rejected
+    (``repro serve --max-pending``) and rejected
     the submission instead of growing without bound.  Clients should
     back off and resubmit once in-flight work drains."""
 

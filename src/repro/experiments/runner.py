@@ -43,7 +43,6 @@ from repro.experiments.campaign import (
     Job,
     JobEvent,
     ResultCache,
-    build_predictor,
 )
 from repro.isa.instruction import MicroOp
 from repro.pipeline.config import CoreConfig
@@ -183,11 +182,6 @@ class Runner:
         """The campaign job this runner would execute for the triple."""
         return Job(workload, core, predictor, self.length, self.warmup,
                    self.seed, self.trace_file)
-
-    def _build_predictor(self, spec, trace, config):
-        # Retained for API compatibility; construction lives in
-        # repro.experiments.campaign.build_predictor now.
-        return build_predictor(spec, trace, config)
 
     def _run_jobs(self, jobs: Sequence[Job]) -> Dict[Job, SimResult]:
         results = self.engine.run_jobs(jobs, trace_provider=self.trace)

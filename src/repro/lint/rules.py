@@ -1555,7 +1555,7 @@ class DurabilityDisciplineRule(Rule):
     """Durable service state goes through the blessed writers.
 
     The WAL's recovery guarantees rest on fsync'd appends and
-    tmp+rename compaction/sidecar writes (:mod:`repro.service.wal`);
+    tmp+rename compaction writes (:mod:`repro.service.wal`);
     the cache tier has its own atomic writer.  A direct writable
     ``open()`` anywhere else in ``repro.service`` bypasses both — a
     crash mid-write becomes silent corruption instead of a detected
@@ -1568,7 +1568,7 @@ class DurabilityDisciplineRule(Rule):
     code = "RL010"
     name = "durability-discipline"
     description = ("no direct writable open() in the service tier — "
-                   "durable writes go through the WAL/sidecar helpers")
+                   "durable writes go through the WAL")
     scope = (("repro", "service"),)
 
     #: The blessed fsync/tmp+rename writers live here.
@@ -1598,7 +1598,7 @@ class DurabilityDisciplineRule(Rule):
                 f"direct open(..., {mode!r}) in the service tier "
                 "bypasses the durability discipline",
                 "route the write through repro.service.wal "
-                "(append/compact/write_heartbeat/write_recovery) or "
+                "(append/compact/seal) or "
                 "the cache tier's atomic writer"))
         return findings
 

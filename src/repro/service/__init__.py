@@ -20,13 +20,15 @@ Layout
     snapshot/restore.
 ``wal``
     The write-ahead log that makes the board durable: append-only
-    fsync'd records, torn-write-tolerant replay, compaction, and the
-    heartbeat/recovery sidecars ``repro doctor`` reads.
+    fsync'd records, torn-write-tolerant replay, and compaction; a log
+    whose last record is not a ``seal`` is the crash evidence
+    ``repro doctor`` reports.
 ``daemon``
     The server: socket lifecycle (including stale-socket takeover),
     WAL recovery on start, graceful SIGTERM drain, connection
-    handling, the scheduler thread driving the engine, heartbeats,
-    and ``service.*`` / ``cache.*`` telemetry.
+    handling, the scheduler thread driving the engine, and
+    ``service.*`` / ``cache.*`` telemetry (recovery stats and
+    scheduler liveness included).
 ``client``
     Blocking client helpers used by ``repro submit`` / ``watch`` /
     ``jobs`` and the test-suite — with finite default timeouts and

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from repro.errors import ServiceOverloaded
+from repro.errors import ConfigError, ServiceOverloaded
 from repro.experiments.campaign import Job, JobEvent, job_key
 from repro.service.protocol import job_from_wire, job_to_wire
 from repro.service.wal import WriteAheadLog
@@ -129,7 +129,8 @@ class JobBoard:
     """Thread-safe submission/record registry with event streaming.
 
     ``wal`` makes the board durable (log-then-apply + :meth:`restore`);
-    ``max_pending`` bounds queue depth (0 = unbounded).
+    ``max_pending`` bounds queue depth (0 = unbounded; negative is a
+    :class:`~repro.errors.ConfigError`).
 
     Every mutable field lives under the single board lock (``_cond``
     wraps the same lock, so holding either is holding both); ``wal``
@@ -149,6 +150,9 @@ class JobBoard:
 
     def __init__(self, wal: Optional[WriteAheadLog] = None,
                  max_pending: int = 0) -> None:
+        if max_pending < 0:
+            raise ConfigError(f"max_pending must be >= 0 (0 = "
+                              f"unbounded), got {max_pending}")
         self._lock = synccheck.wrap_lock(threading.Lock(),
                                          "board._lock")
         self._cond = threading.Condition(self._lock)
@@ -401,7 +405,8 @@ class JobBoard:
         the crash, or its tail was torn off the log) is reset to
         pending and requeued in one deterministic recovery batch.
         Returns recovery stats (records/submissions/events applied,
-        jobs requeued, whether a clean-shutdown seal was seen)."""
+        jobs requeued, and ``sealed``: 1 only when the last record is
+        the clean-shutdown seal)."""
         stats = {"records": 0, "submissions": 0, "events": 0,
                  "requeued": 0, "sealed": 0}
         with self._cond:
@@ -410,14 +415,13 @@ class JobBoard:
                 for record in records:
                     kind = record.get("t")
                     stats["records"] += 1
+                    stats["sealed"] = int(kind == "seal")
                     if kind == "submit":
                         if self._restore_submit(record):
                             stats["submissions"] += 1
                     elif kind == "event":
                         if self._restore_event(record, load_result):
                             stats["events"] += 1
-                    elif kind == "seal":
-                        stats["sealed"] = 1
                     elif kind == "seq":
                         self._seq = max(self._seq,
                                         int(record.get("value", 0)))

@@ -23,18 +23,20 @@ survive untouched.  Board state persists through the write-ahead log
 (:mod:`repro.service.wal`, stored under ``<cache>/wal/``): on startup
 the daemon replays the log, rebuilds every submission's journal,
 requeues in-flight jobs, compacts the history into one snapshot
-segment, and records the recovery stats for ``repro doctor``.  SIGTERM
-drains gracefully — queued batches finish, journals seal, the WAL
-compacts, and the socket is unlinked — while SIGKILL is the recovery
-path above (the restart guarantees in docs/SERVICE.md §Durability).
+segment, and publishes the recovery stats as ``service.recovery.*``.
+SIGTERM drains gracefully — queued batches finish, journals seal, the
+WAL compacts and ends in a ``seal`` record, and the socket is unlinked
+— while SIGKILL is the recovery path above (the restart guarantees in
+docs/SERVICE.md §Durability).  A log whose last record is not a seal
+is the crash evidence ``repro doctor`` reports.
 
-Liveness is observable: a heartbeat sidecar rewritten ~1/s plus
-``service.scheduler.*`` stats let ``repro doctor`` and ``repro jobs
---stats`` distinguish a *wedged* scheduler (stale activity with work
-queued) from a merely *busy* one.  Backpressure bounds queue depth:
-past ``--max-pending`` (``REPRO_SERVICE_MAX_PENDING``) submissions are
-rejected with a typed ``ServiceOverloaded`` error instead of growing
-memory without bound.
+Liveness is observable through the ``stats`` and ``jobs`` ops:
+``service.scheduler.*`` plus the board's backlog let ``repro doctor``
+and ``repro jobs --stats`` tell a *wedged* scheduler (work queued or in
+flight, no scheduler event for minutes) from a merely *busy* one.
+Backpressure bounds queue depth: past ``--max-pending`` submissions
+are rejected with a typed ``ServiceOverloaded`` error instead of
+growing memory without bound.
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ from repro.service.protocol import (
 )
 from repro.telemetry.stats import StatGroup
 from repro.testing import faults, synccheck
-
-#: Seconds between heartbeat sidecar rewrites.
-HEARTBEAT_INTERVAL = 1.0
 
 
 def _claim_socket(path: str) -> socket.socket:
@@ -130,7 +129,6 @@ class ServiceDaemon:
         "deduped_inflight": "_stats_lock",
         "deduped_cached": "_stats_lock",
         "rejected": "_stats_lock",
-        "heartbeats": "_stats_lock",
         "recovery": "_stats_lock",
         "_activity": "_stats_lock",
         "_busy": "_stats_lock",
@@ -143,22 +141,16 @@ class ServiceDaemon:
                  jobs: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retries: int = 2,
-                 max_pending: Optional[int] = None) -> None:
+                 max_pending: int = 0) -> None:
         self.socket_path = socket_path
         self.cache = cache
-        if max_pending is None:
-            max_pending = int(os.environ.get(
-                "REPRO_SERVICE_MAX_PENDING", "0") or 0)
-        self.max_pending = max_pending
         # Durability rides on the cache tier: without one (--no-cache)
         # there is nowhere to rehydrate results from, so the WAL is
-        # off and the board is memory-only, exactly as before PR 9.
+        # off and the board is memory-only.
         self.wal: Optional[wal_mod.WriteAheadLog] = None
-        self.wal_root: Optional[str] = None
         if cache is not None:
-            self.wal_root = os.path.join(cache.root,
-                                         wal_mod.WAL_DIRNAME)
-            self.wal = wal_mod.WriteAheadLog(self.wal_root)
+            self.wal = wal_mod.WriteAheadLog(
+                os.path.join(cache.root, wal_mod.WAL_DIRNAME))
         self.board = JobBoard(wal=self.wal, max_pending=max_pending)
         self.engine = CampaignEngine(jobs=jobs, cache=cache,
                                      progress=self._on_engine_event,
@@ -171,7 +163,6 @@ class ServiceDaemon:
         self.deduped_inflight = 0
         self.deduped_cached = 0
         self.rejected = 0
-        self.heartbeats = 0
         #: Stats of the startup WAL recovery (zeros until it runs).
         self.recovery: Dict[str, int] = {
             "records": 0, "submissions": 0, "events": 0,
@@ -186,7 +177,6 @@ class ServiceDaemon:
         self._cleaned = False
         self._listener: Optional[socket.socket] = None
         self._scheduler: Optional[threading.Thread] = None
-        self._heartbeat: Optional[threading.Thread] = None
         self._conns_lock = synccheck.wrap_lock(
             threading.Lock(), "daemon._conns_lock")
         self._conns: List[socket.socket] = []
@@ -206,14 +196,6 @@ class ServiceDaemon:
                                            name="repro-scheduler",
                                            daemon=True)
         self._scheduler.start()
-        if self.wal_root is not None:
-            # daemon-thread: joined in stop() *before* the heartbeat
-            # sidecar is cleared, so a final rewrite cannot land after
-            # clear_heartbeat and make a clean shutdown look crashed.
-            self._heartbeat = threading.Thread(
-                target=self._heartbeat_loop, name="repro-heartbeat",
-                daemon=True)
-            self._heartbeat.start()
         try:
             while not self._stop.is_set():
                 try:
@@ -252,13 +234,6 @@ class ServiceDaemon:
                 pass
         if self._scheduler is not None:
             self._scheduler.join(timeout=60)
-        # Join the heartbeat before clearing its sidecar: an unjoined
-        # heartbeat thread could rewrite heartbeat.json *after*
-        # clear_heartbeat below, leaving crash evidence behind a clean
-        # shutdown for doctor to misread.  (_stop is already set, so
-        # the loop's wait() returns immediately.)
-        if self._heartbeat is not None:
-            self._heartbeat.join(timeout=10)
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
@@ -274,12 +249,13 @@ class ServiceDaemon:
             # erased with it).
             try:
                 self.wal.compact(self.board.snapshot_records())
-                self.wal.seal()
             except OSError:
                 pass  # a failed compaction leaves the log authoritative
+            try:
+                self.wal.seal()
+            except OSError:
+                pass  # unsealed: the next start recovers it as a crash
             self.wal.close()
-        if self.wal_root is not None:
-            wal_mod.clear_heartbeat(self.wal_root)
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -289,9 +265,9 @@ class ServiceDaemon:
     def _recover(self) -> None:
         """Rebuild the board from the WAL (no-op without one): replay
         trusted records, requeue in-flight work, compact the history
-        into one snapshot segment, and record the stats for ``repro
-        doctor`` / the ``stats`` op."""
-        if self.wal is None or self.wal_root is None:
+        into one snapshot segment, and record the stats for the
+        ``stats`` op."""
+        if self.wal is None:
             return
         records, torn = self.wal.replay()
         stats = dict(self.board.restore(records, self._load_result))
@@ -302,7 +278,6 @@ class ServiceDaemon:
             # One clean snapshot segment also drops any torn tail so
             # later appends never land after a corrupt record.
             self.wal.compact(self.board.snapshot_records())
-            wal_mod.write_recovery(self.wal_root, dict(stats))
 
     def _load_result(self, key: str) -> Optional[Dict[str, Any]]:
         """A cached result's wire payload by job key, bypassing the
@@ -327,27 +302,6 @@ class ServiceDaemon:
             if self._listener is not None:
                 self._listener.close()  # unblocks the accept loop
         signal.signal(signal.SIGTERM, _drain)
-
-    def _heartbeat_loop(self) -> None:
-        """Rewrite the heartbeat sidecar ~1/s so doctor can tell a
-        crashed daemon (stale file) from a live one, and a wedged
-        scheduler (old ``activity``) from a busy one."""
-        while not self._stop.wait(HEARTBEAT_INTERVAL):
-            if self.wal_root is None:
-                return
-            board = self.board.summary()
-            with self._stats_lock:
-                self.heartbeats += 1
-                beat = {"pid": os.getpid(),
-                        "state": "busy" if self._busy else "idle",
-                        "activity": self._activity,
-                        "queued_batches": board["queued_batches"],
-                        "pending": board["records"]["pending"],
-                        "running": board["records"]["running"]}
-            try:
-                wal_mod.write_heartbeat(self.wal_root, beat)
-            except OSError:  # pragma: no cover - disk full/unwritable
-                return
 
     def _touch_activity(self) -> None:
         with self._stats_lock:
@@ -591,7 +545,6 @@ class ServiceDaemon:
             deduped_inflight = self.deduped_inflight
             deduped_cached = self.deduped_cached
             rejected = self.rejected
-            heartbeats = self.heartbeats
             recovered = dict(self.recovery)
             age = time.time() - self._activity
             busy = self._busy
@@ -636,15 +589,18 @@ class ServiceDaemon:
                          recovered.get("requeued", 0))
         recovery.counter("torn", "torn records dropped at replay",
                          recovered.get("torn", 0))
+        recovery.counter("sealed",
+                         "1 when the replayed log ended in a seal "
+                         "(clean stop), 0 after a crash",
+                         recovered.get("sealed", 0))
         scheduler = service.group("scheduler", "scheduler liveness")
-        scheduler.counter("heartbeats", "heartbeat sidecar rewrites",
-                          heartbeats)
         scheduler.counter("busy", "1 while a batch is in the engine",
                           int(busy))
         scheduler.counter(
             "activity-age",
             "seconds since the last scheduler/engine event "
-            "(large + busy + queued work = wedged)", round(age, 3))
+            "(over 300 with work queued or in flight = wedged)",
+            round(age, 3))
         sync_counts = synccheck.counters()
         sync = service.group(
             "sync", "runtime lock sanitizer (REPRO_SYNC_CHECKS)")

@@ -28,8 +28,8 @@ Record types (the ``"t"`` field):
 ``event``   incremental: one engine event applied to a record (key,
             status, elapsed, error) — result payloads are *not* logged;
             recovery rehydrates them from the result cache by key
-``seal``    marker appended on clean shutdown (recovery counts zero
-            requeues after a seal)
+``seal``    marker appended on clean shutdown; a log whose last
+            trusted record is a seal was stopped cleanly
 ``seq``, ``rec``, ``sub``, ``queue``
             snapshot records written by :meth:`WriteAheadLog.compact`:
             a direct dump of live board state that replaces the full
@@ -40,11 +40,10 @@ writes the snapshot to a ``.tmp``, fsyncs, renames it into place as the
 next segment, then unlinks the older ones — crash-safe at every step
 (a leftover ``.tmp`` is garbage that ``repro doctor --fix`` sweeps).
 
-The same directory holds two sidecar files (atomic tmp+rename, never
-appended): ``heartbeat.json``, rewritten about once a second by the
-daemon so ``repro doctor`` can tell a wedged daemon from a busy one
-(and a crashed one from a stopped one — clean shutdown removes it),
-and ``recovery.json``, the stats of the last crash recovery.
+The directory holds nothing but segments, and the log itself is the
+crash evidence: a daemon that stopped cleanly leaves a ``seal`` as the
+last trusted record, so a log ending in anything else was cut short by
+a crash (``repro doctor`` reports it; the next start recovers it).
 """
 
 from __future__ import annotations
@@ -52,23 +51,16 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.testing import faults, synccheck
 
-#: Subdirectory of the cache dir holding the log and sidecar files.
+#: Subdirectory of the cache dir holding the log segments.
 WAL_DIRNAME = "wal"
 
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".wal"
-
-#: Sidecar written ~1/s by a live daemon, removed on clean shutdown.
-HEARTBEAT_NAME = "heartbeat.json"
-
-#: Sidecar recording the stats of the daemon's last startup recovery.
-RECOVERY_NAME = "recovery.json"
 
 
 # ----------------------------------------------------------------------
@@ -329,80 +321,14 @@ def corrupt_segments(root: str) -> List[str]:
     return bad
 
 
-# ----------------------------------------------------------------------
-# Sidecar files: heartbeat + last-recovery stats.
-# ----------------------------------------------------------------------
-def _write_sidecar(root: str, name: str, payload: Dict[str, Any]) -> None:
-    os.makedirs(root, exist_ok=True)
-    final = os.path.join(root, name)
-    tmp = final + f".{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, final)
-
-
-def _read_sidecar(root: str, name: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(os.path.join(root, name), encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def heartbeat_path(root: str) -> str:
-    """Where the daemon's heartbeat sidecar lives."""
-    return os.path.join(root, HEARTBEAT_NAME)
-
-
-def write_heartbeat(root: str, payload: Dict[str, Any]) -> None:
-    """Atomically rewrite the heartbeat sidecar."""
-    payload = dict(payload)
-    payload.setdefault("ts", time.time())
-    _write_sidecar(root, HEARTBEAT_NAME, payload)
-
-
-def read_heartbeat(root: str) -> Optional[Dict[str, Any]]:
-    """The current heartbeat sidecar (``None`` if absent/corrupt)."""
-    return _read_sidecar(root, HEARTBEAT_NAME)
-
-
-def clear_heartbeat(root: str) -> None:
-    """Remove the heartbeat sidecar (clean shutdown)."""
-    try:
-        os.unlink(heartbeat_path(root))
-    except OSError:
-        pass
-
-
-def write_recovery(root: str, payload: Dict[str, Any]) -> None:
-    """Atomically record the stats of the last startup recovery."""
-    payload = dict(payload)
-    payload.setdefault("ts", time.time())
-    _write_sidecar(root, RECOVERY_NAME, payload)
-
-
-def read_recovery(root: str) -> Optional[Dict[str, Any]]:
-    """The last recovery's stats (``None`` if never recovered)."""
-    return _read_sidecar(root, RECOVERY_NAME)
-
-
 __all__ = [
-    "HEARTBEAT_NAME",
-    "RECOVERY_NAME",
     "WAL_DIRNAME",
     "WriteAheadLog",
-    "clear_heartbeat",
     "corrupt_segments",
     "decode_record",
     "encode_record",
     "fault_label",
-    "heartbeat_path",
     "orphan_files",
-    "read_heartbeat",
-    "read_recovery",
     "replay_segments",
     "segment_paths",
-    "write_heartbeat",
-    "write_recovery",
 ]

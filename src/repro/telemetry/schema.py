@@ -112,11 +112,11 @@ SERVICE_SCHEMA: Dict[str, str] = {
     "service.recovery.submissions": "counter",
     "service.recovery.requeued": "counter",
     "service.recovery.torn": "counter",
-    # Scheduler liveness (repro.service.daemon): heartbeat cadence and
-    # time since the last scheduler/engine event — how `repro doctor`
-    # and `repro jobs --stats` tell wedged from busy.
+    "service.recovery.sealed": "counter",
+    # Scheduler liveness (repro.service.daemon): busy flag and time
+    # since the last scheduler/engine event — with the `jobs` backlog,
+    # how `repro doctor` and `repro jobs --stats` tell wedged from busy.
     "service.scheduler": "group",
-    "service.scheduler.heartbeats": "counter",
     "service.scheduler.busy": "counter",
     "service.scheduler.activity-age": "counter",
     # Runtime lock sanitizer (repro.testing.synccheck, armed by

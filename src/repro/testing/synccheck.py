@@ -24,12 +24,14 @@ lock unchanged and :func:`guard_instance` is a no-op — the service pays
 nothing (``tests/test_synccheck.py::test_off_returns_raw_lock`` pins
 that).
 
-The lock hierarchy the service declares (docs/SERVICE.md §Locking)::
+The lock graph the service declares (docs/SERVICE.md §Locking) has one
+edge::
 
-    daemon._cleanup_lock  ->  board._lock  ->  wal._lock
+    board._lock  ->  wal._lock
 
-with ``daemon._stats_lock`` and ``daemon._conns_lock`` as leaves that
-never nest around another service lock.
+taken when ``JobBoard._log`` appends under the board lock.  The
+daemon's ``_stats_lock``, ``_conns_lock`` and ``_cleanup_lock`` are
+leaves that never nest around another service lock.
 """
 
 from __future__ import annotations

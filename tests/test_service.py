@@ -61,6 +61,14 @@ def wire_result(job):
     return json.loads(json.dumps(execute_job(job).to_dict()))
 
 
+def recovery_stats(sock):
+    """The live daemon's ``service.recovery.*`` counters by name."""
+    tree = client.fetch_stats(sock)["tree"]
+    group = tree["children"]["service"]["children"]["recovery"]
+    return {name: node["value"]
+            for name, node in group["children"].items()}
+
+
 # ----------------------------------------------------------------------
 # Wire protocol.
 # ----------------------------------------------------------------------
@@ -286,6 +294,10 @@ class TestBoardDurability:
         board.submit([make_job(workload=w)
                       for w in ("astar", "mcf", "milc")])
 
+    def test_negative_max_pending_rejected(self):
+        with pytest.raises(ConfigError):
+            JobBoard(max_pending=-1)
+
     def test_restore_rebuilds_identical_journals(self, tmp_path):
         log = self._wal(tmp_path)
         board = JobBoard(wal=log)
@@ -340,6 +352,20 @@ class TestBoardDurability:
         records, _ = wal_mod.replay_segments(str(tmp_path / "wal"))
         assert JobBoard().restore(records,
                                   lambda key: None)["sealed"] == 1
+
+    def test_records_after_seal_restore_unsealed(self, tmp_path):
+        # Only a seal as the *last* record means a clean stop: a daemon
+        # that restarted, logged more work and then crashed is unsealed.
+        log = self._wal(tmp_path)
+        board = JobBoard(wal=log)
+        board.submit([make_job()])
+        log.seal()
+        board.submit([make_job(workload="mcf")])
+        log.close()
+        records, _ = wal_mod.replay_segments(str(tmp_path / "wal"))
+        assert {"t": "seal"} in records
+        assert JobBoard().restore(records,
+                                  lambda key: None)["sealed"] == 0
 
     def test_snapshot_restore_roundtrip(self):
         board = JobBoard()
@@ -538,7 +564,7 @@ class TestDaemon:
 
 
 # ----------------------------------------------------------------------
-# Daemon durability: WAL recovery, backpressure, heartbeat, timeouts.
+# Daemon durability: WAL recovery, backpressure, crash evidence, timeouts.
 # ----------------------------------------------------------------------
 class TestDaemonDurability:
     def _start(self, tmp_path, **kwargs):
@@ -585,11 +611,19 @@ class TestDaemonDurability:
         finally:
             self._stop(server, thread)
 
-    def test_max_pending_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_MAX_PENDING", "7")
-        server = ServiceDaemon(str(tmp_path / "x.sock"))
-        assert server.max_pending == 7
-        assert server.board.max_pending == 7
+    def test_serve_rejects_negative_max_pending(self, tmp_path, capsys,
+                                                monkeypatch):
+        from repro.cli import main
+
+        def never(self):
+            raise AssertionError("serve must not start")
+
+        monkeypatch.setattr(ServiceDaemon, "serve_forever", never)
+        code = main(["serve", "--max-pending", "-1", "--socket",
+                     str(tmp_path / "x.sock"), "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "max_pending" in err
 
     def test_restart_replays_watchers_bit_identical(self, tmp_path):
         server, thread = self._start(tmp_path)
@@ -600,8 +634,9 @@ class TestDaemonDurability:
 
         server, thread = self._start(tmp_path)  # same cache dir + WAL
         try:
-            assert server.recovery["sealed"] == 1
-            assert server.recovery["records"] > 0
+            recovery = recovery_stats(server.socket_path)
+            assert recovery["sealed"] == 1
+            assert recovery["records"] > 0
             # The journal a pre-crash watcher saw is replayed
             # bit-identically — result payloads included.
             replay = list(client.watch(server.socket_path, sid))
@@ -610,26 +645,38 @@ class TestDaemonDurability:
             again = client.collect_results(
                 client.submit(server.socket_path, [job]))
             assert again["complete"]["simulated"] == 0
-            assert wal_mod.read_recovery(server.wal_root) is not None
         finally:
             self._stop(server, thread)
 
-    def test_heartbeat_sidecar_lifecycle(self, tmp_path):
+    def test_clean_stop_leaves_only_a_sealed_log(self, tmp_path):
         server, thread = self._start(tmp_path)
-        deadline = time.time() + 10
-        beat = None
-        while beat is None and time.time() < deadline:
-            beat = wal_mod.read_heartbeat(server.wal_root)
-            time.sleep(0.1)
-        assert beat is not None, "heartbeat never written"
-        assert beat["pid"] == os.getpid()
-        assert beat["state"] in ("busy", "idle")
-        assert {"activity", "queued_batches", "pending",
-                "running"} <= set(beat)
+        # The scheduler is the daemon's only named background thread.
+        assert {t.name for t in threading.enumerate()
+                if t.name.startswith("repro-")} == {"repro-scheduler"}
+        list(client.submit(server.socket_path, [make_job(spec=None)]))
         self._stop(server, thread)
-        # Clean shutdown removes the sidecar: a leftover heartbeat is
-        # unambiguous crash evidence for doctor.
-        assert wal_mod.read_heartbeat(server.wal_root) is None
+        wal_root = server.wal.root
+        assert all(name.startswith(wal_mod.SEGMENT_PREFIX)
+                   and name.endswith(wal_mod.SEGMENT_SUFFIX)
+                   for name in os.listdir(wal_root))
+        records, torn = wal_mod.replay_segments(wal_root)
+        assert torn == 0 and records[-1] == {"t": "seal"}
+
+    def test_failed_compaction_at_stop_still_seals(self, tmp_path,
+                                                   monkeypatch):
+        server, thread = self._start(tmp_path)
+        list(client.submit(server.socket_path, [make_job(spec=None)]))
+
+        def broken(records):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(server.wal, "compact", broken)
+        self._stop(server, thread)
+        records, torn = wal_mod.replay_segments(server.wal.root)
+        # The uncompacted history stays authoritative and still ends in
+        # the seal, so the next start reads a clean stop, not a crash.
+        assert torn == 0 and records[-1] == {"t": "seal"}
+        assert any(record["t"] == "submit" for record in records)
 
     def test_no_cache_disables_wal(self, tmp_path):
         sock = str(tmp_path / "nc.sock")
@@ -639,7 +686,7 @@ class TestDaemonDurability:
         thread.start()
         _wait_for_daemon(sock)
         try:
-            assert server.wal is None and server.wal_root is None
+            assert server.wal is None
             out = client.collect_results(
                 client.submit(sock, [make_job(spec=None)]))
             assert out["complete"]["failed"] == 0
@@ -1048,9 +1095,6 @@ class TestDoctorHygiene:
         root = str(tmp_path / "cache")
         wal_root = os.path.join(root, wal_mod.WAL_DIRNAME)
         os.makedirs(wal_root)
-        # A heartbeat with no daemon behind it: the last one crashed.
-        wal_mod.write_heartbeat(wal_root, {"pid": 1, "state": "busy"})
-        heartbeat = wal_mod.heartbeat_path(wal_root)
         # An interrupted compaction temporary...
         orphan = os.path.join(wal_root, "segment-000002.wal.tmp")
         with open(orphan, "w", encoding="utf-8") as fh:
@@ -1063,22 +1107,17 @@ class TestDoctorHygiene:
         intact = os.path.join(wal_root, "segment-000003.wal")
         with open(intact, "wb") as fh:
             fh.write(wal_mod.encode_record({"t": "seal"}))
-        wal_mod.write_recovery(wal_root, {"records": 4,
-                                          "submissions": 1,
-                                          "requeued": 2, "torn": 1})
 
         code, out = self._doctor(capsys, "--cache-dir", root)
         assert code == 0  # advisory
-        assert "stale service heartbeat" in out
         assert "orphaned WAL temporary" in out
         assert "corrupt WAL segment" in out
-        assert "last WAL recovery" in out
-        assert "2 job(s) requeued" in out
-        assert "1 torn record(s) dropped" in out
+        # Replay stops at the hopeless first segment, so the next start
+        # would recover nothing from it: the log reads as unsealed.
+        assert "unsealed WAL: 0 trusted record(s), 1 torn" in out
 
         code, out = self._doctor(capsys, "--cache-dir", root, "--fix")
         assert code == 0
-        assert not os.path.exists(heartbeat)
         assert not os.path.exists(orphan)
         assert not os.path.exists(corrupt)
         # The recoverable segment is never touched.
@@ -1086,6 +1125,73 @@ class TestDoctorHygiene:
 
         code, out = self._doctor(capsys, "--cache-dir", root)
         assert "cache hygiene: clean" in out
+        assert "unsealed WAL" not in out
+
+    def test_unsealed_wal_reported_never_removed(self, tmp_path,
+                                                 capsys):
+        root = str(tmp_path / "cache")
+        log = wal_mod.WriteAheadLog(
+            os.path.join(root, wal_mod.WAL_DIRNAME))
+        JobBoard(wal=log).submit([make_job()])  # then the daemon died
+        log.close()
+        segments = log.segment_paths()
+        for argv in ((), ("--fix",)):
+            code, out = self._doctor(capsys, "--cache-dir", root, *argv)
+            assert code == 0  # advisory
+            assert ("unsealed WAL: 1 trusted record(s), 0 torn; the "
+                    "next repro serve recovers it") in out
+        assert log.segment_paths() == segments
+        assert wal_mod.replay_segments(log.root)[0][-1]["t"] == "submit"
+        log.seal()  # a clean stop ends the log in a seal
+        log.close()
+        code, out = self._doctor(capsys, "--cache-dir", root)
+        assert "unsealed WAL" not in out
+
+    @staticmethod
+    def _fake_daemon(monkeypatch, root, busy, age, pending):
+        """A socket path whose ``jobs``/``stats`` answers are canned."""
+        from repro.telemetry.stats import StatGroup
+
+        monkeypatch.delenv("REPRO_SERVICE_SOCKET", raising=False)
+        os.makedirs(root)
+        open(socket_path(root), "w").close()
+        tree = StatGroup("daemon")
+        scheduler = tree.group("service").group("scheduler")
+        scheduler.counter("busy", value=busy)
+        scheduler.counter("activity-age", value=age)
+        summary = {"event": "jobs", "queued_batches": int(pending > 0),
+                   "records": {"pending": pending, "running": 0,
+                               "done": 0, "failed": 0},
+                   "submissions": []}
+        monkeypatch.setattr(client, "list_jobs",
+                            lambda path, timeout=5.0: summary)
+        monkeypatch.setattr(
+            client, "fetch_stats",
+            lambda path, timeout=5.0: {"event": "stats",
+                                       "tree": tree.to_dict()})
+
+    @pytest.mark.parametrize("busy,age,pending,wedged", [
+        (0, 900.0, 2, True),   # scheduler thread dead, work queued
+        (1, 900.0, 2, True),   # a batch stuck in the engine
+        (1, 5.0, 2, False),    # busy and making progress
+        (0, 900.0, 0, False),  # idle with nothing to do
+    ])
+    def test_doctor_and_jobs_share_the_wedge_verdict(
+            self, tmp_path, capsys, monkeypatch, busy, age, pending,
+            wedged):
+        from repro.cli import main
+
+        root = str(tmp_path / "cache")
+        self._fake_daemon(monkeypatch, root, busy, age, pending)
+        code, out = self._doctor(capsys, "--cache-dir", root)
+        assert code == 0
+        assert "service daemon live" in out
+        verdicts = [line.strip() for line in out.splitlines()
+                    if line.strip().startswith("scheduler:")]
+        assert len(verdicts) == 1
+        assert ("WEDGED?" in verdicts[0]) == wedged
+        assert main(["jobs", "--stats", "--cache-dir", root]) == 0
+        assert verdicts[0] in capsys.readouterr().out.splitlines()
 
 
 # ----------------------------------------------------------------------
@@ -1109,7 +1215,7 @@ class TestServiceParser:
         args = build_parser().parse_args(
             ["serve", "--max-pending", "64"])
         assert args.max_pending == 64
-        assert build_parser().parse_args(["serve"]).max_pending is None
+        assert build_parser().parse_args(["serve"]).max_pending == 0
 
     def test_submit_flags(self):
         from repro.cli import build_parser

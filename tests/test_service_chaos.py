@@ -31,6 +31,7 @@ from tests.test_service import (
     _stop_daemon,
     _wait_for_daemon,
     make_job,
+    recovery_stats,
     wire_result,
 )
 
@@ -86,6 +87,12 @@ def _wal_root(cache_dir):
     return os.path.join(cache_dir, wal_mod.WAL_DIRNAME)
 
 
+def _last_record(cache_dir):
+    """The WAL's last trusted record (``None`` for an empty log)."""
+    records, _ = wal_mod.replay_segments(_wal_root(cache_dir))
+    return records[-1] if records else None
+
+
 def _reference(jobs):
     """Uninterrupted serial execution — the bit-identity baseline."""
     return {job_key(job): wire_result(job) for job in jobs}
@@ -136,9 +143,11 @@ class TestRecoveryMatrix:
                 server.kill()
                 server.wait(timeout=30)
 
-        # SIGKILL left the socket file behind; restart reclaims it,
-        # replays the WAL, and requeues the lost work.
+        # SIGKILL left the socket file behind and the log unsealed;
+        # restart reclaims the socket, replays the WAL, and requeues
+        # the lost work.
         assert os.path.exists(sock)
+        assert _last_record(cache_dir) not in (None, {"t": "seal"})
         server = _serve(tmp_path, sock, cache_dir)
         try:
             result = client.collect_results(
@@ -147,8 +156,7 @@ class TestRecoveryMatrix:
             assert result["complete"]["total"] == len(jobs)
             # Bit-identical to an uninterrupted serial run.
             assert result["results"] == _reference(jobs)
-            recovery = wal_mod.read_recovery(_wal_root(cache_dir))
-            assert recovery is not None
+            recovery = recovery_stats(sock)
             assert recovery["records"] >= 1
             assert recovery["sealed"] == 0  # it was a crash
         finally:
@@ -198,20 +206,27 @@ class TestRecoveryMatrix:
         try:
             frames = list(client.submit(sock, jobs, watch=False))
             sid = frames[0]["id"]
-            # Kill only once some work has finished AND the first
-            # heartbeat landed (it is written once a second).
+            # Kill only once some work has finished.
             deadline = time.time() + 240
-            while client.list_jobs(sock)["records"]["done"] < 1 \
-                    or wal_mod.read_heartbeat(
-                        _wal_root(cache_dir)) is None:
+            while client.list_jobs(sock)["records"]["done"] < 1:
                 assert time.time() < deadline, "daemon never warmed up"
                 time.sleep(0.2)
         finally:
             server.kill()  # SIGKILL, mid-campaign
             server.wait(timeout=30)
 
-        # The un-removed heartbeat is the crash evidence doctor reads.
-        assert wal_mod.read_heartbeat(_wal_root(cache_dir)) is not None
+        # The unsealed log is the crash evidence: doctor reports it,
+        # and even --fix leaves it for the next daemon to recover.
+        last = _last_record(cache_dir)
+        assert last not in (None, {"t": "seal"})
+        segments = wal_mod.segment_paths(_wal_root(cache_dir))
+        doctor = _spawn(["doctor", "--fix", "--cache-dir", cache_dir],
+                        tmp_path)
+        out, err = doctor.communicate(timeout=120)
+        assert doctor.returncode == 0, err.decode()
+        assert b"unsealed WAL: " in out
+        assert wal_mod.segment_paths(_wal_root(cache_dir)) == segments
+        assert _last_record(cache_dir) == last
 
         server = _serve(tmp_path, sock, cache_dir)
         try:
@@ -236,20 +251,24 @@ class TestGracefulDrain:
         server.send_signal(signal.SIGTERM)
         out, err = server.communicate(timeout=300)
         assert server.returncode == 0, err.decode()
-        # Clean exit: socket unlinked, heartbeat cleared, WAL sealed.
+        # Clean exit: socket unlinked, the WAL directory holds only
+        # segments, and the log's last record is the seal.
         assert not os.path.exists(sock)
-        assert wal_mod.read_heartbeat(_wal_root(cache_dir)) is None
-        records, torn = wal_mod.replay_segments(_wal_root(cache_dir))
+        wal_root = _wal_root(cache_dir)
+        assert [os.path.join(wal_root, name)
+                for name in sorted(os.listdir(wal_root))] \
+            == wal_mod.segment_paths(wal_root)
+        records, torn = wal_mod.replay_segments(wal_root)
         assert torn == 0
-        assert {"t": "seal"} in records
+        assert records[-1] == {"t": "seal"}
 
         # The drain finished the in-flight work before exiting: the
         # restarted daemon replays a *sealed* journal and the watcher
         # sees the completed submission, bit-identical to serial.
         server = _serve(tmp_path, sock, cache_dir)
         try:
-            recovery = wal_mod.read_recovery(_wal_root(cache_dir))
-            assert recovery is not None and recovery["sealed"] == 1
+            recovery = recovery_stats(sock)
+            assert recovery["sealed"] == 1
             assert recovery["requeued"] == 0
             result = client.collect_results(
                 client.watch(sock, sid, timeout=60))

@@ -1,8 +1,7 @@
 """Unit tests for the service write-ahead log: record encoding, torn
-tolerance, compaction, debris scanning, and the heartbeat/recovery
-sidecars (docs/SERVICE.md §Durability)."""
+tolerance, compaction, and debris scanning (docs/SERVICE.md
+§Durability)."""
 
-import json
 import os
 
 import pytest
@@ -184,34 +183,3 @@ class TestDebrisScanning:
         open(empty, "wb").close()
         assert wal.corrupt_segments(str(tmp_path)) == [hopeless]
 
-
-class TestSidecars:
-    def test_heartbeat_roundtrip(self, tmp_path):
-        root = str(tmp_path)
-        assert wal.read_heartbeat(root) is None
-        wal.write_heartbeat(root, {"pid": 123, "state": "busy"})
-        beat = wal.read_heartbeat(root)
-        assert beat["pid"] == 123 and beat["state"] == "busy"
-        assert beat["ts"] > 0  # stamped automatically
-        wal.clear_heartbeat(root)
-        assert wal.read_heartbeat(root) is None
-        wal.clear_heartbeat(root)  # idempotent
-
-    def test_recovery_roundtrip(self, tmp_path):
-        root = str(tmp_path)
-        assert wal.read_recovery(root) is None
-        wal.write_recovery(root, {"records": 7, "requeued": 2})
-        got = wal.read_recovery(root)
-        assert got["records"] == 7 and got["requeued"] == 2
-
-    def test_corrupt_sidecar_reads_as_absent(self, tmp_path):
-        path = tmp_path / wal.HEARTBEAT_NAME
-        path.write_text("{torn")
-        assert wal.read_heartbeat(str(tmp_path)) is None
-        path.write_text(json.dumps([1, 2]))  # not an object
-        assert wal.read_heartbeat(str(tmp_path)) is None
-
-    def test_sidecars_never_leave_temporaries(self, tmp_path):
-        wal.write_heartbeat(str(tmp_path), {"pid": 1})
-        wal.write_recovery(str(tmp_path), {"records": 0})
-        assert wal.orphan_files(str(tmp_path)) == []
