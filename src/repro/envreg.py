@@ -73,10 +73,6 @@ REGISTRY: Dict[str, EnvVar] = {
         EnvVar("REPRO_FAULTS",
                "JSON fault-injection plan for the testing harness",
                "unset (no faults)", "repro.testing.faults"),
-        EnvVar("REPRO_SYNC_CHECKS",
-               "1 arms the runtime lock-order/guard sanitizer",
-               "unset (sanitizer off, zero-cost)",
-               "repro.testing.synccheck"),
     )
 }
 

@@ -16,8 +16,6 @@ taxonomy (see docs/ROBUSTNESS.md):
     ├── ``JobTimeout``             — a job exceeded its wall-clock budget
     ├── ``CacheCorruption``        — a cache entry failed to deserialise
     ├── ``CampaignError``          — a campaign finished with quarantined failures
-    ├── ``SyncViolation``          — the ``REPRO_SYNC_CHECKS`` sanitizer caught a
-    │                                lock-order inversion or unguarded access
     └── ``ServiceError``           — the campaign service layer failed
           ├── ``ServiceUnavailable``  — no daemon behind the socket/endpoint
           ├── ``ServiceOverloaded``   — the daemon's bounded queue rejected a
@@ -92,12 +90,6 @@ class CampaignError(ReproError):
         self.ledger = ledger
 
 
-class SyncViolation(ReproError):
-    """The runtime lock sanitizer (``REPRO_SYNC_CHECKS=1``,
-    :mod:`repro.testing.synccheck`) caught a lock-order inversion or a
-    guarded-attribute access without its guard lock held."""
-
-
 class ServiceError(ReproError):
     """The campaign service layer (``repro serve`` and its clients)
     failed outside any individual simulation job."""
@@ -149,7 +141,6 @@ __all__ = [
     "ServiceOverloaded",
     "ServiceUnavailable",
     "SimulationError",
-    "SyncViolation",
     "TransientError",
     "WorkerCrash",
     "taxonomy_name",

@@ -11,7 +11,6 @@ with ``# reprolint: disable=RLxxx`` where the rule is wrong.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.lint.core import (Finding, Rule, dotted_name, import_map,
@@ -1105,28 +1104,58 @@ class TraceMaterializationRule(Rule):
 # ----------------------------------------------------------------------
 # RL008 — lock discipline
 # ----------------------------------------------------------------------
-#: ``#: guarded-by: <lock>`` attribute annotation (line above the
-#: ``self.<attr> = ...`` assignment in ``__init__``).
-_GUARDED_BY_RE = re.compile(r"#:\s*guarded-by:\s*([A-Za-z_]\w*)")
+#: Docstring marker declaring a helper runs with every class lock held.
+_HELD_MARKER = "(lock held)"
 
-#: Docstring markers declaring a helper runs with a lock held:
-#: ``(lock held)`` grants every class lock, ``(<name> held)`` one.
-_HELD_RE = re.compile(r"\(([A-Za-z_]\w*) held\)")
+#: Builtins that reach an attribute by name.
+_DYNAMIC_ACCESS = ("getattr", "setattr", "delattr")
+
+
+class _ClassLocks(NamedTuple):
+    """What RL008 knows about one lock-owning class."""
+
+    name: str
+    #: Guarded attribute -> the lock declared for it.
+    guards: Dict[str, str]
+    #: Condition attribute -> the lock it wraps (``None``: its own).
+    conds: Dict[str, Optional[str]]
+    #: Lock attribute -> the lock it aliases (a condition's wrapped
+    #: lock, else itself).
+    base: Dict[str, str]
+    #: Methods whose docstring declares ``(lock held)``.
+    helpers: Set[str]
+    #: Attribute -> the ``repro.service`` class ``__init__`` gives it.
+    peers: Dict[str, str]
+    path: str
 
 
 class LockDisciplineRule(Rule):
-    """Guarded service state is only touched with its lock held.
+    """Guarded service state is only touched with its lock held, and
+    locks are only taken in the declared order.
 
     Each class in ``repro.service`` that creates locks declares a
-    guard map — a ``_GUARDED`` class table (``{"attr": "_lock"}``)
-    and/or ``#: guarded-by: <lock>`` comments above the ``__init__``
-    assignments.  The rule walks every method tracking the held-lock
-    set through ``with self.<lock>:`` scopes and flags: reads/writes
-    of a guarded attribute without its lock held; calls to helpers
-    whose docstring declares ``(lock held)`` from an unlocked site;
-    ``Condition.wait/notify`` outside the condition's own lock; and a
-    lock-owning class with no guard map at all.  A
-    ``threading.Condition(self._lock)`` aliases its wrapped lock, so
+    ``_GUARDED`` class table (``{"attr": "_lock"}``).  The rule walks
+    every method tracking the held-lock set through
+    ``with self.<lock>:`` scopes and flags:
+
+    * a read/write of a guarded attribute without its lock held,
+      including ``getattr``/``setattr``/``delattr(self, "<attr>", ...)``
+      with a literal name; with a computed name, at least one of the
+      class's guard locks must be held;
+    * a call to a helper whose docstring declares ``(lock held)`` from
+      a site that does not hold the class's locks;
+    * ``Condition.wait/notify`` outside the condition's own lock;
+    * a lock-owning class with no guard map at all;
+    * ``with <x>.<attr>:`` where ``<x>`` is not ``self``: a service
+      class takes only its own locks (a bare attribute used as a
+      context manager is taken to be a lock);
+    * a lock-order edge other than :attr:`LOCK_EDGE`.  A call
+      ``self.<peer>.<method>(...)`` with a lock held orders this
+      class's locks before the peer's, where ``__init__`` types
+      ``self.<peer>`` as another ``repro.service`` class by a
+      constructor call or an annotated parameter.
+
+    A ``threading.Condition(self._lock)`` aliases its wrapped lock, so
     holding either satisfies guards on the other.  Nested functions
     and lambdas are treated as escaping callbacks (they may run on
     another thread) and are checked with an empty held set;
@@ -1136,7 +1165,8 @@ class LockDisciplineRule(Rule):
     code = "RL008"
     name = "lock-discipline"
     description = ("guarded service state is only read/written under "
-                   "its declared lock (with-scope tracking, helper "
+                   "its declared lock, and locks nest only in the "
+                   "declared order (with-scope tracking, helper "
                    "escapes, Condition.wait/notify)")
     scope = (("repro", "service"),)
 
@@ -1145,16 +1175,22 @@ class LockDisciplineRule(Rule):
                                        "threading.Condition")
     WAIT_METHODS: Tuple[str, ...] = ("wait", "wait_for", "notify",
                                      "notify_all")
+    #: The service tier's one lock-order edge (docs/SERVICE.md
+    #: §Locking): the board appends to the WAL under its own lock.
+    LOCK_EDGE: Tuple[str, str] = ("JobBoard", "WriteAheadLog")
 
     def check(self, tree: ast.Module, source: str,
               path: str) -> List[Finding]:
         findings: List[Finding] = []
         imports = import_map(tree)
-        lines = source.splitlines()
+        local = {node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 findings.extend(
-                    self._check_class(node, imports, lines, path))
+                    self._check_class(node, imports, local, path))
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                findings.extend(self._foreign_locks(node.items, path))
         return findings
 
     # -- declarations ---------------------------------------------------
@@ -1162,9 +1198,7 @@ class LockDisciplineRule(Rule):
                     imports: Dict[str, str]
                     ) -> Tuple[Set[str], Dict[str, Optional[str]]]:
         """``(lock attribute names, condition -> wrapped lock)`` from
-        the constructor's ``self.<attr> = ...`` assignments (a
-        ``synccheck.wrap_lock(threading.Lock(), ...)`` wrapper still
-        contains the factory call and is recognised)."""
+        the constructor's ``self.<attr> = ...`` assignments."""
         locks: Set[str] = set()
         conds: Dict[str, Optional[str]] = {}
         if init is None:
@@ -1187,21 +1221,16 @@ class LockDisciplineRule(Rule):
                 locks.update(targets)
                 if factory == "threading.Condition":
                     wrapped: Optional[str] = None
-                    if sub.args \
-                            and isinstance(sub.args[0], ast.Attribute) \
-                            and isinstance(sub.args[0].value, ast.Name) \
-                            and sub.args[0].value.id == "self":
-                        wrapped = sub.args[0].attr
+                    if sub.args:
+                        wrapped = self._self_attr(sub.args[0])
                     for attr in targets:
                         conds[attr] = wrapped
                 break
         return locks, conds
 
     @staticmethod
-    def _guard_map(cls: ast.ClassDef, init: Optional[ast.FunctionDef],
-                   lines: Sequence[str]) -> Dict[str, str]:
-        """Attribute -> lock name from the ``_GUARDED`` class table
-        and ``#: guarded-by:`` annotations."""
+    def _guard_map(cls: ast.ClassDef) -> Dict[str, str]:
+        """Attribute -> lock name from the ``_GUARDED`` class table."""
         guards: Dict[str, str] = {}
         for stmt in cls.body:
             value: Optional[ast.expr] = None
@@ -1220,68 +1249,108 @@ class LockDisciplineRule(Rule):
                             and isinstance(val, ast.Constant) \
                             and isinstance(val.value, str):
                         guards[key.value] = val.value
-        if init is not None:
-            for node in ast.walk(init):
-                if not isinstance(node, ast.Assign) \
-                        or node.lineno < 2:
-                    continue
-                above = lines[node.lineno - 2] \
-                    if node.lineno - 2 < len(lines) else ""
-                found = _GUARDED_BY_RE.search(above)
-                if not found:
-                    continue
-                for target in node.targets:
-                    if isinstance(target, ast.Attribute) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id == "self":
-                        guards[target.attr] = found.group(1)
         return guards
 
     @staticmethod
-    def _held_markers(cls: ast.ClassDef, locks: Set[str],
-                      base: Dict[str, str]) -> Dict[str, Set[str]]:
-        """Method name -> base locks its docstring declares held."""
-        markers: Dict[str, Set[str]] = {}
-        all_bases = {base[name] for name in locks}
+    def _held_helpers(cls: ast.ClassDef) -> Set[str]:
+        """Methods whose docstring declares ``(lock held)``."""
+        helpers: Set[str] = set()
         for stmt in cls.body:
-            if not isinstance(stmt, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # The marker may wrap lines.
+                doc = " ".join(
+                    (ast.get_docstring(stmt, clean=False) or "").split())
+                if _HELD_MARKER in doc:
+                    helpers.add(stmt.name)
+        return helpers
+
+    def _peers(self, init: Optional[ast.FunctionDef],
+               imports: Dict[str, str], local: Set[str]
+               ) -> Dict[str, str]:
+        """Attribute -> ``repro.service`` class name, for each
+        ``self.<attr>`` the constructor assigns a service-class
+        instance: a constructor call, or a parameter annotated with
+        the class (``Optional[...]`` included)."""
+        peers: Dict[str, str] = {}
+        if init is None:
+            return peers
+        params = {arg.arg: arg.annotation
+                  for arg in init.args.args + init.args.kwonlyargs
+                  if arg.annotation is not None}
+        for node in ast.walk(init):
+            if not isinstance(node, ast.Assign):
                 continue
-            doc = ast.get_docstring(stmt, clean=False) or ""
-            doc = re.sub(r"\s+", " ", doc)  # marker may wrap lines
-            granted: Set[str] = set()
-            for found in _HELD_RE.finditer(doc):
-                name = found.group(1)
-                if name == "lock":
-                    granted |= all_bases
-                elif name in locks:
-                    granted.add(base[name])
-            if granted:
-                markers[stmt.name] = granted
-        return markers
+            typed: Optional[str] = None
+            if isinstance(node.value, ast.Call):
+                typed = self._service_class(node.value.func, imports,
+                                            local)
+            elif isinstance(node.value, ast.Name) \
+                    and node.value.id in params:
+                typed = self._service_class(params[node.value.id],
+                                            imports, local)
+            if typed is None:
+                continue
+            for target in node.targets:
+                attr = self._self_attr(target)
+                if attr is not None:
+                    peers[attr] = typed
+        return peers
+
+    @staticmethod
+    def _service_class(node: ast.expr, imports: Dict[str, str],
+                       local: Set[str]) -> Optional[str]:
+        """The class name when ``node`` (a constructor or annotation)
+        names a service class: one defined in this module, or a
+        CapWords name under ``repro.service``.  ``Optional[X]``
+        names ``X``."""
+        if isinstance(node, ast.Subscript) \
+                and (dotted_name(node.value) or "").endswith("Optional"):
+            node = node.slice
+        name = resolve_dotted(node, imports)
+        if name is None:
+            return None
+        if name in local:
+            return name
+        owner, _, cls = name.rpartition(".")
+        if (owner + ".").startswith("repro.service.") \
+                and cls[:1].isupper():
+            return cls
+        return None
+
+    def _foreign_locks(self, items: Sequence[ast.withitem],
+                       path: str) -> List[Finding]:
+        """``with <x>.<lock>:`` where ``<x>`` is not ``self``."""
+        findings: List[Finding] = []
+        for item in items:
+            expr = item.context_expr
+            if isinstance(expr, ast.Attribute) \
+                    and self._self_attr(expr) is None:
+                shown = dotted_name(expr) or f"<expr>.{expr.attr}"
+                findings.append(Finding(
+                    self.code, path, expr.lineno, expr.col_offset,
+                    f"`with {shown}:` takes a lock this class does "
+                    "not own",
+                    "call a method of the lock's owner instead; each "
+                    "service class takes only its own locks"))
+        return findings
 
     # -- the walk -------------------------------------------------------
-    def _check_class(self, cls: ast.ClassDef,
-                     imports: Dict[str, str], lines: Sequence[str],
-                     path: str) -> List[Finding]:
+    def _check_class(self, cls: ast.ClassDef, imports: Dict[str, str],
+                     local: Set[str], path: str) -> List[Finding]:
         init = _method(cls, "__init__")
         locks, conds = self._lock_attrs(init, imports)
-        guards = self._guard_map(cls, init, lines)
+        guards = self._guard_map(cls)
         if not locks and not guards:
             return []
-        findings: List[Finding] = []
         if locks and not guards:
             return [Finding(
                 self.code, path, cls.lineno, cls.col_offset,
                 f"class {cls.name} creates lock(s) "
                 f"{', '.join(sorted(locks))} but declares no guard "
                 "map",
-                "declare a _GUARDED class table (or '#: guarded-by: "
-                "<lock>' annotations in __init__) naming the state "
+                "declare a _GUARDED class table naming the state "
                 "each lock protects")]
-        # A condition aliases the lock it wraps: holding either is
-        # holding both, so guards resolve through the base lock.
-        base = {name: conds.get(name) or name for name in locks}
+        findings: List[Finding] = []
         for guard in sorted(set(guards.values())):
             if guard not in locks:
                 findings.append(Finding(
@@ -1290,23 +1359,27 @@ class LockDisciplineRule(Rule):
                     "map is not a lock created in __init__",
                     "create the lock in the constructor or fix the "
                     "guard name"))
-        markers = self._held_markers(cls, locks, base)
+        # A condition aliases the lock it wraps: holding either is
+        # holding both, so guards resolve through the base lock.
+        facts = _ClassLocks(
+            name=cls.name, guards=guards, conds=conds,
+            base={name: conds.get(name) or name for name in locks},
+            helpers=self._held_helpers(cls),
+            peers=self._peers(init, imports, local), path=path)
+        every_lock = frozenset(facts.base.values())
         for stmt in cls.body:
             if not isinstance(stmt, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)) \
                     or stmt.name in ("__init__", "__post_init__"):
                 continue
-            held = frozenset(markers.get(stmt.name, frozenset()))
+            held = every_lock if stmt.name in facts.helpers \
+                else frozenset()
             for child in stmt.body:
-                self._scan(child, held, guards, locks, conds, base,
-                           markers, path, findings)
+                self._scan(child, held, facts, findings)
         return findings
 
     def _scan(self, node: ast.AST, held: "frozenset[str]",
-              guards: Dict[str, str], locks: Set[str],
-              conds: Dict[str, Optional[str]], base: Dict[str, str],
-              markers: Dict[str, Set[str]], path: str,
-              findings: List[Finding]) -> None:
+              facts: _ClassLocks, findings: List[Finding]) -> None:
         if isinstance(node, ast.ClassDef):
             return  # nested classes are analyzed on their own
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -1316,78 +1389,103 @@ class LockDisciplineRule(Rule):
             body = node.body if isinstance(node.body, list) \
                 else [node.body]
             for child in body:
-                self._scan(child, frozenset(), guards, locks, conds,
-                           base, markers, path, findings)
+                self._scan(child, frozenset(), facts, findings)
             return
         if isinstance(node, (ast.With, ast.AsyncWith)):
-            acquired: Set[str] = set()
+            inner = set(held)
             for item in node.items:
-                self._scan(item.context_expr, held, guards, locks,
-                           conds, base, markers, path, findings)
+                self._scan(item.context_expr, held, facts, findings)
                 attr = self._self_attr(item.context_expr)
-                if attr is not None and attr in locks:
-                    acquired.add(base[attr])
-            inner = held | acquired
+                if attr is not None and attr in facts.base:
+                    inner.add(facts.base[attr])
             for child in node.body:
-                self._scan(child, frozenset(inner), guards, locks,
-                           conds, base, markers, path, findings)
+                self._scan(child, frozenset(inner), facts, findings)
             return
-        self._check_node(node, held, guards, locks, conds, base,
-                         markers, path, findings)
+        self._check_node(node, held, facts, findings)
         for child in ast.iter_child_nodes(node):
-            self._scan(child, held, guards, locks, conds, base,
-                       markers, path, findings)
+            self._scan(child, held, facts, findings)
+
+    def _check_guard(self, attr: str, node: ast.expr,
+                     held: "frozenset[str]", facts: _ClassLocks,
+                     findings: List[Finding]) -> None:
+        guard = facts.guards[attr]
+        if facts.base.get(guard, guard) not in held:
+            findings.append(Finding(
+                self.code, facts.path, node.lineno, node.col_offset,
+                f"self.{attr} accessed without its guard {guard!r} "
+                "held",
+                f"wrap the access in `with self.{guard}:` (or "
+                "document the helper '(lock held)' and call it under "
+                "the lock)"))
 
     def _check_node(self, node: ast.AST, held: "frozenset[str]",
-                    guards: Dict[str, str], locks: Set[str],
-                    conds: Dict[str, Optional[str]],
-                    base: Dict[str, str],
-                    markers: Dict[str, Set[str]], path: str,
+                    facts: _ClassLocks,
                     findings: List[Finding]) -> None:
         if isinstance(node, ast.Attribute) \
                 and isinstance(node.value, ast.Name) \
-                and node.value.id == "self" \
-                and node.attr in guards:
-            guard = guards[node.attr]
-            if base.get(guard, guard) not in held:
-                findings.append(Finding(
-                    self.code, path, node.lineno, node.col_offset,
-                    f"self.{node.attr} accessed without its guard "
-                    f"{guard!r} held",
-                    f"wrap the access in `with self.{guard}:` (or "
-                    "document the helper '(lock held)' and call it "
-                    "under the lock)"))
+                and node.value.id == "self":
+            if node.attr in facts.guards:
+                self._check_guard(node.attr, node, held, facts,
+                                  findings)
             return
         if not isinstance(node, ast.Call):
             return
         func = node.func
-        if isinstance(func, ast.Attribute) \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id == "self" \
-                and func.attr in markers:
-            missing = sorted(markers[func.attr] - held)
+        if isinstance(func, ast.Name) and func.id in _DYNAMIC_ACCESS \
+                and len(node.args) >= 2 \
+                and isinstance(node.args[0], ast.Name) \
+                and node.args[0].id == "self":
+            name = node.args[1]
+            if isinstance(name, ast.Constant) \
+                    and isinstance(name.value, str):
+                if name.value in facts.guards:
+                    self._check_guard(name.value, node, held, facts,
+                                      findings)
+            elif not held & {facts.base.get(guard, guard)
+                             for guard in facts.guards.values()}:
+                findings.append(Finding(
+                    self.code, facts.path, node.lineno,
+                    node.col_offset,
+                    f"{func.id}(self, <computed name>) with none of "
+                    f"{facts.name}'s guard locks held",
+                    "hold the guard lock of every attribute the name "
+                    "can take"))
+            return
+        if not isinstance(func, ast.Attribute):
+            return
+        if self._self_attr(func) in facts.helpers:
+            missing = sorted(frozenset(facts.base.values()) - held)
             if missing:
                 findings.append(Finding(
-                    self.code, path, node.lineno, node.col_offset,
+                    self.code, facts.path, node.lineno, node.col_offset,
                     f"helper self.{func.attr}() is documented "
                     f"'(lock held)' but {', '.join(missing)} is not "
                     "held at this call site",
                     f"acquire {missing[0]} before calling the "
                     "helper"))
-        elif isinstance(func, ast.Attribute) \
-                and func.attr in self.WAIT_METHODS \
-                and isinstance(func.value, ast.Attribute) \
-                and isinstance(func.value.value, ast.Name) \
-                and func.value.value.id == "self" \
-                and func.value.attr in conds:
-            cond = func.value.attr
-            if base[cond] not in held:
+            return
+        target = self._self_attr(func.value)
+        if target is None:
+            return
+        if func.attr in self.WAIT_METHODS and target in facts.conds:
+            if facts.base[target] not in held:
                 findings.append(Finding(
-                    self.code, path, node.lineno, node.col_offset,
-                    f"self.{cond}.{func.attr}() outside the "
+                    self.code, facts.path, node.lineno, node.col_offset,
+                    f"self.{target}.{func.attr}() outside the "
                     "condition's lock",
                     f"Condition.{func.attr} requires its lock: wrap "
-                    f"in `with self.{cond}:`"))
+                    f"in `with self.{target}:`"))
+        elif target in facts.peers and held:
+            edge = (facts.name, facts.peers[target])
+            if edge != self.LOCK_EDGE:
+                findings.append(Finding(
+                    self.code, facts.path, node.lineno, node.col_offset,
+                    f"self.{target}.{func.attr}() called with "
+                    f"{', '.join(sorted(held))} held adds lock edge "
+                    f"{edge[0]} -> {edge[1]}; the only declared edge "
+                    f"is {self.LOCK_EDGE[0]} -> {self.LOCK_EDGE[1]}",
+                    "release the lock before calling into another "
+                    "service object (docs/SERVICE.md §Locking)"))
 
     @staticmethod
     def _self_attr(node: ast.expr) -> Optional[str]:

@@ -49,7 +49,6 @@ from repro.errors import ConfigError, ServiceOverloaded
 from repro.experiments.campaign import Job, JobEvent, job_key
 from repro.service.protocol import job_from_wire, job_to_wire
 from repro.service.wal import WriteAheadLog
-from repro.testing import synccheck
 
 #: Job-record lifecycle states.
 STATES = ("pending", "running", "done", "failed")
@@ -135,8 +134,7 @@ class JobBoard:
     Every mutable field lives under the single board lock (``_cond``
     wraps the same lock, so holding either is holding both); ``wal``
     and ``max_pending`` are set once in the constructor and read-only
-    afterwards.  The guard map below is enforced statically by RL008
-    and at runtime by ``REPRO_SYNC_CHECKS=1``."""
+    afterwards.  RL008 enforces the guard map below."""
 
     #: Attribute guard map (docs/LINTING.md §RL008).
     _GUARDED = {
@@ -153,8 +151,7 @@ class JobBoard:
         if max_pending < 0:
             raise ConfigError(f"max_pending must be >= 0 (0 = "
                               f"unbounded), got {max_pending}")
-        self._lock = synccheck.wrap_lock(threading.Lock(),
-                                         "board._lock")
+        self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self.records: Dict[str, JobRecord] = {}
         self.submissions: Dict[str, Submission] = {}
@@ -164,7 +161,6 @@ class JobBoard:
         self.wal = wal
         self.max_pending = max_pending
         self._replaying = False
-        synccheck.guard_instance(self)
 
     def _log(self, record: Dict[str, Any]) -> None:
         """Durably log one record before applying it (lock held); a

@@ -71,7 +71,7 @@ from repro.service.protocol import (
     read_frames,
 )
 from repro.telemetry.stats import StatGroup
-from repro.testing import faults, synccheck
+from repro.testing import faults
 
 
 def _claim_socket(path: str) -> socket.socket:
@@ -120,8 +120,7 @@ class ServiceDaemon:
     another service lock.  The board and WAL carry their own locks.
     """
 
-    #: Attribute guard map enforced by RL008 and, under
-    #: ``REPRO_SYNC_CHECKS=1``, at runtime by repro.testing.synccheck.
+    #: Attribute guard map enforced by RL008.
     _GUARDED = {
         "requests": "_stats_lock",
         "submissions": "_stats_lock",
@@ -169,18 +168,14 @@ class ServiceDaemon:
             "requeued": 0, "sealed": 0, "torn": 0}
         self._activity = time.time()
         self._busy = False
-        self._stats_lock = synccheck.wrap_lock(
-            threading.Lock(), "daemon._stats_lock")
+        self._stats_lock = threading.Lock()
         self._stop = threading.Event()
-        self._cleanup_lock = synccheck.wrap_lock(
-            threading.Lock(), "daemon._cleanup_lock")
+        self._cleanup_lock = threading.Lock()
         self._cleaned = False
         self._listener: Optional[socket.socket] = None
         self._scheduler: Optional[threading.Thread] = None
-        self._conns_lock = synccheck.wrap_lock(
-            threading.Lock(), "daemon._conns_lock")
+        self._conns_lock = threading.Lock()
         self._conns: List[socket.socket] = []
-        synccheck.guard_instance(self)
 
     # -- lifecycle -----------------------------------------------------
     def serve_forever(self) -> None:
@@ -601,20 +596,6 @@ class ServiceDaemon:
             "seconds since the last scheduler/engine event "
             "(over 300 with work queued or in flight = wedged)",
             round(age, 3))
-        sync_counts = synccheck.counters()
-        sync = service.group(
-            "sync", "runtime lock sanitizer (REPRO_SYNC_CHECKS)")
-        sync.counter("enabled", "1 when the sanitizer is armed",
-                     sync_counts["enabled"])
-        sync.counter("locks",
-                     "service locks wrapped in checking proxies",
-                     sync_counts["locks"])
-        sync.counter("acquisitions",
-                     "lock acquisitions recorded in the order graph",
-                     sync_counts["acquisitions"])
-        sync.counter("violations",
-                     "inversions/unguarded accesses caught",
-                     sync_counts["violations"])
         tier = root.group("cache", "shared result-cache tier")
         cache = self.cache
         tier.counter("hits", "result-cache hits (daemon lifetime)",

@@ -54,7 +54,7 @@ import threading
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.testing import faults, synccheck
+from repro.testing import faults
 
 #: Subdirectory of the cache dir holding the log segments.
 WAL_DIRNAME = "wal"
@@ -116,8 +116,7 @@ class WriteAheadLog:
     §Locking): it is only ever taken last and never held across a call
     back into the board or daemon."""
 
-    #: Attribute guard map enforced by RL008 and, under
-    #: ``REPRO_SYNC_CHECKS=1``, at runtime by repro.testing.synccheck.
+    #: Attribute guard map enforced by RL008.
     _GUARDED = {
         "_handle": "_lock",
         "appends": "_lock",
@@ -128,13 +127,12 @@ class WriteAheadLog:
     def __init__(self, root: str, fsync: bool = True) -> None:
         self.root = root
         self._fsync = fsync
-        self._lock = synccheck.wrap_lock(threading.Lock(), "wal._lock")
+        self._lock = threading.Lock()
         self._handle: Optional[Any] = None
         self.appends = 0
         self.bytes_written = 0
         self.compactions = 0
         os.makedirs(root, exist_ok=True)
-        synccheck.guard_instance(self)
 
     # -- segment bookkeeping -------------------------------------------
     def segment_paths(self) -> List[str]:

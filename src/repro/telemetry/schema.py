@@ -119,15 +119,6 @@ SERVICE_SCHEMA: Dict[str, str] = {
     "service.scheduler": "group",
     "service.scheduler.busy": "counter",
     "service.scheduler.activity-age": "counter",
-    # Runtime lock sanitizer (repro.testing.synccheck, armed by
-    # REPRO_SYNC_CHECKS=1): wrapped-lock/acquisition counts and the
-    # violations caught — all zero in production where the sanitizer
-    # is off.
-    "service.sync": "group",
-    "service.sync.enabled": "counter",
-    "service.sync.locks": "counter",
-    "service.sync.acquisitions": "counter",
-    "service.sync.violations": "counter",
     # Shared cache tier (repro.experiments.campaign.ResultCache
     # counters rendered by the daemon and ``repro cache stats``).
     "cache": "group",

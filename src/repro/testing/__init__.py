@@ -1,3 +1,2 @@
 """Test support: deterministic fault injection
-(:mod:`repro.testing.faults`) and the runtime lock sanitizer
-(:mod:`repro.testing.synccheck`, armed by ``REPRO_SYNC_CHECKS=1``)."""
+(:mod:`repro.testing.faults`)."""

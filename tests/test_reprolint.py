@@ -344,6 +344,47 @@ FIXTURES = {
              "    def __init__(self):\n"
              "        self._lock = threading.Lock()\n"
              "        self.state = 0\n"),
+            ("unlocked-setattr",
+             "import threading\n\n\nclass Stats:\n"
+             "    _GUARDED = {'requests': '_lock'}\n\n"
+             "    def __init__(self):\n"
+             "        self._lock = threading.Lock()\n"
+             "        self.requests = 0\n\n"
+             "    def bump(self, name):\n"
+             "        setattr(self, name, getattr(self, name) + 1)\n"),
+            ("unlocked-literal-getattr",
+             "import threading\n\n\nclass Stats:\n"
+             "    _GUARDED = {'requests': '_lock'}\n\n"
+             "    def __init__(self):\n"
+             "        self._lock = threading.Lock()\n"
+             "        self.requests = 0\n\n"
+             "    def read(self):\n"
+             "        return getattr(self, 'requests')\n"),
+            ("foreign-lock",
+             "import threading\n\n"
+             "from repro.service.board import JobBoard\n\n\n"
+             "class Daemon:\n"
+             "    _GUARDED = {'requests': '_lock'}\n\n"
+             "    def __init__(self):\n"
+             "        self._lock = threading.Lock()\n"
+             "        self.requests = 0\n"
+             "        self.board = JobBoard()\n\n"
+             "    def peek(self):\n"
+             "        with self.board._lock:\n"
+             "            return len(self.board.records)\n"),
+            ("reversed-edge",
+             "import threading\n\n"
+             "from repro.service.board import JobBoard\n\n\n"
+             "class WriteAheadLog:\n"
+             "    _GUARDED = {'appends': '_lock'}\n\n"
+             "    def __init__(self, board: JobBoard):\n"
+             "        self._lock = threading.Lock()\n"
+             "        self.appends = 0\n"
+             "        self.board = board\n\n"
+             "    def append(self):\n"
+             "        with self._lock:\n"
+             "            self.appends += 1\n"
+             "            self.board.close()\n"),
         ],
         "good": [
             ("guarded-access",
@@ -358,15 +399,32 @@ FIXTURES = {
              "    def snapshot(self):\n"
              "        with self._lock:\n"
              "            return self.count\n"),
-            ("guarded-by-comment",
-             "import threading\n\n\nclass Gauge:\n"
+            ("setattr-under-guard",
+             "import threading\n\n\nclass Stats:\n"
+             "    _GUARDED = {'requests': '_lock'}\n\n"
              "    def __init__(self):\n"
              "        self._lock = threading.Lock()\n"
-             "        #: guarded-by: _lock\n"
-             "        self.level = 0\n\n"
-             "    def raise_to(self, value):\n"
+             "        self.requests = 0\n\n"
+             "    def bump(self, name):\n"
              "        with self._lock:\n"
-             "            self.level = value\n"),
+             "            setattr(self, name, getattr(self, name) + 1)\n"),
+            ("declared-edge",
+             "import threading\n"
+             "from typing import Optional\n\n"
+             "from repro.service.wal import WriteAheadLog\n\n\n"
+             "class JobBoard:\n"
+             "    _GUARDED = {'records': '_lock'}\n\n"
+             "    def __init__(self, wal: Optional[WriteAheadLog] = None):\n"
+             "        self._lock = threading.Lock()\n"
+             "        self.records = {}\n"
+             "        self.wal = wal\n\n"
+             "    def _log(self, record):\n"
+             "        \"\"\"Append one record (lock held).\"\"\"\n"
+             "        self.wal.append(record)\n\n"
+             "    def submit(self, key, record):\n"
+             "        with self._lock:\n"
+             "            self._log(record)\n"
+             "            self.records[key] = record\n"),
             ("condition-alias",
              "import threading\n\n\nclass Mailbox:\n"
              "    _GUARDED = {'items': '_lock'}\n\n"

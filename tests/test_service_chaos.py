@@ -25,7 +25,7 @@ from repro.experiments.campaign import ResultCache, job_key
 from repro.service import client
 from repro.service import wal as wal_mod
 from repro.service.daemon import ServiceDaemon
-from repro.testing import faults, synccheck
+from repro.testing import faults
 
 from tests.test_service import (
     _stop_daemon,
@@ -36,22 +36,6 @@ from tests.test_service import (
 )
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-@pytest.fixture(autouse=True)
-def _sanitized(monkeypatch):
-    """Arm the runtime lock sanitizer for the whole matrix.
-
-    ``REPRO_SYNC_CHECKS=1`` flows through ``_spawn``'s environment
-    copy into every daemon subprocess *and* arms the in-process
-    daemons some tests build directly — a lock-order inversion or
-    unguarded state access anywhere in the service tier turns a
-    would-be deadlock into a loud failure.  The post-test assertion
-    catches violations swallowed by a thread that died with them."""
-    monkeypatch.setenv(synccheck.ENV_FLAG, "1")
-    synccheck.reset()
-    yield
-    assert synccheck.reports() == [], "\n".join(synccheck.reports())
 
 
 def _spawn(argv, tmp_path, extra_env=None):
