@@ -13,12 +13,13 @@ Commands
 ``storage``   — print Table I
 ``report``    — write a full reproduction report
 ``cache``     — inspect, clear, prune, or evict the persistent result
-                cache (the shared cache tier; ``evict`` applies an
-                LRU size budget)
+                cache (the shared cache tier; ``evict`` applies a
+                size budget, oldest-written entries first)
 ``doctor``    — environment self-check (exit 1 when the host cannot
                 run campaigns reliably) plus cache-tier hygiene:
-                stale sweep checkpoints, quarantine files, and dead
-                service sockets, removable with ``--fix``
+                quarantine files, dead service sockets, WAL debris and
+                a legacy sweep-checkpoint directory, removable with
+                ``--fix``
 ``serve``     — run the campaign service daemon: a job queue over a
                 unix socket backed by the shared cache tier
                 (docs/SERVICE.md)
@@ -42,10 +43,10 @@ over N worker processes (default: all cores), and results persist
 under ``.repro-cache/`` so an identical rerun never simulates
 (``--no-cache`` opts out; ``repro cache stats`` shows the counters).
 Campaigns are fault-tolerant (docs/ROBUSTNESS.md): ``--timeout`` kills
-hung jobs, ``--retries`` bounds retry attempts, sweeps checkpoint
-under the cache so ``repro sweep --resume <campaign-id>`` replays only
-the jobs an interrupted run never finished, and failed jobs surface as
-an explicit summary (exit status 1) instead of aborting the sweep.
+hung jobs, ``--retries`` bounds retry attempts, an interrupted sweep
+resumes by re-running the command it printed (only the jobs the cache
+has no result for simulate again), and failed jobs surface as an
+explicit summary (exit status 1) instead of aborting the sweep.
 A :class:`~repro.errors.ConfigError`, such as a ``--warmup`` that is
 negative or not below ``--length``, is a usage error: one stderr line,
 exit status 2.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 from typing import List, Optional
 
@@ -63,6 +65,7 @@ from repro.experiments.campaign import (
     Job,
     JobEvent,
     ResultCache,
+    cache_root,
     parse_size,
 )
 from repro.experiments.runner import (
@@ -337,57 +340,19 @@ def cmd_sweep(args) -> int:
     """Full design-space sweep: every predictor × every core over the
     workload suite, as one deduplicated campaign.
 
-    With the cache enabled the sweep checkpoints itself under
-    ``<cache>/campaigns/``; ``--resume <campaign-id>`` replays an
-    interrupted sweep, re-running only the jobs the cache has no
-    result for.  Failed jobs are quarantined (not fatal): the sweep
-    prints a failure summary and exits with status 1."""
+    The result cache is the sweep's only progress record: with the
+    cache enabled the sweep prints, on stderr, the exact command that
+    resumes it.  Re-running that command serves every finished job
+    from the cache and simulates only the rest.  Failed jobs are
+    quarantined (not fatal): the sweep prints a failure summary and
+    exits with status 1."""
     from repro.analysis.reporting import format_suite, format_table
-    from repro.experiments.campaign import (
-        DEFAULT_CACHE_DIR,
-        finish_campaign,
-        load_campaign,
-        save_campaign,
-    )
 
     if _reject_trace_file(args, "sweep"):
         return 2
-    cache_root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR",
-                                                  DEFAULT_CACHE_DIR)
-    if not args.resume and not args.predictors:
-        print("sweep needs predictor names (or --resume CAMPAIGN_ID)",
-              file=sys.stderr)
-        return 2
-    if args.resume:
-        try:
-            manifest = load_campaign(cache_root, args.resume)
-        except (FileNotFoundError, ValueError):
-            print(f"no campaign {args.resume!r} under {cache_root} "
-                  "(see `repro sweep` output for checkpoint ids)",
-                  file=sys.stderr)
-            return 2
-        meta = manifest["meta"]
-        args.predictors = meta["predictors"]
-        args.cores = meta["cores"]
-        args.length = meta["length"]
-        args.warmup = meta["warmup"]
-        args.per_category = meta["per_category"]
-        args.seed = meta.get("seed")
-        args.no_cache = False
-
     runner = _default_runner_for(args, strict=False)
-    # A resumed sweep finishes the manifest it was given: recomputing
-    # the id from the meta dict would miss manifests written by older
-    # versions, whose meta carried more keys.
-    cid = args.resume
-    if cid is None and not args.no_cache:
-        meta = {"command": "sweep", "predictors": list(args.predictors),
-                "cores": list(args.cores), "length": args.length,
-                "warmup": _warmup(args),
-                "per_category": args.per_category, "seed": args.seed}
-        cid = save_campaign(cache_root, meta)
-    if cid is not None:
-        print(f"campaign {cid} (resume with: repro sweep --resume {cid})",
+    if not args.no_cache:
+        print("resume with: " + shlex.join(_sweep_command(args)),
               file=sys.stderr)
 
     rows = []
@@ -405,10 +370,25 @@ def cmd_sweep(args) -> int:
     print(format_table(
         ("core", "predictor", "geomean gain", "coverage", "workloads"),
         rows))
-    status = _report_failures(runner)
-    if cid is not None and status == 0:
-        finish_campaign(cache_root, cid)
-    return status
+    return _report_failures(runner)
+
+
+def _sweep_command(args) -> List[str]:
+    """The ``repro sweep`` command line that maps to the same job keys
+    as ``args``.  Length and warmup are spelled out resolved, so
+    ``REPRO_LENGTH``/``REPRO_WARMUP`` cannot change them between
+    runs; an omitted ``--per-category``/``--seed`` has no environment
+    default (the whole suite, each workload's stable seed)."""
+    command = ["repro", "sweep", *args.predictors,
+               "--cores", *args.cores, "--length", str(args.length),
+               "--warmup", str(_warmup(args))]
+    if args.per_category is not None:
+        command += ["--per-category", str(args.per_category)]
+    if args.seed is not None:
+        command += ["--seed", str(args.seed)]
+    if args.cache_dir is not None:
+        command += ["--cache-dir", args.cache_dir]
+    return command
 
 
 def _default_runner_for(args, strict: bool = True) -> Runner:
@@ -782,8 +762,7 @@ def cmd_doctor(args) -> int:
 
     def check_cache():
         """Verify the cache directory parent is writable with atomic rename."""
-        root = args.cache_dir or os.environ.get(
-            "REPRO_CACHE_DIR", ".repro-cache")
+        root = cache_root(args.cache_dir)
         parent = os.path.dirname(os.path.abspath(root)) or "."
         with tempfile.TemporaryDirectory(dir=parent) as tmp:
             probe = os.path.join(tmp, "probe")
@@ -835,46 +814,30 @@ def cmd_doctor(args) -> int:
 
 
 def _doctor_hygiene(args) -> None:
-    """Cache-tier hygiene report: stale sweep checkpoints, quarantined
-    ``*.bad`` entries, a dead service socket, and service-tier debris —
-    orphaned/corrupt WAL segments (only scanned when no daemon is
-    live, so an active WAL is never touched).  Findings are advisory
-    (they never fail ``doctor``); ``--fix`` removes them.  Also
-    reports, for a live daemon, its scheduler verdict (wedged vs
-    busy, as ``repro jobs --stats``) and, with no live daemon, an
-    unsealed WAL — the crash evidence the next ``repro serve``
-    recovers, which ``--fix`` never touches."""
-    import time
+    """Cache-tier hygiene report: quarantined ``*.bad`` entries, a
+    dead service socket, service-tier debris — orphaned/corrupt WAL
+    segments (only scanned when no daemon is live, so an active WAL is
+    never touched) — and the sweep-checkpoint directory older versions
+    wrote beside the results.  Findings are advisory (they never fail
+    ``doctor``); ``--fix`` removes them.  Also reports, for a live
+    daemon, its scheduler verdict (wedged vs busy, as ``repro jobs
+    --stats``) and, with no live daemon, an unsealed WAL — the crash
+    evidence the next ``repro serve`` recovers, which ``--fix`` never
+    touches."""
+    import shutil
 
     from repro.errors import ServiceUnavailable
-    from repro.experiments.campaign import (
-        CAMPAIGN_DIR,
-        DEFAULT_CACHE_DIR,
-        list_campaigns,
-    )
     from repro.service import client as service_client
     from repro.service import wal as wal_mod
     from repro.service.protocol import socket_path
 
-    root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR",
-                                            DEFAULT_CACHE_DIR)
+    root = cache_root(args.cache_dir)
     findings: List[tuple] = []
 
-    cutoff = time.time() - args.stale_age
-    for manifest in list_campaigns(root):
-        if manifest.get("completed"):
-            continue
-        base = os.path.join(root, CAMPAIGN_DIR, manifest["id"])
-        try:
-            if os.path.getmtime(base + ".json") >= cutoff:
-                continue
-        except OSError:
-            continue
-        findings.append(("stale sweep checkpoint", base + ".json"))
-        # Caches written by older versions may hold a sweep journal
-        # beside the manifest.
-        if os.path.exists(base + ".journal"):
-            findings.append(("stale sweep journal", base + ".journal"))
+    # Older versions checkpointed sweeps here; nothing reads it now.
+    legacy = os.path.join(root, "campaigns")
+    if os.path.isdir(legacy):
+        findings.append(("legacy sweep-checkpoint directory", legacy))
 
     cache = ResultCache(root)
     for key in cache.quarantined_entries():
@@ -912,8 +875,8 @@ def _doctor_hygiene(args) -> None:
                   f"{torn} torn; the next repro serve recovers it")
 
     if not findings:
-        print("cache hygiene: clean (no stale checkpoints, "
-              "quarantine files, dead sockets, or WAL debris)")
+        print("cache hygiene: clean (no quarantine files, dead "
+              "sockets, WAL debris, or legacy checkpoints)")
         return
     verb = "removed" if args.fix else "found"
     print(f"cache hygiene: {len(findings)} finding(s)"
@@ -921,7 +884,10 @@ def _doctor_hygiene(args) -> None:
     for kind, target in findings:
         if args.fix:
             try:
-                os.remove(target)
+                if os.path.isdir(target):
+                    shutil.rmtree(target)
+                else:
+                    os.remove(target)
             except OSError as exc:
                 print(f"  FAILED to remove {kind}: {target} ({exc})",
                       file=sys.stderr)
@@ -1052,17 +1018,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", parents=[shape],
         help="sweep predictors × cores over the suite")
-    p_sweep.add_argument("predictors", nargs="*",
-                         help="predictor registry names (omit when "
-                              "resuming a checkpointed campaign)")
+    p_sweep.add_argument("predictors", nargs="+",
+                         help="predictor registry names")
     p_sweep.add_argument("--cores", nargs="+", default=["skylake"],
                          choices=("skylake", "skylake-2x"))
     p_sweep.add_argument("--per-category", type=int, default=None)
     p_sweep.add_argument("--per-workload", action="store_true",
                          help="also print per-workload tables")
-    p_sweep.add_argument("--resume", default=None, metavar="CAMPAIGN_ID",
-                         help="resume a checkpointed sweep: re-run only "
-                              "the jobs the cache has no result for")
     _add_scale_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -1111,8 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="prune entries older than AGE "
                               "(e.g. 3600, 30m, 12h, 7d)")
     p_cache.add_argument("--budget", default=None, metavar="SIZE",
-                         help="evict LRU entries until the cache fits "
-                              "SIZE (e.g. 268435456, 256M, 1G)")
+                         help="evict the oldest-written entries until "
+                              "the cache fits SIZE (e.g. 268435456, "
+                              "256M, 1G)")
     p_cache.add_argument("--cache-dir", default=None, metavar="DIR")
     p_cache.set_defaults(func=cmd_cache)
 
@@ -1120,14 +1083,10 @@ def build_parser() -> argparse.ArgumentParser:
         "doctor", help="environment self-check for reliable campaigns")
     p_doctor.add_argument("--cache-dir", default=None, metavar="DIR")
     p_doctor.add_argument("--fix", action="store_true",
-                          help="remove the hygiene findings (stale "
-                               "checkpoints, *.bad files, dead "
-                               "service sockets)")
-    p_doctor.add_argument("--stale-age", type=_parse_age,
-                          default=7 * 86400.0, metavar="AGE",
-                          help="age past which an unfinished sweep "
-                               "checkpoint counts as stale "
-                               "(default: 7d)")
+                          help="remove the hygiene findings (*.bad "
+                               "files, dead service sockets, WAL "
+                               "debris, the legacy sweep-checkpoint "
+                               "directory)")
     p_doctor.set_defaults(func=cmd_doctor)
 
     p_serve = sub.add_parser(

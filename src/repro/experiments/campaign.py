@@ -37,11 +37,11 @@ things the plain :class:`~repro.experiments.runner.Runner` loop lacks:
   racing the writer.  :meth:`ResultCache.prune` (CLI: ``repro cache
   prune --older-than 7d``) ages out stale entries.
 
-Campaign checkpointing: :func:`save_campaign` records a campaign's
-defining arguments under ``<cache>/campaigns/<id>.json``, so ``repro
-sweep --resume <id>`` can replay an interrupted campaign — finished
-jobs are served from the result cache, only missing or failed jobs
-simulate again.
+Resuming: the cache is the only record of a campaign's progress.  A
+job's key covers every argument that determines its result, so
+re-running an interrupted campaign with the same arguments serves
+finished jobs from the cache and simulates only the missing or failed
+ones.
 
 Observability: the engine emits a :class:`JobEvent` per job (cache hit,
 start, retry, completion, quarantine) through a ``progress`` callback,
@@ -96,6 +96,14 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 PredictorSpec = Union[str, Callable, None]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def cache_root(cache_dir: Optional[str] = None) -> str:
+    """The result-cache directory: ``cache_dir`` when given, else
+    ``$REPRO_CACHE_DIR``, else :data:`DEFAULT_CACHE_DIR`."""
+    return cache_dir or os.environ.get("REPRO_CACHE_DIR",
+                                       DEFAULT_CACHE_DIR)
+
 
 #: Size-suffix multipliers accepted by :func:`parse_size`.
 _SIZE_SUFFIXES = {"": 1, "k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
@@ -418,8 +426,11 @@ class ResultCache:
     As a shared cache *tier* (docs/SERVICE.md) the store can carry an
     eviction budget: ``budget_bytes`` (default from
     ``REPRO_CACHE_BUDGET``, CLI ``--cache-budget``) bounds the total
-    size of *current* entries; :meth:`enforce_budget` evicts least-
-    recently-touched entries (by file mtime) until the budget holds.
+    size of *current* entries; :meth:`enforce_budget` evicts the
+    oldest-written entries (by file mtime) until the budget holds.  A
+    :meth:`get` never touches mtime, so a cache hit does not protect
+    an entry: the order is oldest written first, not least recently
+    used.
     Quarantined ``*.bad`` files are never evicted — they are a crash
     ledger, not reclaimable storage.
     """
@@ -435,8 +446,7 @@ class ResultCache:
 
     def __init__(self, root: Optional[str] = None,
                  budget_bytes: Optional[int] = None) -> None:
-        self.root = root or os.environ.get("REPRO_CACHE_DIR",
-                                           DEFAULT_CACHE_DIR)
+        self.root = cache_root(root)
         if budget_bytes is None:
             raw = os.environ.get("REPRO_CACHE_BUDGET", "")
             budget_bytes = parse_size(raw) if raw else 0
@@ -624,52 +634,57 @@ class ResultCache:
 
     def prune(self, older_than: float,
               now: Optional[float] = None) -> int:
-        """Delete entries not touched for ``older_than`` seconds
+        """Delete entries written more than ``older_than`` seconds ago
         (by file mtime — a cache hit does not refresh it); returns the
         number removed.  Keeps ``stats.json``."""
         if older_than < 0:
             raise ValueError(f"older_than must be >= 0, got {older_than}")
         cutoff = (time.time() if now is None else now) - older_than
-        removed = 0
-        for path in self._entry_files():
-            try:
-                if os.path.getmtime(path) < cutoff:
-                    os.remove(path)
-                    removed += 1
-            except OSError:
-                pass
-        return removed
+        return self._remove_oldest(
+            self._entry_files(), lambda mtime, _total: mtime >= cutoff)
 
     def enforce_budget(self,
                        budget_bytes: Optional[int] = None) -> int:
-        """Evict least-recently-touched current entries until their
-        total size fits ``budget_bytes`` (default: the instance
-        budget); returns the number evicted.
+        """Evict the oldest-written current entries until their total
+        size fits ``budget_bytes`` (default: the instance budget);
+        returns the number evicted.
 
-        Eviction is LRU by file mtime and touches *only* current
-        ``*.json`` results — quarantined ``*.bad`` files, legacy
-        pickles and ``stats.json`` are never candidates, so a crashed
-        campaign's forensic ledger survives any budget.  A no-op when
-        the effective budget is 0 (unbounded) or the cache is in
-        read-only fallback."""
+        Eviction goes by file mtime, oldest first, and touches *only*
+        current ``*.json`` results — quarantined ``*.bad`` files,
+        legacy pickles and ``stats.json`` are never candidates, so a
+        crashed campaign's forensic ledger survives any budget.  A
+        no-op when the effective budget is 0 (unbounded) or the cache
+        is in read-only fallback."""
         budget = self.budget_bytes if budget_bytes is None \
             else budget_bytes
         if budget <= 0 or self.read_only:
             return 0
+        removed = self._remove_oldest(
+            [self.path(key) for key in self.entries()],
+            lambda _mtime, total: total <= budget)
+        self.evicted += removed
+        return removed
+
+    @staticmethod
+    def _remove_oldest(paths: List[str],
+                       done: Callable[[float, int], bool]) -> int:
+        """Delete ``paths`` oldest mtime first until ``done(mtime,
+        total)`` holds, where ``mtime`` is the next candidate's and
+        ``total`` the bytes of ``paths`` still on disk; returns the
+        number removed.  The one eviction scan behind :meth:`prune`
+        and :meth:`enforce_budget`."""
         aged: List[Tuple[float, int, str]] = []
-        total = 0
-        for key in self.entries():
-            path = self.path(key)
+        for path in paths:
             try:
                 info = os.stat(path)
             except OSError:
                 continue
             aged.append((info.st_mtime, info.st_size, path))
-            total += info.st_size
-        aged.sort()  # oldest mtime first
+        aged.sort()
+        total = sum(size for _mtime, size, _path in aged)
         removed = 0
         for mtime, size, path in aged:
-            if total <= budget:
+            if done(mtime, total):
                 break
             try:
                 os.remove(path)
@@ -677,7 +692,6 @@ class ResultCache:
                 continue
             total -= size
             removed += 1
-        self.evicted += removed
         return removed
 
     # -- persistent counters -------------------------------------------
@@ -727,83 +741,6 @@ class ResultCache:
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(stats, handle, indent=1)
         os.replace(tmp, self._stats_path())
-
-
-# ----------------------------------------------------------------------
-# Campaign checkpoints (resume support).
-# ----------------------------------------------------------------------
-CAMPAIGN_DIR = "campaigns"
-
-
-def campaign_id(meta: Dict[str, Any]) -> str:
-    """Deterministic short id for a campaign's defining arguments."""
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
-def _campaign_path(cache_root: str, cid: str) -> str:
-    return os.path.join(cache_root, CAMPAIGN_DIR, cid + ".json")
-
-
-def save_campaign(cache_root: str, meta: Dict[str, Any]) -> str:
-    """Checkpoint a campaign's defining arguments under
-    ``<cache_root>/campaigns/<id>.json`` (atomic) and return its id.
-    Re-saving an identical campaign keeps the existing manifest."""
-    cid = campaign_id(meta)
-    path = _campaign_path(cache_root, cid)
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        manifest = {"id": cid, "meta": meta, "completed": False}
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
-        os.replace(tmp, path)
-    return cid
-
-
-def load_campaign(cache_root: str, cid: str) -> Dict[str, Any]:
-    """Load a checkpointed campaign manifest; raises
-    :class:`FileNotFoundError` for unknown ids and
-    :class:`ValueError` for corrupt manifests."""
-    with open(_campaign_path(cache_root, cid), "r",
-              encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if not isinstance(manifest, dict) or "meta" not in manifest:
-        raise ValueError(f"corrupt campaign manifest for {cid!r}")
-    return manifest
-
-
-def finish_campaign(cache_root: str, cid: str) -> None:
-    """Mark a checkpointed campaign complete (atomic rewrite)."""
-    try:
-        manifest = load_campaign(cache_root, cid)
-    except (FileNotFoundError, ValueError):
-        return
-    manifest["completed"] = True
-    path = _campaign_path(cache_root, cid)
-    tmp = path + f".tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=1)
-    os.replace(tmp, path)
-
-
-def list_campaigns(cache_root: str) -> List[Dict[str, Any]]:
-    """Every checkpointed campaign manifest under ``cache_root``
-    (unreadable manifests are skipped)."""
-    directory = os.path.join(cache_root, CAMPAIGN_DIR)
-    manifests = []
-    try:
-        names = sorted(os.listdir(directory))
-    except FileNotFoundError:
-        return []
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        try:
-            manifests.append(load_campaign(cache_root, name[:-5]))
-        except (OSError, ValueError):
-            continue
-    return manifests
 
 
 # ----------------------------------------------------------------------
@@ -1211,7 +1148,6 @@ class CampaignEngine:
 
 
 __all__ = [
-    "CAMPAIGN_DIR",
     "CampaignEngine",
     "CampaignLedger",
     "CampaignStats",
@@ -1223,12 +1159,8 @@ __all__ = [
     "RETRYABLE_ERRORS",
     "ResultCache",
     "build_predictor",
-    "campaign_id",
+    "cache_root",
     "execute_job",
     "fingerprint",
-    "finish_campaign",
     "job_key",
-    "list_campaigns",
-    "load_campaign",
-    "save_campaign",
 ]

@@ -33,7 +33,7 @@ import os
 from typing import IO, Any, Dict, Iterator, Optional
 
 from repro.errors import ProtocolError
-from repro.experiments.campaign import DEFAULT_CACHE_DIR, Job
+from repro.experiments.campaign import Job, cache_root
 
 #: Bumped on incompatible frame-shape changes; both ends send it and
 #: reject frames from the future.
@@ -66,9 +66,7 @@ def socket_path(cache_dir: Optional[str] = None) -> str:
     override = os.environ.get("REPRO_SERVICE_SOCKET")
     if override:
         return override
-    root = cache_dir or os.environ.get("REPRO_CACHE_DIR",
-                                       DEFAULT_CACHE_DIR)
-    return os.path.join(root, SOCKET_NAME)
+    return os.path.join(cache_root(cache_dir), SOCKET_NAME)
 
 
 def encode_frame(frame: Dict[str, Any]) -> bytes:

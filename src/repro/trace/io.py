@@ -3,8 +3,8 @@
 Traces are deterministic and cheap to rebuild, but saving them is
 useful for sharing exact inputs, diffing generator changes, replaying
 million-op workloads under bounded RSS, and feeding external tools.
-Two binary formats share one record layout (little-endian, 44 bytes
-per micro-op)::
+The one on-disk format (v2) stores each micro-op as a little-endian,
+44-byte record::
 
     u64 pc
     u8  op
@@ -19,30 +19,23 @@ per micro-op)::
     u16 reserved
     u64 target
 
-* **v1** (:func:`save_trace` / :func:`load_trace`) — gzip-compressed,
-  fully materialized on load.  Kept for sharing compact artefacts.
-* **v2** (:func:`write_trace_file` / :func:`open_trace`) — uncompressed
-  with a 48-byte header ``magic, version, reserved, u64 count,
-  sha256(records)``, so the file can be mmapped and replayed as a
-  bounded-window :class:`FileSource` without ever materializing the
-  trace.  The content hash feeds campaign cache keys
-  (:func:`repro.experiments.campaign.job_key`) — two files with equal
-  hashes simulate identically.
-
-The module also provides JSONL export for human inspection.  See
-docs/TRACES.md for the full format and protocol story.
+:func:`write_trace_file` writes the records uncompressed behind a
+48-byte header ``magic, version, reserved, u64 count,
+sha256(records)``, so :func:`open_trace` can mmap the file and replay
+it as a bounded-window :class:`FileSource` without ever materializing
+the trace.  The content hash feeds campaign cache keys
+(:func:`repro.experiments.campaign.job_key`) — two files with equal
+hashes simulate identically.  See docs/TRACES.md for the full format
+and protocol story.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
-import json
 import mmap
 import os
 import struct
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Union)
+from typing import TYPE_CHECKING, Dict, Iterator, Sequence, Union
 
 from repro.isa.instruction import MicroOp
 
@@ -52,11 +45,9 @@ from repro.trace.source import (DEFAULT_CHUNK_OPS, TraceSource,
                                 as_source)
 
 MAGIC = b"RVPT"
-VERSION = 1
 #: Version tag of the uncompressed, mmap-able trace-file format.
 STREAM_VERSION = 2
 
-_HEADER = struct.Struct("<4sHI")
 #: v2 header: magic, version, reserved, record count, sha256 of the
 #: record bytes (48 bytes total).
 _HEADER2 = struct.Struct("<4sHHQ32s")
@@ -103,37 +94,6 @@ def _decode(fields: tuple) -> MicroOp:
         taken=bool(flags & 1),
         target=target,
     )
-
-
-# ----------------------------------------------------------------------
-# v1: gzip, materializing.
-# ----------------------------------------------------------------------
-def save_trace(trace: Iterable[MicroOp], path: str) -> int:
-    """Write a v1 (gzip) trace; returns the number of micro-ops written."""
-    ops = list(trace)
-    with gzip.open(path, "wb") as handle:
-        handle.write(_HEADER.pack(MAGIC, VERSION, len(ops)))
-        for uop in ops:
-            handle.write(_encode(uop))
-    return len(ops)
-
-
-def load_trace(path: str) -> List[MicroOp]:
-    """Read a trace written by :func:`save_trace`."""
-    with gzip.open(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        magic, version, count = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ValueError(f"not a trace file: bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"unsupported trace version {version}")
-        ops: List[MicroOp] = []
-        for _ in range(count):
-            record = handle.read(_RECORD.size)
-            if len(record) != _RECORD.size:
-                raise ValueError("truncated trace file")
-            ops.append(_decode(_RECORD.unpack(record)))
-    return ops
 
 
 # ----------------------------------------------------------------------
@@ -298,27 +258,3 @@ def inspect_trace(path: str, verify: bool = False) -> Dict[str, object]:
                 f"payload {digest.hexdigest()}")
         info["verified"] = True
     return info
-
-
-# ----------------------------------------------------------------------
-# JSONL export.
-# ----------------------------------------------------------------------
-def export_jsonl(trace: Iterable[MicroOp], path: str) -> int:
-    """Human-readable one-JSON-object-per-op export."""
-    count = 0
-    with gzip.open(path, "wt") if path.endswith(".gz") \
-            else open(path, "w") as handle:
-        for uop in trace:
-            handle.write(json.dumps({
-                "pc": uop.pc,
-                "op": uop.op,
-                "dest": uop.dest,
-                "srcs": list(uop.srcs),
-                "value": uop.value,
-                "addr": uop.addr,
-                "mem_size": uop.mem_size,
-                "taken": uop.taken,
-                "target": uop.target,
-            }) + "\n")
-            count += 1
-    return count

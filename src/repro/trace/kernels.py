@@ -138,13 +138,12 @@ class IndexedMissKernel(Kernel):
                  data_base: int, footprint: int = 64 << 20,
                  alu_depth: int = 3, irregular: bool = True,
                  stride: int = 8 * 64 + 8, pad: int = 0,
-                 serial: bool = False, meta_slots: int = None) -> None:
+                 serial: bool = False) -> None:
         super().__init__(name, pc_base, regs, mem, rng)
         if len(regs) < 4:
             raise ConfigError("IndexedMissKernel needs 4 registers")
         if hops < 1:
             raise ConfigError("need at least one hop")
-        del meta_slots  # retired knob, accepted for compatibility
         self.meta_base = meta_base
         self.hops = hops
         self.data_base = data_base

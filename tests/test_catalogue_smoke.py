@@ -20,7 +20,7 @@ def test_workload_simulates_sanely(name):
     assert result.branches > 0
 
 
-def test_every_workload_trace_is_unique():
+def test_every_workload_stream_is_unique():
     """No two workloads generate the same instruction stream."""
     signatures = set()
     for name in ALL_WORKLOADS:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import shlex
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -36,6 +38,28 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "fvp", "lvp"])
         assert args.predictors == ["fvp", "lvp"]
         assert args.cores == ["skylake"]
+        with pytest.raises(SystemExit):  # no predictor, nothing to sweep
+            build_parser().parse_args(["sweep"])
+
+    def test_sweep_resume_command_names_the_job_key(self, monkeypatch):
+        from repro.cli import _sweep_command
+
+        monkeypatch.setenv("REPRO_WARMUP", "700")
+        args = build_parser().parse_args(
+            ["sweep", "fvp", "lvp", "--cores", "skylake", "skylake-2x",
+             "--length", "3000", "--per-category", "2", "--seed", "5",
+             "--cache-dir", "my cache", "--jobs", "3"])
+        # The resolved warmup is spelled out, so a later REPRO_WARMUP
+        # cannot change the job keys; --jobs is not part of a key.
+        assert shlex.join(_sweep_command(args)) == (
+            "repro sweep fvp lvp --cores skylake skylake-2x "
+            "--length 3000 --warmup 700 --per-category 2 --seed 5 "
+            "--cache-dir 'my cache'")
+        args = build_parser().parse_args(
+            ["sweep", "fvp", "--length", "3000", "--warmup", "800"])
+        assert _sweep_command(args) == [
+            "repro", "sweep", "fvp", "--cores", "skylake",
+            "--length", "3000", "--warmup", "800"]
 
 
 class TestCommands:
@@ -76,8 +100,9 @@ class TestCommands:
                      "--warmup", "800", "--per-category", "1",
                      "--jobs", "1", "--no-cache"])
         assert code == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "fvp" in out and "lvp" in out and "geomean gain" in out
+        assert "resume with" not in err  # no cache, nothing to resume
 
     def test_sweep_per_workload(self, capsys):
         code = main(["sweep", "fvp", "--length", "3000",

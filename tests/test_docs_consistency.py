@@ -1,6 +1,7 @@
 """Documentation consistency checks: the numbers and names the docs
 promise must match the code."""
 
+import argparse
 import pathlib
 import re
 
@@ -91,6 +92,43 @@ class TestFlagsAndEnvVars:
                 f"{name} is documented but neither registered in "
                 f"repro.envreg nor read by the pytest bench harness")
 
+    def test_every_documented_flag_exists(self):
+        # Every ``repro <cmd> ... --flag`` in README.md, CONTRIBUTING.md
+        # and docs/ must be an option of that subcommand (or of its
+        # sub-subcommand, e.g. ``repro trace build --output``).
+        from repro.cli import build_parser
+
+        def options(parser):
+            found = {}
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        found[name] = (set(sub._option_string_actions),
+                                       options(sub))
+            return found
+
+        commands = options(build_parser())
+        pages = [REPO / "README.md", REPO / "CONTRIBUTING.md"]
+        pages += sorted((REPO / "docs").glob("*.md"))
+        checked = 0
+        for page in pages:
+            text = page.read_text(encoding="utf-8").replace("\\\n", " ")
+            for line in text.splitlines():
+                for match in re.finditer(r"\brepro ([a-z]+)\b([^`|;\n]*)",
+                                         line):
+                    if match.group(1) not in commands:
+                        continue
+                    rest = match.group(2).split(" #")[0]
+                    known, subcommands = commands[match.group(1)]
+                    words = rest.split()
+                    if words and words[0] in subcommands:
+                        known = known | subcommands[words[0]][0]
+                    for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                                           rest):
+                        checked += 1
+                        assert flag in known, (page.name, line.strip())
+        assert checked > 0
+
     def test_backend_names_documented(self):
         from repro.pipeline.engine import BACKENDS
 
@@ -108,14 +146,18 @@ class TestFlagsAndEnvVars:
 
     def test_no_doc_mentions_retired_bench_harness(self):
         # bench/ is the one performance harness; the cycle pins live in
-        # tests/test_perf_neutrality.py.
+        # tests/test_perf_neutrality.py.  A sweep resumes by re-running
+        # its printed command: the checkpoint manifests under
+        # ``campaigns/``, ``sweep --resume`` and ``doctor --stale-age``
+        # are retired too.
         pages = [REPO / name for name in (
             "README.md", "CONTRIBUTING.md", ".github/workflows/ci.yml",
             ".claude/skills/verify/SKILL.md")]
         pages += sorted((REPO / "docs").glob("*.md"))
         for page in pages:
             text = page.read_text(encoding="utf-8")
-            for stale in ("repro bench", "perf_baseline.json", "BENCH_"):
+            for stale in ("repro bench", "perf_baseline.json", "BENCH_",
+                          "--resume", "--stale-age", "campaigns/"):
                 assert stale not in text, (page, stale)
 
 

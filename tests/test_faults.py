@@ -5,8 +5,8 @@ Deterministically injects worker crashes, hangs, transient exceptions,
 and torn cache writes (:mod:`repro.testing.faults`) and asserts the
 watchdog/retry/quarantine machinery: hung jobs are killed and retried,
 repeat offenders are quarantined without aborting the campaign, torn
-cache entries are detected and recomputed, and an interrupted sweep
-resumes from its checkpoint re-running only unfinished jobs.
+cache entries are detected and recomputed, and re-running the command
+an interrupted sweep printed re-runs only its unfinished jobs.
 
 Run in CI as its own job with a hard wall-clock guard:
 ``timeout 480 python -m pytest tests/test_faults.py -p no:cacheprovider``.
@@ -16,6 +16,7 @@ file completes in well under a minute.
 
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -232,15 +233,10 @@ class TestTornWrite:
 
 
 # ----------------------------------------------------------------------
-# Kill a sweep mid-flight; resume re-runs only unfinished jobs.
+# Kill a sweep mid-flight; its printed command re-runs only unfinished
+# jobs.
 # ----------------------------------------------------------------------
 class TestSweepResume:
-    def _sweep_cmd(self, cache_dir, *extra):
-        return [sys.executable, "-m", "repro", "sweep", "lvp",
-                "--per-category", "1", "--length", str(LENGTH),
-                "--warmup", str(WARMUP), "--jobs", "2",
-                "--cache-dir", cache_dir, *extra]
-
     def _env(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO, "src")
@@ -248,49 +244,46 @@ class TestSweepResume:
 
     def test_sigkill_then_resume_runs_only_missing_jobs(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        proc = subprocess.Popen(self._sweep_cmd(cache_dir),
-                                cwd=REPO, env=self._env(),
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
-        # Let the campaign checkpoint itself and finish some jobs,
-        # then kill it the hard way.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "lvp",
+             "--per-category", "1", "--length", str(LENGTH),
+             "--warmup", str(WARMUP), "--jobs", "2",
+             "--cache-dir", cache_dir],
+            cwd=REPO, env=self._env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        # Let the sweep finish some jobs, then kill it the hard way.
         deadline = time.monotonic() + 60
-        campaigns = os.path.join(cache_dir, "campaigns")
         while time.monotonic() < deadline:
             done = len([n for n in os.listdir(cache_dir)
                         if n.endswith(".json") and n != "stats.json"]) \
                 if os.path.isdir(cache_dir) else 0
-            if os.path.isdir(campaigns) and os.listdir(campaigns) \
-                    and done >= 1:
+            if done >= 1:
                 break
             if proc.poll() is not None:
                 break  # finished before we could kill it — still valid
             time.sleep(0.02)
-        killed = proc.poll() is None
-        if killed:
+        if proc.poll() is None:
             proc.send_signal(signal.SIGKILL)
-        proc.communicate()
-
-        manifests = [n for n in os.listdir(campaigns)
-                     if n.endswith(".json")]
-        assert len(manifests) == 1
-        cid = manifests[0][:-5]
+        _, err = proc.communicate()
         finished_before = {n for n in os.listdir(cache_dir)
                           if n.endswith(".json") and n != "stats.json"}
 
+        hints = [line for line in err.decode().splitlines()
+                 if line.startswith("resume with: ")]
+        assert len(hints) == 1, err.decode()
+        command = shlex.split(hints[0][len("resume with: "):])
+        assert command[:2] == ["repro", "sweep"]
         resumed = subprocess.run(
-            self._sweep_cmd(cache_dir, "--resume", cid),
-            cwd=REPO, env=self._env(), capture_output=True, text=True,
-            timeout=300)
+            [sys.executable, "-m", *command], cwd=REPO, env=self._env(),
+            capture_output=True, text=True, timeout=300)
         assert resumed.returncode == 0, resumed.stderr
         # Every job finished before the kill was served from the
         # cache, not re-simulated.
         assert resumed.stderr.count("cache hit") >= len(finished_before)
-        manifest = json.load(open(os.path.join(campaigns, cid + ".json"),
-                                  encoding="utf-8"))
-        assert manifest["completed"] is True
-        # The checkpoint is the manifest alone: no side journal.
-        assert os.listdir(campaigns) == [cid + ".json"]
+        # The same arguments print the same command again.
+        assert hints[0] in resumed.stderr.splitlines()
+        # The result cache is the only progress record.
+        assert not os.path.exists(os.path.join(cache_dir, "campaigns"))
 
 
 # ----------------------------------------------------------------------

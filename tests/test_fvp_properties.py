@@ -43,7 +43,7 @@ def test_value_table_occupancy_and_counter_ranges(events):
             assert 0 <= entry.utility <= 3
 
 
-def _random_workload_trace(seed, n=800):
+def _random_profile_trace(seed, n=800):
     rng = random.Random(seed)
     trace = []
     reg = 0
@@ -74,7 +74,7 @@ def _random_workload_trace(seed, n=800):
 @settings(max_examples=10, deadline=None)
 def test_fvp_structures_stay_bounded_under_random_traffic(seed):
     predictor = FVP()
-    simulate(_random_workload_trace(seed), predictor=predictor)
+    simulate(_random_profile_trace(seed), predictor=predictor)
     assert predictor.vt.occupancy() <= predictor.vt.capacity
     assert predictor.cit.occupancy() <= predictor.cit.size
     assert len(predictor.lt) <= predictor.lt.size
@@ -85,7 +85,7 @@ def test_fvp_structures_stay_bounded_under_random_traffic(seed):
 @given(st.integers(min_value=0, max_value=5000))
 @settings(max_examples=10, deadline=None)
 def test_fvp_never_predicts_nonloads_by_default(seed):
-    result = simulate(_random_workload_trace(seed), predictor=FVP())
+    result = simulate(_random_profile_trace(seed), predictor=FVP())
     assert result.predicted_nonloads == 0
 
 

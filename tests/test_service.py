@@ -907,7 +907,7 @@ def _fill_cache(cache, count):
                        warmup=500)
         key = job_key(job)
         cache.put(key, execute_job(job))
-        # Deterministic LRU order without sleeping between stores.
+        # Deterministic write order without sleeping between stores.
         # A budgeted cache may already have evicted the entry.
         age = (count - index) * 100.0
         stamp = time.time() - age
@@ -932,6 +932,19 @@ class TestCacheEviction:
         survivors = set(cache.entries())
         assert keys[0] not in survivors  # oldest mtime went first
         assert set(keys[1:]) <= survivors
+
+    def test_get_hit_does_not_protect_oldest(self, tmp_path):
+        # Eviction is oldest-written first, not least recently used: a
+        # get() never touches mtime, so a hit does not save an entry.
+        cache = ResultCache(str(tmp_path))
+        keys = _fill_cache(cache, 3)
+        sizes = {key: os.path.getsize(cache.path(key)) for key in keys}
+        mtime = os.path.getmtime(cache.path(keys[0]))
+        assert cache.get(keys[0]) is not None
+        assert os.path.getmtime(cache.path(keys[0])) == mtime
+        assert cache.enforce_budget(sum(sizes.values())
+                                    - sizes[keys[0]]) == 1
+        assert keys[0] not in cache.entries()
 
     def test_budget_never_touches_quarantine_or_stats(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -1034,20 +1047,20 @@ class TestDoctorHygiene:
         assert "cache hygiene: clean" in out
 
     def test_findings_are_advisory_and_fixable(self, tmp_path, capsys):
-        from repro.experiments.campaign import save_campaign
-
         root = str(tmp_path / "cache")
-        # A stale unfinished checkpoint...
-        cid = save_campaign(root, {"predictors": ["fvp"],
-                                   "cores": ["skylake"],
-                                   "length": LENGTH, "warmup": WARMUP,
-                                   "per_category": False})
-        manifest = os.path.join(root, "campaigns", cid + ".json")
-        old = time.time() - 8 * 86400
-        os.utime(manifest, (old, old))
+        # The sweep-checkpoint directory an older version left behind
+        # (a manifest and its journal)...
+        legacy = os.path.join(root, "campaigns")
+        os.makedirs(legacy)
+        with open(os.path.join(legacy, "0123456789ab.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump({"id": "0123456789ab", "completed": False,
+                       "meta": {"predictors": ["fvp"]}}, fh)
+        with open(os.path.join(legacy, "0123456789ab.journal"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("{}\n")
         # ... an orphaned quarantine file ...
         bad = os.path.join(root, "cafef00d.json.bad")
-        ResultCache(root)  # ensure the directory exists
         with open(bad, "w", encoding="utf-8") as fh:
             fh.write("{torn")
         # ... and a dead service socket.
@@ -1058,30 +1071,20 @@ class TestDoctorHygiene:
 
         code, out = self._doctor(capsys, "--cache-dir", root)
         assert code == 0  # advisory: hygiene never fails doctor
-        assert "stale sweep checkpoint" in out
+        assert "cache hygiene: 3 finding(s)" in out
+        assert out.count("legacy sweep-checkpoint directory") == 1
         assert "quarantined cache entry" in out
         assert "dead service socket" in out
 
         code, out = self._doctor(capsys, "--cache-dir", root, "--fix")
         assert code == 0
-        assert "removed stale sweep checkpoint" in out
-        assert not os.path.exists(manifest)
+        assert f"removed legacy sweep-checkpoint directory: {legacy}" in out
+        assert not os.path.exists(legacy)
         assert not os.path.exists(bad)
         assert not os.path.exists(sock)
 
         code, out = self._doctor(capsys, "--cache-dir", root)
         assert "cache hygiene: clean" in out
-
-    def test_fresh_checkpoint_not_stale(self, tmp_path, capsys):
-        from repro.experiments.campaign import save_campaign
-
-        root = str(tmp_path / "cache")
-        save_campaign(root, {"predictors": ["fvp"],
-                             "cores": ["skylake"],
-                             "length": LENGTH, "warmup": WARMUP,
-                             "per_category": False})
-        code, out = self._doctor(capsys, "--cache-dir", root)
-        assert "stale sweep checkpoint" not in out
 
     def test_live_daemon_reported_ok(self, daemon, tmp_path, capsys,
                                      monkeypatch):
@@ -1251,10 +1254,11 @@ class TestServiceParser:
     def test_doctor_hygiene_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["doctor", "--fix",
-                                          "--stale-age", "1d"])
-        assert args.fix
-        assert args.stale_age == 86400.0
+        parser = build_parser()
+        assert parser.parse_args(["doctor", "--fix"]).fix
+        doctor = parser._subparsers._group_actions[0].choices["doctor"]
+        assert set(doctor._option_string_actions) == {
+            "-h", "--help", "--cache-dir", "--fix"}
 
     def test_submit_against_missing_daemon_fails_cleanly(self, tmp_path,
                                                          capsys):

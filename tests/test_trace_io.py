@@ -1,13 +1,12 @@
-"""Tests for trace serialization (v1 gzip, v2 mmap-able, JSONL)."""
+"""Tests for trace serialization (the v2 mmap-able format)."""
 
 import gzip
-import json
+import struct
 
 import pytest
 
 from repro.trace import build_trace, get_profile
-from repro.trace.io import (FileSource, export_jsonl, inspect_trace,
-                            load_trace, open_trace, save_trace,
+from repro.trace.io import (MAGIC, FileSource, inspect_trace, open_trace,
                             trace_file_hash, trace_file_length,
                             write_trace_file)
 
@@ -25,62 +24,13 @@ def trace():
     return build_trace(get_profile("astar"), 3000)
 
 
-class TestRoundTrip:
-    def test_save_load_identity(self, trace, tmp_path):
-        path = str(tmp_path / "astar.rvpt.gz")
-        written = save_trace(trace, path)
-        loaded = load_trace(path)
-        assert written == len(trace) == len(loaded)
-        for original, restored in zip(trace, loaded):
-            assert original.pc == restored.pc
-            assert original.op == restored.op
-            assert original.dest == restored.dest
-            assert original.srcs == restored.srcs
-            assert original.value == restored.value
-            assert original.addr == restored.addr
-            assert original.mem_size == restored.mem_size
-            assert original.taken == restored.taken
-            assert original.target == restored.target
-
-    def test_loaded_trace_simulates_identically(self, trace, tmp_path):
-        from repro.pipeline import simulate
-
-        path = str(tmp_path / "t.rvpt.gz")
-        save_trace(trace, path)
-        a = simulate(trace)
-        b = simulate(load_trace(path))
-        assert a.cycles == b.cycles
-        assert a.branch_mispredicts == b.branch_mispredicts
-
-    def test_empty_trace(self, tmp_path):
-        path = str(tmp_path / "empty.rvpt.gz")
-        assert save_trace([], path) == 0
-        assert load_trace(path) == []
-
-
 class TestErrors:
-    def test_bad_magic(self, tmp_path):
-        path = str(tmp_path / "bad.gz")
-        with gzip.open(path, "wb") as handle:
-            handle.write(b"NOPE" + b"\x00" * 10)
-        with pytest.raises(ValueError, match="magic"):
-            load_trace(path)
-
-    def test_truncated(self, trace, tmp_path):
-        path = str(tmp_path / "t.rvpt.gz")
-        save_trace(trace[:10], path)
-        raw = gzip.open(path, "rb").read()
-        with gzip.open(path, "wb") as handle:
-            handle.write(raw[:len(raw) - 20])
-        with pytest.raises(ValueError, match="truncated"):
-            load_trace(path)
-
     def test_too_many_sources(self, tmp_path):
         from repro.isa import MicroOp, opcodes
 
         uop = MicroOp(0x400000, opcodes.ALU, dest=0, srcs=(1, 2, 3, 4, 5))
         with pytest.raises(ValueError, match="4 sources"):
-            save_trace([uop], str(tmp_path / "x.gz"))
+            write_trace_file([uop], str(tmp_path / "x.rvt"))
 
 
 class TestStreamFormat:
@@ -162,10 +112,17 @@ class TestStreamFormat:
             open_trace(path)
 
     def test_v1_file_rejected_with_version_error(self, trace, tmp_path):
-        # A gzip v1 artefact is not a v2 stream; the magic check fires
-        # on the gzip header bytes before any version confusion.
+        # A gzip artefact of the retired v1 format (``<4sHI`` header,
+        # then the same records) is not a v2 stream; the magic check
+        # fires on the gzip header bytes before any version confusion.
+        v2 = str(tmp_path / "astar.rvt")
+        write_trace_file(trace, v2)
+        with open(v2, "rb") as handle:
+            records = handle.read()[48:]
         path = str(tmp_path / "v1.rvpt.gz")
-        save_trace(trace, path)
+        with gzip.open(path, "wb") as handle:
+            handle.write(struct.pack("<4sHI", MAGIC, 1, len(trace)))
+            handle.write(records)
         with pytest.raises(ValueError, match="magic|version"):
             open_trace(path)
 
@@ -193,20 +150,3 @@ class TestStreamFormat:
         source.close()
         with pytest.raises(ValueError):
             next(iter(source.chunks()))
-
-
-class TestJsonl:
-    def test_export(self, trace, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        count = export_jsonl(trace[:50], path)
-        assert count == 50
-        lines = open(path).read().splitlines()
-        assert len(lines) == 50
-        first = json.loads(lines[0])
-        assert first["pc"] == trace[0].pc
-
-    def test_export_gzip(self, trace, tmp_path):
-        path = str(tmp_path / "t.jsonl.gz")
-        export_jsonl(trace[:10], path)
-        with gzip.open(path, "rt") as handle:
-            assert len(handle.read().splitlines()) == 10

@@ -1,7 +1,7 @@
 """Single-kernel IndexedMiss dose-response (hit level, pad, footprint)."""
 from _common import probe_args
 
-args = probe_args("IndexedMiss dose-response: slots x footprint x pad",
+args = probe_args("IndexedMiss dose-response: footprint x pad",
                   length=60_000, warmup=24_000)
 
 from repro.core import fvp_default  # noqa: E402
@@ -27,9 +27,8 @@ def probe(label, spec):
         base.level_counts.get('DRAM', 0), base.level_counts.get('LLC', 0), base.level_counts.get('L2', 0)))
 
 
-for slots in (1024, 8192):
-    for fp in (6 << 20, 48 << 20):
-        for pad in (12, 32):
-            probe(f'idx slots={slots} fp={fp >> 20}M pad={pad}',
-                  KernelSpec(IndexedMissKernel, 1.0, meta_base=0, meta_slots=slots,
-                             data_base=1 << 23, footprint=fp, alu_depth=3, pad=pad))
+for fp in (6 << 20, 48 << 20):
+    for pad in (12, 32):
+        probe(f'idx fp={fp >> 20}M pad={pad}',
+              KernelSpec(IndexedMissKernel, 1.0, meta_base=0,
+                         data_base=1 << 23, footprint=fp, alu_depth=3, pad=pad))

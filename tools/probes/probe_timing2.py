@@ -13,7 +13,7 @@ from repro.trace.builder import (  # noqa: E402
     KernelSpec, WorkloadProfile, build_trace)
 from repro.trace.kernels import IndexedMissKernel  # noqa: E402
 
-spec = KernelSpec(IndexedMissKernel, 1.0, meta_base=0, meta_slots=2048,
+spec = KernelSpec(IndexedMissKernel, 1.0, meta_base=0,
                   data_base=1 << 22, footprint=48 << 20, alu_depth=5, pad=32)
 profile = WorkloadProfile('probe', 'ISPEC06', args.seed, [spec])
 tr = build_trace(profile, args.length)
