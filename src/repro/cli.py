@@ -71,6 +71,7 @@ from repro.experiments.campaign import (
 from repro.experiments.runner import (
     DEFAULT_LENGTH,
     Runner,
+    core_names,
     default_warmup,
 )
 from repro.predictors import make_predictor
@@ -103,7 +104,7 @@ def _trace_shape_parent() -> argparse.ArgumentParser:
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--core", choices=("skylake", "skylake-2x"),
+    parser.add_argument("--core", choices=core_names(),
                         default="skylake")
     _add_campaign_args(parser)
 
@@ -1021,7 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("predictors", nargs="+",
                          help="predictor registry names")
     p_sweep.add_argument("--cores", nargs="+", default=["skylake"],
-                         choices=("skylake", "skylake-2x"))
+                         choices=core_names())
     p_sweep.add_argument("--per-category", type=int, default=None)
     p_sweep.add_argument("--per-workload", action="store_true",
                          help="also print per-workload tables")
@@ -1119,7 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--workloads", nargs="+", required=True,
                           help="workload names (see `repro list`)")
     p_submit.add_argument("--cores", nargs="+", default=["skylake"],
-                          choices=("skylake", "skylake-2x"))
+                          choices=core_names())
     p_submit.add_argument("--priority", type=int, default=0,
                           help="queue priority (higher runs first; "
                                "default: 0)")

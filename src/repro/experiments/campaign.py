@@ -51,6 +51,7 @@ inside the cache directory (``python -m repro cache stats``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -256,16 +257,57 @@ def fingerprint(obj: Any) -> Any:
     raise TypeError(f"cannot fingerprint {obj!r}")
 
 
+class RawJSON(str):
+    """Text already encoded by :func:`canonical_json`.  As a value of
+    the top-level object handed to :func:`canonical_json` it is
+    inserted verbatim rather than quoted as a string."""
+
+    __slots__ = ()
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``,
+    except that :class:`RawJSON` values of a top-level dict are
+    inserted as the text they hold.  The output is byte-identical to
+    encoding the object with each such value decoded in its place."""
+    if not isinstance(obj, dict) \
+            or not any(type(value) is RawJSON for value in obj.values()):
+        return _ENCODER.encode(obj)
+    members = []
+    for name in sorted(obj):
+        value = obj[name]
+        text = value if type(value) is RawJSON else _ENCODER.encode(value)
+        members.append(f"{_ENCODER.encode(name)}:{text}")
+    return "{" + ",".join(members) + "}"
+
+
+# Catalogue profiles and core configs are fixed for the life of the
+# process, so their fingerprints are encoded once per name.  A failed
+# lookup raises out of the call and is never cached, so each memo
+# holds at most one entry per registry name.
+@functools.lru_cache(maxsize=None)
+def _profile_json(workload: str) -> RawJSON:
+    return RawJSON(canonical_json(fingerprint(get_profile(workload))))
+
+
+@functools.lru_cache(maxsize=None)
+def _core_json(core: str) -> RawJSON:
+    from repro.experiments.runner import core_config
+
+    return RawJSON(canonical_json(fingerprint(core_config(core))))
+
+
 def job_key(job: Job) -> Optional[str]:
     """Content-hash cache key for ``job``, or ``None`` when the job has
     no stable key (callable predictor specs)."""
     if not job.distributable:
         return None
-    from repro.experiments.runner import core_config
-
     payload = {
-        "profile": fingerprint(get_profile(job.workload)),
-        "core": fingerprint(core_config(job.core)),
+        "profile": _profile_json(job.workload),
+        "core": _core_json(job.core),
         "spec": job.spec if job.spec is not None else "baseline",
         "length": job.length,
         "warmup": job.warmup,
@@ -278,7 +320,7 @@ def job_key(job: Job) -> Optional[str]:
         payload["seed"] = job.seed
     if job.trace_file is not None:
         payload["trace"] = trace_file_hash(job.trace_file)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = canonical_json(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -1157,9 +1199,11 @@ __all__ = [
     "JobFailure",
     "PredictorSpec",
     "RETRYABLE_ERRORS",
+    "RawJSON",
     "ResultCache",
     "build_predictor",
     "cache_root",
+    "canonical_json",
     "execute_job",
     "fingerprint",
     "job_key",

@@ -76,12 +76,19 @@ def default_warmup(length: int) -> int:
     return min(int(length * 0.4), DEFAULT_WARMUP)
 
 
+def core_names() -> tuple:
+    """Every core name, in registration order (CLI choices, daemon
+    validation)."""
+    return tuple(_CORES)
+
+
 def core_config(core: str) -> CoreConfig:
-    """Fresh CoreConfig by name ('skylake' or 'skylake-2x')."""
+    """Fresh CoreConfig by name (see :func:`core_names`).  Raises
+    :class:`~repro.errors.ConfigError` for an unknown name."""
     try:
         return _CORES[core]()
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown core {core!r}; choose from {sorted(_CORES)}"
         ) from None
 

@@ -31,6 +31,9 @@ through the very same apply paths.  Result payloads are never logged;
 :meth:`restore` rehydrates them from the result cache by job key, and
 any terminal record whose cached result has vanished is downgraded to
 pending and requeued, so the dedup contract survives eviction too.
+A completed record holds its result as wire text, encoded once when
+the record turns ``hit``/``done`` (live or on restore); every journal
+frame that carries the result shares that one string.
 
 Backpressure: ``max_pending`` bounds the pending+running record count;
 a submission that would exceed it is rejected atomically (no partial
@@ -46,8 +49,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.errors import ConfigError, ServiceOverloaded
-from repro.experiments.campaign import Job, JobEvent, job_key
-from repro.service.protocol import job_from_wire, job_to_wire
+from repro.experiments.campaign import Job, JobEvent, RawJSON, job_key
+from repro.service.protocol import encode_result, job_from_wire, job_to_wire
 from repro.service.wal import WriteAheadLog
 
 #: Job-record lifecycle states.
@@ -66,8 +69,9 @@ class JobRecord:
     state: str = "pending"
     #: Whether the result came from the cache tier (vs a simulation).
     from_cache: bool = False
-    #: ``SimResult.to_dict()`` wire form, set on completion.
-    result: Optional[Dict[str, Any]] = None
+    #: ``SimResult.to_dict()`` as wire text, encoded once on
+    #: completion and spliced into every frame that carries it.
+    result: Optional[RawJSON] = None
     error: Optional[str] = None
     #: Submission ids following this record.
     subscribers: Set[str] = field(default_factory=set)
@@ -271,8 +275,10 @@ class JobBoard:
                  result: Optional[Dict[str, Any]] = None) -> None:
         """Apply one engine :class:`JobEvent` to the board: log it,
         advance the record's state, and fan the event out to every
-        subscribed submission's journal."""
+        subscribed submission's journal.  ``result`` is the job's
+        ``SimResult.to_dict()`` payload on ``hit``/``done``."""
         key = job_key(event.job)
+        encoded = None if result is None else encode_result(result)
         with self._cond:
             record = self.records.get(key)
             if record is None:
@@ -286,12 +292,12 @@ class JobBoard:
                 logged["error"] = event.error
             self._log(logged)
             self._apply_event(record, event.status, event.elapsed,
-                              event.error, result)
+                              event.error, encoded)
             self._cond.notify_all()
 
     def _apply_event(self, record: JobRecord, status: str,
                      elapsed: Optional[float], error: Optional[str],
-                     result: Optional[Dict[str, Any]]) -> None:
+                     result: Optional[RawJSON]) -> None:
         """State transition + journal fan-out (lock held) — the single
         apply path shared by live ``on_event`` and WAL replay."""
         if status == "start":
@@ -470,14 +476,15 @@ class JobBoard:
         status = str(record.get("status", ""))
         result = None
         if status in ("hit", "done"):
-            result = load_result(key)
-            if result is None:
+            payload = load_result(key)
+            if payload is None:
                 # The cached result this terminal event relied on is
                 # gone (evicted/corrupt): pretend the job never
                 # finished — it stays pending and gets requeued, and
                 # its subscribers' journals stay open until the rerun.
                 job_record.state = "pending"
                 return False
+            result = encode_result(payload)
         self._apply_event(job_record, status, record.get("elapsed"),
                           record.get("error"), result)
         return True
@@ -496,10 +503,12 @@ class JobBoard:
             error=record.get("error"),
             subscribers=set(record.get("subscribers", [])))
         if job_record.state == "done":
-            job_record.result = load_result(key)
-            if job_record.result is None:
+            payload = load_result(key)
+            if payload is None:
                 job_record.state = "pending"
                 job_record.from_cache = False
+            else:
+                job_record.result = encode_result(payload)
         self.records[key] = job_record
 
     def _restore_submission(self, record: Dict[str, Any]) -> bool:

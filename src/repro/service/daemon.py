@@ -445,32 +445,25 @@ class ServiceDaemon:
 
     def _parse_jobs(self, frame: Dict[str, Any]) -> List[Job]:
         """Decode and validate the submission's job list against the
-        live registries — the daemon rejects what it cannot run."""
-        from repro.experiments.runner import core_config
-        from repro.predictors import make_predictor
-        from repro.trace.workloads import get_profile
+        live registries' names — the daemon rejects what it cannot
+        run."""
+        from repro.experiments.runner import core_names
+        from repro.predictors import predictor_names
+        from repro.trace.workloads import CATALOGUE
 
         wire_jobs = frame.get("jobs")
         if not isinstance(wire_jobs, list) or not wire_jobs:
             raise ProtocolError("'jobs' must be a non-empty list")
         jobs = [job_from_wire(wire) for wire in wire_jobs]
+        cores = set(core_names())
+        predictors = set(predictor_names())
         for job in jobs:
-            try:
-                get_profile(job.workload)
-            except KeyError:
-                raise ProtocolError(
-                    f"unknown workload {job.workload!r}") from None
-            try:
-                core_config(job.core)
-            except ReproError:
-                raise ProtocolError(
-                    f"unknown core {job.core!r}") from None
-            if isinstance(job.spec, str):
-                try:
-                    make_predictor(job.spec)
-                except ValueError:
-                    raise ProtocolError(
-                        f"unknown predictor {job.spec!r}") from None
+            if job.workload not in CATALOGUE:
+                raise ProtocolError(f"unknown workload {job.workload!r}")
+            if job.core not in cores:
+                raise ProtocolError(f"unknown core {job.core!r}")
+            if isinstance(job.spec, str) and job.spec not in predictors:
+                raise ProtocolError(f"unknown predictor {job.spec!r}")
             if job.trace_file is not None \
                     and not os.path.exists(job.trace_file):
                 raise ProtocolError(

@@ -33,7 +33,12 @@ import os
 from typing import IO, Any, Dict, Iterator, Optional
 
 from repro.errors import ProtocolError
-from repro.experiments.campaign import Job, cache_root
+from repro.experiments.campaign import (
+    Job,
+    RawJSON,
+    cache_root,
+    canonical_json,
+)
 
 #: Bumped on incompatible frame-shape changes; both ends send it and
 #: reject frames from the future.
@@ -69,10 +74,19 @@ def socket_path(cache_dir: Optional[str] = None) -> str:
     return os.path.join(cache_root(cache_dir), SOCKET_NAME)
 
 
+def encode_result(result: Dict[str, Any]) -> RawJSON:
+    """A result payload's wire text, encoded once per job record;
+    :func:`encode_frame` inserts it verbatim into every frame that
+    carries it."""
+    return RawJSON(canonical_json(result))
+
+
 def encode_frame(frame: Dict[str, Any]) -> bytes:
-    """Serialise one frame to its newline-terminated wire form."""
-    return json.dumps(frame, separators=(",", ":"),
-                      sort_keys=True).encode("utf-8") + b"\n"
+    """Serialise one frame to its newline-terminated wire form.  A
+    top-level :class:`~repro.experiments.campaign.RawJSON` value (a
+    held result, see :func:`encode_result`) goes on the wire as the
+    JSON it holds, exactly as if the frame carried the decoded dict."""
+    return canonical_json(frame).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
@@ -181,6 +195,7 @@ __all__ = [
     "check_request",
     "decode_frame",
     "encode_frame",
+    "encode_result",
     "job_from_wire",
     "job_to_wire",
     "read_frames",

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.analysis.metrics import SuiteResult
+from repro.errors import ConfigError
 from repro.experiments.campaign import (
     CampaignEngine,
     Job,
@@ -98,6 +99,51 @@ class TestJobKey:
         assert key_a == key_b
         assert key_a != job_key(Job("astar", "skylake", "fvp",
                                     LENGTH, WARMUP))
+
+    #: Keys computed before fingerprints were memoized.  Result-cache
+    #: entries and WAL logs are addressed by these exact hex strings;
+    #: only a deliberate version or telemetry-schema bump may move them.
+    GOLDEN_KEYS = [
+        (Job("astar", "skylake", None, LENGTH, WARMUP),
+         "17faea0d55bac0fe29e5da12f0ad2ff6057ac1f8c444563714e6a0ffd678e88c"),
+        (Job("astar", "skylake", "fvp", LENGTH, WARMUP),
+         "d7b902e5ab412eba7d205ca5c94f4048e5a8189bb4d50ecb9f9110408149ab83"),
+        (Job("mcf", "skylake-2x", None, LENGTH, WARMUP),
+         "2769684566c0b1bad57c360956ad0bdf6804ad4a0b5f37fb0d7ee94ad7e18947"),
+        (Job("milc", "skylake-2x", "fvp", LENGTH, WARMUP, seed=5),
+         "503a8a9b567298f26001136a89d2d575470a36173b7e55c9c8b3a09b8974aa92"),
+        (Job("hadoop", "skylake", "lvp", 250_000, 100_000),
+         "b0947c3ff498aeaad931b401f8d7922061b1a216bf73d60f8dda26e52e7cbce1"),
+    ]
+
+    @pytest.mark.parametrize("job,key", GOLDEN_KEYS,
+                             ids=[job.label for job, _ in GOLDEN_KEYS])
+    def test_golden_keys(self, job, key):
+        assert repro.__version__ == "1.0.0"
+        assert job_key(job) == key
+        assert job_key(job) == key  # memoized fingerprints, same key
+
+    def test_rewritten_trace_file_changes_the_key(self, tmp_path):
+        from repro.trace import build_trace, get_profile
+        from repro.trace.io import write_trace_file
+
+        path = str(tmp_path / "t.rvt")
+        job = Job("astar", "skylake", "fvp", LENGTH, WARMUP,
+                  trace_file=path)
+        write_trace_file(build_trace(get_profile("astar"), LENGTH), path)
+        before = job_key(job)
+        write_trace_file(build_trace(get_profile("mcf"), LENGTH), path)
+        assert job_key(job) != before
+
+    @pytest.mark.parametrize("job,error", [
+        (Job("not-a-workload", "skylake", "fvp", LENGTH, WARMUP),
+         KeyError),
+        (Job("astar", "not-a-core", "fvp", LENGTH, WARMUP), ConfigError),
+    ])
+    def test_unknown_names_raise_every_call(self, job, error):
+        for _ in range(2):
+            with pytest.raises(error, match="unknown"):
+                job_key(job)
 
 
 class TestTraceFileJobs:

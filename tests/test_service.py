@@ -192,7 +192,9 @@ class TestJobBoard:
         statuses = [f["status"] for f in sub.events
                     if f["event"] == "job"]
         assert statuses == ["hit"]
-        assert sub.events[0]["result"] == {"cycles": 123}
+        # Journal frames hold the record's encoded result text.
+        assert decode_frame(encode_frame(sub.events[0]))["result"] \
+            == {"cycles": 123}
         assert sub.events[-1]["event"] == "complete"
         assert sub.hits == 1 and sub.simulated == 0
 
@@ -382,7 +384,8 @@ class TestBoardDurability:
         fresh = JobBoard()
         fresh.restore(snapshot, {job_key(job): {"cycles": 7}}.get)
         assert fresh.submissions[sub.sid].events == sub.events
-        assert fresh.records[job_key(job)].result == {"cycles": 7}
+        assert json.loads(fresh.records[job_key(job)].result) \
+            == {"cycles": 7}
 
     def test_snapshot_restore_requeues_evicted_result(self):
         board = JobBoard()
@@ -419,7 +422,8 @@ class TestBoardDurability:
         stats = board.restore(records, {job_key(done): {"cycles": 3}}.get)
         assert stats["submissions"] == 1
         assert board.records[job_key(done)].job == done
-        assert board.records[job_key(done)].result == {"cycles": 3}
+        assert json.loads(board.records[job_key(done)].result) \
+            == {"cycles": 3}
         assert board.records[job_key(queued)].job == queued
         assert board.next_batch() == [queued]
 
@@ -428,6 +432,83 @@ class TestBoardDurability:
         stats = board.restore([{"t": "from-the-future", "x": 1}],
                               lambda key: None)
         assert stats["records"] == 1 and stats["submissions"] == 0
+
+
+# ----------------------------------------------------------------------
+# Wire compatibility of held results.
+# ----------------------------------------------------------------------
+class TestWireCompatibility:
+    """A completed record holds its result as encoded text; every frame
+    carrying it must go on the wire exactly as the same frame built
+    with the result dict did before."""
+
+    #: Floats, nesting, nulls, key order and non-ASCII all exercise the
+    #: canonical encoding.
+    RESULT = {"cycles": 123, "ipc": 1.2345678901234567,
+              "stats": {"zeta": [1, 2.5, None], "alpha": "caf\u00e9\n"},
+              "events": None}
+
+    @staticmethod
+    def assert_wire_identical(frame, result):
+        """``frame`` encodes byte for byte as (and decodes to) the
+        frame with ``result`` as a dict in its ``result`` field."""
+        expected = dict(frame)
+        if result is not None:
+            expected["result"] = result
+        encoded = encode_frame(frame)
+        assert encoded == json.dumps(
+            expected, separators=(",", ":"),
+            sort_keys=True).encode("utf-8") + b"\n"
+        assert decode_frame(encoded) == expected
+
+    def result_frames(self, frames):
+        return [frame for frame in frames if "result" in frame]
+
+    def test_live_done_and_hit_frames(self):
+        board = JobBoard()
+        simulated, cached = make_job(), make_job(workload="mcf")
+        first = board.submit([simulated, cached])
+        board.on_event(JobEvent(simulated, "start", 0, 2, None, None))
+        board.on_event(JobEvent(simulated, "done", 1, 2, 0.5, None),
+                       result=self.RESULT)
+        board.on_event(JobEvent(cached, "hit", 2, 2, None, None),
+                       result=self.RESULT)
+        memory_hit = board.submit([simulated])
+        frames = first.events + memory_hit.events
+        carrying = self.result_frames(frames)
+        assert [frame["status"] for frame in carrying] == \
+            ["done", "hit", "hit"]
+        for frame in frames:
+            self.assert_wire_identical(
+                frame, self.RESULT if "result" in frame else None)
+
+    def test_frames_rehydrated_by_restore(self, tmp_path):
+        log = wal_mod.WriteAheadLog(str(tmp_path / "wal"), fsync=False)
+        board = JobBoard(wal=log)
+        job = make_job()
+        sub = board.submit([job])
+        board.on_event(JobEvent(job, "done", 1, 1, 0.5, None),
+                       result=self.RESULT)
+        log.close()
+        load = {job_key(job): self.RESULT}.get
+        # Incremental replay (``event`` records) and snapshot replay
+        # (``rec``/``sub`` records) both re-encode the cached result.
+        records, _ = wal_mod.replay_segments(str(tmp_path / "wal"))
+        for replayed in (records, board.snapshot_records()):
+            fresh = JobBoard()
+            fresh.restore(replayed, load)
+            frames = fresh.submissions[sub.sid].events
+            assert len(self.result_frames(frames)) == 1
+            for frame in frames:
+                self.assert_wire_identical(
+                    frame, self.RESULT if "result" in frame else None)
+
+    def test_frames_without_a_result(self):
+        for frame in ({"event": "accepted", "id": "S0001", "total": 2},
+                      {"event": "job", "status": "fail", "id": "S0001",
+                       "error": "JobTimeout", "label": "a/b/c"},
+                      {"event": "pong", "v": 1, "uptime": 0.25}):
+            self.assert_wire_identical(frame, None)
 
 
 # ----------------------------------------------------------------------
@@ -537,6 +618,9 @@ class TestDaemon:
         with pytest.raises(ProtocolError):
             list(client.submit(daemon.socket_path,
                                [make_job(spec="not-a-predictor")]))
+        with pytest.raises(ProtocolError):
+            list(client.submit(daemon.socket_path,
+                               [make_job(core="not-a-core")]))
         # The daemon survives every rejected request.
         assert client.ping(daemon.socket_path)["event"] == "pong"
 
