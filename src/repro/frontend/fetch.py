@@ -5,10 +5,12 @@ The cycle-level engine consults the front end for two things:
 * :meth:`FrontEnd.process_control` — predict and train on every control
   micro-op; a wrong direction or target costs the machine the
   mispredict penalty (Table II: 20 cycles) from the branch's
-  *execution*, modelled as a redirect of subsequent allocation.
+  *execution*, modelled as a redirect of subsequent allocation.  A
+  taken branch or direct jump whose target misses the BTB counts as
+  a mispredict and pays that full penalty; an indirect jump's target
+  comes from ITTAGE.
 * :meth:`FrontEnd.fetch_bubbles` — per-op fetch-line tracking through
-  a 64 KB 8-way L1I; a line miss inserts front-end bubbles.  Taken
-  branches that miss the BTB insert a single redirect bubble.
+  a 64 KB 8-way L1I; a line miss inserts front-end bubbles.
 
 The front end owns the :class:`GlobalHistory` that both TAGE and the
 context value predictors read, mirroring the paper's observation that

@@ -24,8 +24,7 @@ class FoldedHistory:
         Output width in bits (table index or tag width).
     """
 
-    __slots__ = ("history_length", "folded_width", "value", "_out_shift",
-                 "_mask")
+    __slots__ = ("history_length", "folded_width", "value")
 
     def __init__(self, history_length: int, folded_width: int) -> None:
         if history_length <= 0 or folded_width <= 0:
@@ -33,17 +32,6 @@ class FoldedHistory:
         self.history_length = history_length
         self.folded_width = folded_width
         self.value = 0
-        # Position at which the outgoing bit re-enters the fold.
-        self._out_shift = history_length % folded_width
-        self._mask = (1 << folded_width) - 1
-
-    def update(self, new_bit: int, old_bit: int) -> None:
-        """Shift in ``new_bit``; ``old_bit`` is the bit that just fell
-        off the end of the (unfolded) history."""
-        value = (self.value << 1) | (new_bit & 1)
-        value ^= (old_bit & 1) << self._out_shift
-        value ^= value >> self.folded_width
-        self.value = value & self._mask
 
 
 class GlobalHistory:
@@ -51,48 +39,56 @@ class GlobalHistory:
     context value predictor.
 
     Keeps the full history as an integer bitstring (newest bit is bit
-    0) plus any registered folded views.
+    0) plus one folded register per distinct (length, width) view.
     """
 
-    __slots__ = ("max_length", "bits", "_folds", "_fold_params",
+    __slots__ = ("max_length", "bits", "_registers", "_groups",
                  "_max_mask")
 
     def __init__(self, max_length: int = 256) -> None:
         self.max_length = max_length
         self.bits = 0
-        self._folds = []
-        # Per-fold update constants, flattened out of the FoldedHistory
-        # objects so push() does one tuple unpack per fold instead of
-        # four attribute reads.
-        self._fold_params = []
+        # (history_length, folded_width) -> its one shared register.
+        self._registers = {}
+        # One (outgoing-bit position, fold params) pair per distinct
+        # history length, so push() extracts each outgoing bit once.
+        self._groups = {}
         self._max_mask = (1 << max_length) - 1
 
     def register_fold(self, history_length: int,
                       folded_width: int) -> FoldedHistory:
+        """The register folding ``history_length`` bits to
+        ``folded_width``; callers asking for the same view share it."""
         if history_length > self.max_length:
             raise ValueError(
                 f"history_length {history_length} exceeds max "
                 f"{self.max_length}")
-        fold = FoldedHistory(history_length, folded_width)
-        self._folds.append(fold)
-        self._fold_params.append(
-            (fold, history_length - 1, fold._out_shift, folded_width,
-             fold._mask))
+        key = (history_length, folded_width)
+        fold = self._registers.get(key)
+        if fold is None:
+            fold = self._registers[key] = FoldedHistory(*key)
+            group = self._groups.setdefault(
+                history_length, (history_length - 1, []))
+            # The outgoing bit re-enters the fold at length % width.
+            group[1].append((fold, 1 << (history_length % folded_width),
+                             folded_width, (1 << folded_width) - 1))
         return fold
 
     def push(self, outcome: bool) -> None:
         """Record a branch outcome (True = taken)."""
         new_bit = 1 if outcome else 0
         bits = self.bits
-        # Fold maintenance inlined (equivalent to FoldedHistory.update):
-        # push() runs once per control op and each of the ~20 registered
-        # folds would otherwise cost a method call.
-        for fold, out_bit_shift, out_shift, width, mask in \
-                self._fold_params:
-            value = (fold.value << 1) | new_bit
-            value ^= ((bits >> out_bit_shift) & 1) << out_shift
-            value ^= value >> width
-            fold.value = value & mask
+        # Each fold is a circular shift register: shift in the new bit,
+        # XOR out the bit leaving its window, wrap the carry to bit 0.
+        for out_pos, folds in self._groups.values():
+            if (bits >> out_pos) & 1:
+                for fold, out_bit, width, mask in folds:
+                    value = ((fold.value << 1) | new_bit) ^ out_bit
+                    fold.value = (value ^ (value >> width)) & mask
+            else:
+                for fold, _out_bit, width, mask in folds:
+                    value = (fold.value << 1) | new_bit
+                    fold.value = (value ^ (value >> width)) & mask
         self.bits = ((bits << 1) | new_bit) & self._max_mask
 
     def recent(self, n: int) -> int:

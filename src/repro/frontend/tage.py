@@ -106,7 +106,16 @@ class Tage:
                          length, self.history)
             for length in lengths
         ]
+        # predict_and_train()'s probe constants, longest history first:
+        # one tuple unpack per table instead of attribute reads.
+        self._probe_order = [
+            (num, table.entries, table.log_size, table.index_fold,
+             table.index_mask, table.tag_fold, table.tag_fold2,
+             table.tag_mask)
+            for num, table in reversed(list(enumerate(self.tables)))
+        ]
         self.bimodal = [0] * (1 << self.config.log_bimodal_size)
+        self._bimodal_mask = len(self.bimodal) - 1
         self._ctr_max = (1 << (self.config.counter_bits - 1)) - 1
         self._ctr_min = -(1 << (self.config.counter_bits - 1))
         self.use_alt_on_new_alloc = 0  # 4-bit signed heuristic counter
@@ -125,113 +134,87 @@ class Tage:
         return x % bound
 
     # ------------------------------------------------------------------
-    def _bimodal_index(self, pc: int) -> int:
-        return pc & ((1 << self.config.log_bimodal_size) - 1)
-
-    def predict(self, pc: int) -> bool:
-        """Direction prediction only (no state change)."""
-        prediction, _info = self._lookup(pc)
-        return prediction
-
-    def _lookup(self, pc: int):
-        provider = None
-        alt = None
-        tables = self.tables
-        # Inlined _TaggedTable.index()/tag(): two method calls per table
-        # per branch add up on this path.
-        for table_num in range(len(tables) - 1, -1, -1):
-            table = tables[table_num]
-            idx = (pc ^ (pc >> table.log_size)
-                   ^ table.index_fold.value) & table.index_mask
-            entry = table.entries[idx]
-            if entry.tag == (pc ^ table.tag_fold.value
-                             ^ (table.tag_fold2.value << 1)) & table.tag_mask:
-                if provider is None:
-                    provider = (table_num, idx, entry)
-                else:
-                    alt = (table_num, idx, entry)
-                    break
-        bim_idx = self._bimodal_index(pc)
-        bimodal_pred = self.bimodal[bim_idx] >= 0
-
-        if provider is None:
-            return bimodal_pred, (None, None, bimodal_pred, bim_idx)
-
-        _, _, entry = provider
-        provider_pred = entry.counter >= 0
-        alt_pred = (alt[2].counter >= 0) if alt is not None else bimodal_pred
-        # Newly allocated (weak, never useful) entries may be worse than
-        # the alternate prediction.
-        newly_allocated = (entry.useful == 0
-                           and entry.counter in (-1, 0))
-        if newly_allocated and self.use_alt_on_new_alloc >= 0:
-            final = alt_pred
-        else:
-            final = provider_pred
-        return final, (provider, alt, bimodal_pred, bim_idx)
-
     def predict_and_train(self, pc: int, taken: bool) -> bool:
         """Predict, then update with the true outcome and push the
         outcome into the global history.  Returns True when the
-        prediction was correct."""
+        prediction was correct.
+
+        Lookup and update share one pass over the tables: this runs
+        once per conditional branch, so the provider/altpred search,
+        the counter, useful and ``use_alt_on_new_alloc`` updates and
+        the bimodal update are all inline.
+        """
         self.lookups += 1
-        prediction, info = self._lookup(pc)
+        provider = alt = None
+        provider_num = -1
+        for table_num, entries, log_size, index_fold, index_mask, \
+                tag_fold, tag_fold2, tag_mask in self._probe_order:
+            entry = entries[(pc ^ (pc >> log_size) ^ index_fold.value)
+                            & index_mask]
+            if entry.tag == (pc ^ tag_fold.value
+                             ^ (tag_fold2.value << 1)) & tag_mask:
+                if provider is None:
+                    provider = entry
+                    provider_num = table_num
+                else:
+                    alt = entry
+                    break
+        bimodal = self.bimodal
+        bim_idx = pc & self._bimodal_mask
+        bim_ctr = bimodal[bim_idx]
+
+        if provider is None:
+            prediction = bim_ctr >= 0
+            allocate = prediction != taken
+        else:
+            counter = provider.counter
+            useful = provider.useful
+            prediction = provider_pred = counter >= 0
+            alt_pred = bim_ctr >= 0 if alt is None else alt.counter >= 0
+            if provider_pred != alt_pred:
+                # A newly allocated (weak, never useful) entry may be
+                # worse than the alternate prediction.
+                if useful == 0 and (counter == 0 or counter == -1):
+                    use_alt = self.use_alt_on_new_alloc
+                    if use_alt >= 0:
+                        prediction = alt_pred
+                    if provider_pred == taken:
+                        if use_alt > -8:
+                            self.use_alt_on_new_alloc = use_alt - 1
+                    elif use_alt < 7:
+                        self.use_alt_on_new_alloc = use_alt + 1
+                # Useful bit: provider was right where altpred was wrong.
+                if provider_pred == taken:
+                    if useful < 3:
+                        provider.useful = useful + 1
+                elif useful > 0:
+                    provider.useful = useful - 1
+            if taken:
+                if counter < self._ctr_max:
+                    provider.counter = counter + 1
+            elif counter > self._ctr_min:
+                provider.counter = counter - 1
+            allocate = provider_pred != taken
+
+        # The bimodal table trains when it provided the prediction or
+        # served as altpred.
+        if alt is None:
+            if taken:
+                if bim_ctr < 1:
+                    bimodal[bim_idx] = bim_ctr + 1
+            elif bim_ctr > -2:
+                bimodal[bim_idx] = bim_ctr - 1
+        if allocate:
+            self._allocate(pc, taken, provider_num)
+
         correct = prediction == taken
         if not correct:
             self.mispredicts += 1
-        self._update(pc, taken, info)
         self.history.push(taken)
         self._branch_count += 1
         if self._branch_count % self.config.useful_reset_period == 0:
             self._age_useful()
         return correct
-
-    # ------------------------------------------------------------------
-    def _update(self, pc: int, taken: bool, info) -> None:
-        provider, alt, bimodal_pred, bim_idx = info
-
-        if provider is None:
-            self._update_bimodal(bim_idx, taken)
-            if bimodal_pred != taken:
-                self._allocate(pc, taken, provider_table=-1)
-            return
-
-        table_num, idx, entry = provider
-        provider_pred = entry.counter >= 0
-        alt_pred = (alt[2].counter >= 0) if alt is not None else bimodal_pred
-        newly_allocated = entry.useful == 0 and entry.counter in (-1, 0)
-
-        # use_alt_on_new_alloc bookkeeping.
-        if newly_allocated and provider_pred != alt_pred:
-            if provider_pred == taken:
-                self.use_alt_on_new_alloc = max(
-                    -8, self.use_alt_on_new_alloc - 1)
-            else:
-                self.use_alt_on_new_alloc = min(
-                    7, self.use_alt_on_new_alloc + 1)
-
-        # Useful bit: provider was right where altpred was wrong.
-        if provider_pred != alt_pred:
-            if provider_pred == taken:
-                entry.useful = min(entry.useful + 1, 3)
-            elif entry.useful > 0:
-                entry.useful -= 1
-
-        # Counter update.
-        if taken:
-            entry.counter = min(entry.counter + 1, self._ctr_max)
-        else:
-            entry.counter = max(entry.counter - 1, self._ctr_min)
-        # Keep the bimodal table warm when it served as altpred.
-        if alt is None:
-            self._update_bimodal(bim_idx, taken)
-
-        if provider_pred != taken:
-            self._allocate(pc, taken, provider_table=table_num)
-
-    def _update_bimodal(self, idx: int, taken: bool) -> None:
-        ctr = self.bimodal[idx]
-        self.bimodal[idx] = min(ctr + 1, 1) if taken else max(ctr - 1, -2)
 
     def _allocate(self, pc: int, taken: bool, provider_table: int) -> None:
         """Allocate one entry in a longer-history table on mispredict."""

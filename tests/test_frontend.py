@@ -1,11 +1,17 @@
 """Unit tests for the front end (ITTAGE, BTB, I-cache feed)."""
 
+import hashlib
 import random
 
+import pytest
+
+from repro.experiments.runner import core_config
 from repro.frontend.fetch import FrontEnd, FrontEndConfig
 from repro.frontend.history import GlobalHistory
 from repro.frontend.ittage import Ittage
 from repro.isa import opcodes
+from repro.trace import builder
+from repro.trace.workloads import get_profile
 
 
 class TestIttage:
@@ -113,3 +119,35 @@ class TestFetchBubbles:
             for i in range(lines * 4):
                 total += fe.fetch_bubbles(0x400000 + i * 64)
         assert total > 0
+
+
+#: Front-end state after driving every control op of a catalogue trace
+#: (20k ops, stable catalogue seed) through a fresh Skylake front end:
+#: (sha256 of the per-op outcome bytes, final history bits,
+#: tage.mispredicts, tage.use_alt_on_new_alloc, tage._rng_state,
+#: ittage.mispredicts, btb_misses).  Any change to TAGE, ITTAGE, the
+#: BTB or the folded-history registers that is not bit-identical moves
+#: at least one of these.
+FRONTEND_PINS = {
+    "gcc": (
+        "a9da3e1fbcb136c1a850600c98ce3d379262a311285a83bcd86d5a056965cdbd",
+        0xfff7ffffffdffffffffffffdff5ffffbfffffffffffff7ffffffffefffffef7f,
+        90, 7, 2370021530, 0, 7),
+    "xz17": (
+        "9e9f06a16056556694008f60f7e21d8fd613869f1d001519bcbafbc1fc3e23da",
+        0xff3da8f9f23f38eff9dceb1ffff7ffffc77f4d5767ffefffcdc7eff3f37c7beb,
+        784, 5, 349991822, 0, 57),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FRONTEND_PINS))
+def test_frontend_golden_pin(workload):
+    trace = builder.build_trace(get_profile(workload), 20_000)
+    fe = FrontEnd(core_config("skylake").frontend)
+    outcomes = bytes(
+        fe.process_control(uop.pc, uop.op, uop.taken, uop.target)
+        for uop in trace if uop.op in opcodes.CONTROL)
+    got = (hashlib.sha256(outcomes).hexdigest(), fe.history.bits,
+           fe.tage.mispredicts, fe.tage.use_alt_on_new_alloc,
+           fe.tage._rng_state, fe.ittage.mispredicts, fe.btb_misses)
+    assert got == FRONTEND_PINS[workload]

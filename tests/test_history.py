@@ -58,8 +58,16 @@ class TestFoldedHistory:
         hist = GlobalHistory(max_length=128)
         folds = [hist.register_fold(length, 6)
                  for length in (4, 12, 48, 96)]
+        # A repeated (length, width) shares the existing register; the
+        # same length at another width gets its own.
+        repeat = hist.register_fold(48, 6)
+        assert repeat is folds[2]
+        narrower = hist.register_fold(48, 5)
+        assert narrower is not folds[2]
+        folds += [repeat, narrower]
         rng = random.Random(11)
         for _ in range(300):
             hist.push(rng.random() < 0.3)
         for fold in folds:
-            assert fold.value == hist.direct_fold(fold.history_length, 6)
+            assert fold.value == hist.direct_fold(fold.history_length,
+                                                  fold.folded_width)

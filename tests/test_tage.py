@@ -94,10 +94,3 @@ class TestPrediction:
         assert tage.accuracy == 1.0
         train(tage, 0x400000, [True] * 10)
         assert 0.0 <= tage.accuracy <= 1.0
-
-    def test_predict_is_pure(self):
-        tage = Tage()
-        train(tage, 0x400000, [True] * 100)
-        before = tage.lookups
-        tage.predict(0x400000)
-        assert tage.lookups == before
