@@ -10,11 +10,19 @@ monotonically increasing access stamp.  Associativities are small
 (8-16), so LRU eviction scans the set for the minimum stamp rather
 than maintaining an ordered structure; this is faster in CPython for
 these sizes and keeps the code simple.
+
+A line installed by a prefetch and not yet demanded carries a mark so
+that its first demand hit counts as a prefetch hit.  The marks live in
+one ``set`` of line numbers (``addr >> log2(line_bytes)``) per cache,
+not one per cache set: a cache allocates no container per set beyond
+its (initially empty, hence untracked by the cycle collector) tag
+dicts.  A mark is cleared on the line's first hit, on its eviction and
+on :meth:`Cache.invalidate`.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set
 from repro.errors import ConfigError
 
 
@@ -41,7 +49,7 @@ class Cache:
     __slots__ = ("name", "size_bytes", "assoc", "line_bytes", "num_sets",
                  "_set_shift", "_set_mask", "_tag_shift", "_sets", "_stamp",
                  "hits", "misses", "prefetch_fills", "prefetch_hits",
-                 "_prefetched")
+                 "_pf_lines")
 
     def __init__(self, size_bytes: int, assoc: int, line_bytes: int = 64,
                  name: str = "cache") -> None:
@@ -62,7 +70,7 @@ class Cache:
         self._set_mask = num_sets - 1
         self._tag_shift = self._set_mask.bit_length()
         self._sets: List[dict] = [dict() for _ in range(num_sets)]
-        self._prefetched: List[set] = [set() for _ in range(num_sets)]
+        self._pf_lines: Set[int] = set()
         self._stamp = 0
         self.hits = 0
         self.misses = 0
@@ -70,10 +78,6 @@ class Cache:
         self.prefetch_hits = 0
 
     # ------------------------------------------------------------------
-    def _index_tag(self, addr: int):
-        line = addr >> self._set_shift
-        return line & self._set_mask, line >> self._tag_shift
-
     def lookup(self, addr: int) -> bool:
         """Access the cache; returns True on hit.  Updates LRU state and
         fills the line on a miss (allocate-on-miss at every level)."""
@@ -85,13 +89,13 @@ class Cache:
         if tag in cache_set:
             cache_set[tag] = self._stamp
             self.hits += 1
-            pf_tags = self._prefetched[index]
-            if tag in pf_tags:
+            pf_lines = self._pf_lines
+            if line in pf_lines:
                 self.prefetch_hits += 1
-                pf_tags.discard(tag)
+                pf_lines.discard(line)
             return True
         self.misses += 1
-        self._fill(index, tag, prefetch=False)
+        self._fill(cache_set, index, tag, line, False)
         return False
 
     def probe(self, addr: int) -> bool:
@@ -105,29 +109,33 @@ class Cache:
         line = addr >> self._set_shift
         index = line & self._set_mask
         tag = line >> self._tag_shift
-        if tag in self._sets[index]:
-            return
-        self._fill(index, tag, prefetch=prefetch)
-
-    def _fill(self, index: int, tag: int, prefetch: bool) -> None:
         cache_set = self._sets[index]
+        if tag in cache_set:
+            return
+        self._fill(cache_set, index, tag, line, prefetch)
+
+    def _fill(self, cache_set: dict, index: int, tag: int, line: int,
+              prefetch: bool) -> None:
         self._stamp += 1
         if len(cache_set) >= self.assoc:
             victim = min(cache_set, key=cache_set.__getitem__)
             del cache_set[victim]
-            self._prefetched[index].discard(victim)
+            pf_lines = self._pf_lines
+            if pf_lines:
+                pf_lines.discard((victim << self._tag_shift) | index)
         cache_set[tag] = self._stamp
         if prefetch:
             self.prefetch_fills += 1
-            self._prefetched[index].add(tag)
+            self._pf_lines.add(line)
 
     def invalidate(self, addr: int) -> bool:
         """Drop a line if present; returns True if it was present."""
-        index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
+        line = addr >> self._set_shift
+        cache_set = self._sets[line & self._set_mask]
+        tag = line >> self._tag_shift
         if tag in cache_set:
             del cache_set[tag]
-            self._prefetched[index].discard(tag)
+            self._pf_lines.discard(line)
             return True
         return False
 

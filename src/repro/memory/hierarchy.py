@@ -72,7 +72,7 @@ class MemoryHierarchy:
 
     __slots__ = ("config", "l1", "l2", "llc", "dram",
                  "stride_pf", "stream_pf", "level_counts",
-                 "_l1_result", "_l2_result", "_llc_result")
+                 "_l1_result", "_l2_result", "_llc_result", "_line_shift")
 
     def __init__(self, config: MemHierarchyConfig = None) -> None:
         cfg = config or MemHierarchyConfig()
@@ -90,6 +90,7 @@ class MemoryHierarchy:
         self._l1_result = AccessResult(cfg.l1_latency, L1)
         self._l2_result = AccessResult(cfg.l2_latency, L2)
         self._llc_result = AccessResult(cfg.llc_latency, LLC)
+        self._line_shift = cfg.line_bytes.bit_length() - 1
 
     # ------------------------------------------------------------------
     def access(self, pc: int, addr: int, cycle: int,
@@ -117,45 +118,81 @@ class MemoryHierarchy:
         ``dram.access(addr, cycle)`` call for it (DRAM bank queueing is
         the one timing-coupled piece of the hierarchy).
 
+        This body is the one copy of the stride prefetcher's training
+        (:class:`~repro.memory.prefetcher.StridePrefetcher` holds only
+        the table and its parameters).  Its prefetches fill L1, L2 and
+        the LLC in the same loop, and a second prefetch of the line just
+        filled is skipped (it would be a no-op at every level).  On an
+        L1 miss the stream prefetcher trains on the miss stream and
+        fills L2 and the LLC.
+
         The vector engine backend (docs/VECTOR.md) pre-passes whole
         windows through this front half in program order and defers
         only the DRAM tail calls into its timestamp recurrence, which
         keeps results bit-identical to the one-call-per-op loops.
         """
-        cfg = self.config
-        prefetch = cfg.enable_prefetch
+        prefetch = self.config.enable_prefetch
         if prefetch:
-            for pf_addr in self.stride_pf.train(pc, addr):
-                self._prefetch_fill(pf_addr, into_l1=True)
+            # Stride prefetcher (RPT) training: one entry per PC.
+            stride_pf = self.stride_pf
+            entries = stride_pf.entries
+            entry = entries.get(pc)
+            if entry is None:
+                if len(entries) >= stride_pf.table_size:
+                    # FIFO-ish eviction: drop the oldest inserted entry.
+                    entries.pop(next(iter(entries)))
+                entries[pc] = [addr, 0, 0]
+            else:
+                stride = entry[1]
+                new_stride = addr - entry[0]
+                if new_stride == stride and stride != 0:
+                    confidence = entry[2] + 1
+                    if confidence > 3:
+                        confidence = 3
+                else:
+                    confidence = entry[2] if stride == new_stride else 0
+                    stride = new_stride
+                entry[0] = addr
+                entry[1] = stride
+                entry[2] = confidence
+                if confidence >= stride_pf.threshold and stride != 0:
+                    l1_fill = self.l1.fill
+                    l2_fill = self.l2.fill
+                    llc_fill = self.llc.fill
+                    shift = self._line_shift
+                    last_line = None
+                    pf_addr = addr
+                    for _ in range(stride_pf.degree):
+                        pf_addr += stride
+                        pf_line = pf_addr >> shift
+                        if pf_line == last_line:
+                            continue
+                        last_line = pf_line
+                        l1_fill(pf_addr, True)
+                        l2_fill(pf_addr, True)
+                        llc_fill(pf_addr, True)
 
         counts = self.level_counts
         if self.l1.lookup(addr):
             counts[L1] += 1
             return self._l1_result
 
-        # L1 miss: train the stream prefetcher on the miss stream.
+        l2 = self.l2
+        llc = self.llc
         if prefetch:
+            # L1 miss: train the stream prefetcher on the miss stream.
             for pf_addr in self.stream_pf.train(addr):
-                self._prefetch_fill(pf_addr, into_l1=False)
+                l2.fill(pf_addr, True)
+                llc.fill(pf_addr, True)
 
-        if self.l2.lookup(addr):
+        if l2.lookup(addr):
             counts[L2] += 1
             return self._l2_result
-        if self.llc.lookup(addr):
+        if llc.lookup(addr):
             counts[LLC] += 1
             return self._llc_result
         counts[DRAM] += 1
         return None
-
-    def _prefetch_fill(self, addr: int, into_l1: bool) -> None:
-        """Install a prefetched line: stride prefetches fill L1+L2,
-        stream prefetches fill L2+LLC (per Table II)."""
-        if into_l1:
-            self.l1.fill(addr, prefetch=True)
-            self.l2.fill(addr, prefetch=True)
-        else:
-            self.l2.fill(addr, prefetch=True)
-        self.llc.fill(addr, prefetch=True)
 
     # ------------------------------------------------------------------
     def probe_level(self, addr: int) -> str:

@@ -2,9 +2,11 @@
 
 The baseline core (Table II of the paper) has "aggressive multi-stream
 prefetching into the L2 and LLC" and a "PC based stride prefetcher at
-L1".  Both are implemented here as trainers that observe demand
-accesses and emit prefetch line addresses; the hierarchy decides which
-level to fill.
+L1".  The stream prefetcher is a trainer that observes L1 misses and
+emits prefetch line addresses; the hierarchy decides which level to
+fill.  The stride prefetcher's table lives here, and its training step
+is inlined into :meth:`repro.memory.hierarchy.MemoryHierarchy.access_front`,
+the one per-access path every engine loop shares.
 """
 
 from __future__ import annotations
@@ -18,15 +20,19 @@ _NO_PREFETCH: List[int] = []
 
 
 class StridePrefetcher:
-    """PC-indexed stride prefetcher (L1).
+    """PC-indexed stride prefetcher (L1): the table and its parameters.
 
     Classic RPT design: per-PC entry holding the last address, the last
     observed stride, and a 2-bit confidence.  Once confidence reaches
     the threshold, it prefetches ``degree`` lines ahead along the
-    stride.
+    stride.  The training step runs on every demand access, so it lives
+    in one place, inline in
+    :meth:`repro.memory.hierarchy.MemoryHierarchy.access_front`, which
+    reads and updates :attr:`entries` and fills the prefetched lines
+    into L1, L2 and the LLC as it goes.
     """
 
-    __slots__ = ("entries", "table_size", "degree", "threshold", "issued")
+    __slots__ = ("entries", "table_size", "degree", "threshold")
 
     def __init__(self, table_size: int = 64, degree: int = 2,
                  threshold: int = 2) -> None:
@@ -35,37 +41,9 @@ class StridePrefetcher:
         self.table_size = table_size
         self.degree = degree
         self.threshold = threshold
-        # pc -> [last_addr, stride, confidence]
+        # pc -> [last_addr, stride, confidence]; insertion-ordered, so
+        # the first key is the oldest entry (FIFO-ish eviction).
         self.entries = {}
-        self.issued = 0
-
-    def train(self, pc: int, addr: int) -> List[int]:
-        """Observe a demand access; return prefetch addresses (bytes)."""
-        entries = self.entries
-        entry = entries.get(pc)
-        if entry is None:
-            if len(entries) >= self.table_size:
-                # FIFO-ish eviction: drop the oldest inserted entry.
-                entries.pop(next(iter(entries)))
-            entries[pc] = [addr, 0, 0]
-            return _NO_PREFETCH
-        stride = entry[1]
-        new_stride = addr - entry[0]
-        if new_stride == stride and stride != 0:
-            confidence = entry[2] + 1
-            if confidence > 3:
-                confidence = 3
-        else:
-            confidence = entry[2] if stride == new_stride else 0
-            stride = new_stride
-        entry[0] = addr
-        entry[1] = stride
-        entry[2] = confidence
-        if confidence >= self.threshold and stride != 0:
-            out = [addr + stride * i for i in range(1, self.degree + 1)]
-            self.issued += len(out)
-            return out
-        return _NO_PREFETCH
 
 
 class StreamPrefetcher:
@@ -78,7 +56,7 @@ class StreamPrefetcher:
     """
 
     __slots__ = ("streams", "num_streams", "degree", "line_bytes",
-                 "window_lines", "issued", "_clock")
+                 "window_lines", "_clock")
 
     def __init__(self, num_streams: int = 16, degree: int = 4,
                  line_bytes: int = 64, window_lines: int = 16) -> None:
@@ -88,44 +66,49 @@ class StreamPrefetcher:
         self.window_lines = window_lines
         # list of [head_line, direction, confirmed, last_used_clock]
         self.streams: List[list] = []
-        self.issued = 0
         self._clock = 0
 
     def train(self, addr: int) -> List[int]:
         """Observe a demand access; return prefetch addresses (bytes)."""
-        self._clock += 1
+        clock = self._clock + 1
+        self._clock = clock
         line = addr // self.line_bytes
+        window = self.window_lines
         for stream in self.streams:
-            head, direction, confirmed, _ = stream
-            delta = line - head
-            in_window = abs(delta) <= self.window_lines
-            matches = in_window and (not confirmed or direction * delta >= 0)
-            if matches:
-                stream[3] = self._clock
-                if delta != 0:
-                    stream[0] = line
-                    if not confirmed:
-                        # First movement fixes the stream direction.
-                        stream[1] = 1 if delta > 0 else -1
-                        direction = stream[1]
-                        stream[2] = True
-                        confirmed = True
-                if confirmed:
-                    out = [
-                        (line + direction * i) * self.line_bytes
-                        for i in range(1, self.degree + 1)
-                    ]
-                    self.issued += len(out)
-                    return out
+            delta = line - stream[0]
+            if delta > window or delta < -window:
+                continue
+            confirmed = stream[2]
+            if confirmed and stream[1] * delta < 0:
+                continue
+            stream[3] = clock
+            if delta:
+                stream[0] = line
+                if not confirmed:
+                    # First movement fixes the stream direction.
+                    stream[1] = 1 if delta > 0 else -1
+                    stream[2] = True
+            elif not confirmed:
                 return _NO_PREFETCH
+            direction = stream[1]
+            line_bytes = self.line_bytes
+            return [(line + direction * i) * line_bytes
+                    for i in range(1, self.degree + 1)]
         self._allocate(line)
         return _NO_PREFETCH
 
     def _allocate(self, line: int) -> None:
-        if len(self.streams) >= self.num_streams:
-            oldest = min(range(len(self.streams)),
-                         key=lambda i: self.streams[i][3])
-            self.streams.pop(oldest)
+        streams = self.streams
+        if len(streams) >= self.num_streams:
+            # Evict the least recently used stream (the first on a tie).
+            oldest = 0
+            oldest_clock = streams[0][3]
+            for i in range(1, len(streams)):
+                used = streams[i][3]
+                if used < oldest_clock:
+                    oldest = i
+                    oldest_clock = used
+            streams.pop(oldest)
         # Allocate ascending and descending candidates as one stream with
         # direction decided by the first subsequent access; default +1.
-        self.streams.append([line, 1, False, self._clock])
+        streams.append([line, 1, False, self._clock])

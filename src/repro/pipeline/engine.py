@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 import importlib.util
 import os
+import weakref
 from bisect import bisect_right
 from typing import Optional, Sequence, Union
 
@@ -273,9 +274,18 @@ class Engine:
             ports[op].latency if op in ports else None
             for op in range(_NUM_OP_CLASSES))
 
-        # Context shared with the predictor.
+        # Context shared with the predictor.  The store-tracking
+        # callable reaches the engine through a weak reference: a bound
+        # method would close the cycle engine -> context -> engine, and
+        # then no finished Engine could be freed before the cycle
+        # collector ran.
         self._ctx = EngineContext()
-        self._ctx.store_inflight_to_addr = self._store_inflight_to_addr
+        engine_ref = weakref.ref(self)
+
+        def store_inflight_to_addr(addr: int):
+            return engine_ref()._store_inflight_to_addr(addr)
+
+        self._ctx.store_inflight_to_addr = store_inflight_to_addr
         self._ctx.probe_level = self.memory.probe_level
 
         # Per-run state initialised in run().

@@ -102,3 +102,41 @@ class TestPrefetchFills:
         cache.lookup(0x2000)
         cache.fill(0x2000, prefetch=True)
         assert cache.prefetch_fills == 0
+
+
+class TestPrefetchMarks:
+    """The cache keeps one set of prefetch marks, keyed by line number:
+    a mark must follow its own line and die with it."""
+
+    SET_STRIDE = 8 * 64  # make_cache(): 8 sets of 64-byte lines
+
+    def test_evicted_unused_prefetch_is_not_a_later_prefetch_hit(self):
+        cache = make_cache(1024, 2, 64)
+        victim = 3 * 64 + 5 * self.SET_STRIDE      # set 3, tag 5
+        cache.fill(victim, prefetch=True)
+        cache.lookup(victim + self.SET_STRIDE)     # same set, way 2
+        cache.lookup(victim + 2 * self.SET_STRIDE)  # evicts the victim
+        assert cache.probe(victim) is False
+        assert cache.lookup(victim) is False       # demand miss refills
+        assert cache.lookup(victim) is True
+        assert cache.prefetch_fills == 1
+        assert cache.prefetch_hits == 0
+
+    def test_invalidated_prefetch_is_not_a_later_prefetch_hit(self):
+        cache = make_cache()
+        cache.fill(0x2040, prefetch=True)
+        assert cache.invalidate(0x2040) is True
+        assert cache.lookup(0x2040) is False
+        assert cache.lookup(0x2040) is True
+        assert cache.prefetch_hits == 0
+
+    def test_mark_is_per_line_not_per_tag_or_set(self):
+        cache = make_cache(1024, 2, 64)
+        cache.fill(0x0, prefetch=True)             # set 0, tag 0
+        cache.lookup(0x40)                          # set 1, tag 0
+        cache.lookup(self.SET_STRIDE)               # set 0, tag 1
+        assert cache.lookup(0x40) is True
+        assert cache.lookup(self.SET_STRIDE) is True
+        assert cache.prefetch_hits == 0
+        assert cache.lookup(0x0) is True
+        assert cache.prefetch_hits == 1

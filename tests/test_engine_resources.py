@@ -1,7 +1,18 @@
-"""Engine resource-occupancy semantics: IQ, LQ/SQ, and front-end."""
+"""Engine resource semantics: IQ, LQ/SQ and front-end occupancy, and
+the lifetime and allocation footprint of the engine itself."""
+
+import gc
+import weakref
+
+import pytest
 
 from repro.isa import MicroOp, alu, load, opcodes, store
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import CoreConfig, simulate
+from repro.pipeline.engine import BACKENDS, Engine
+from repro.predictors import make_predictor
+from repro.trace import build_trace
+from repro.trace.workloads import get_profile
 
 
 def miss_plus_filler_trace(iterations=40, filler=60):
@@ -95,3 +106,44 @@ class TestFrontEndEffects:
         assert result.mem_violations >= 1
         # Store-sets learn: violations stay rare.
         assert result.mem_violations < 20
+
+
+@pytest.fixture
+def collector_off():
+    """Run the test body with the cycle collector disabled, so only
+    reference counting can free objects."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestEngineLifetime:
+    @pytest.mark.parametrize("predictor", ["baseline", "fvp", "dlvp"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_finished_engine_is_freed_without_the_collector(
+            self, collector_off, backend, predictor):
+        """No reference cycle keeps a finished Engine alive: dropping
+        the engine and its result frees it by reference counting
+        alone, with nothing left for the cycle collector."""
+        if backend == "vector":
+            pytest.importorskip("numpy")
+        trace = build_trace(get_profile("astar"), 2000)
+        engine = Engine(CoreConfig.skylake(), make_predictor(predictor),
+                        backend=backend)
+        result = engine.run(trace, warmup=500)
+        assert result.instructions == len(trace) - 500
+        ref = weakref.ref(engine)
+        del engine, result
+        assert ref() is None
+
+    def test_memory_hierarchy_allocates_nothing_per_set(self,
+                                                        collector_off):
+        """The Table II hierarchy has 8,512 cache sets; a container per
+        set tracked by the cycle collector would show up here."""
+        before = len(gc.get_objects())
+        memory = MemoryHierarchy()
+        added = len(gc.get_objects()) - before
+        assert memory.llc.num_sets == 8192
+        assert added < 100

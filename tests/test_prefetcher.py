@@ -1,53 +1,102 @@
-"""Unit tests for the stride and stream prefetchers."""
+"""Unit tests for the stride and stream prefetchers.
 
+The stride prefetcher trains inside ``MemoryHierarchy.access_front``,
+so its tests drive a hierarchy and observe the table and the filled
+lines; the stream prefetcher is tested through its own ``train``.
+"""
+
+from repro.memory.hierarchy import MemHierarchyConfig, MemoryHierarchy
 from repro.memory.prefetcher import StreamPrefetcher, StridePrefetcher
+
+
+def stride_hierarchy(**params):
+    """A Table II hierarchy, prefetch on, with the stride prefetcher's
+    table replaced by one built from ``params``.  Its training runs
+    inside ``MemoryHierarchy.access_front``."""
+    mem = MemoryHierarchy(MemHierarchyConfig(enable_prefetch=True))
+    mem.stride_pf = StridePrefetcher(**params)
+    return mem
+
+
+def access(mem, pc, addr):
+    """One demand access; returns how many lines the stride prefetcher
+    newly installed in L1 (the stream prefetcher never fills L1)."""
+    before = mem.l1.prefetch_fills
+    mem.access_front(pc, addr)
+    return mem.l1.prefetch_fills - before
+
+
+def assert_prefetched(mem, addr):
+    """A stride prefetch fills L1, L2 and the LLC."""
+    assert mem.l1.probe(addr)
+    assert mem.l2.probe(addr)
+    assert mem.llc.probe(addr)
 
 
 class TestStridePrefetcher:
     def test_learns_constant_stride(self):
-        pf = StridePrefetcher(degree=2, threshold=2)
+        mem = stride_hierarchy(degree=2, threshold=2)
         pc = 0x400000
-        out = []
         for i in range(6):
-            out = pf.train(pc, 0x1000 + i * 256)
-        assert out == [0x1000 + 5 * 256 + 256, 0x1000 + 5 * 256 + 512]
+            access(mem, pc, 0x1000 + i * 256)
+        last = 0x1000 + 5 * 256
+        assert mem.stride_pf.entries[pc] == [last, 256, 3]
+        # The last access prefetched exactly two lines ahead.
+        assert_prefetched(mem, last + 256)
+        assert_prefetched(mem, last + 512)
+        assert not mem.l1.probe(last + 768)
+        # Lines 4..7 were each stride-filled once (accesses 3, 4 and 5
+        # prefetch two ahead; a line already in L1 is not refilled).
+        assert mem.l1.prefetch_fills == 4
 
     def test_no_prefetch_before_confidence(self):
-        pf = StridePrefetcher(threshold=2)
+        mem = stride_hierarchy(threshold=2)
         pc = 0x400000
-        assert pf.train(pc, 0x1000) == []
-        assert pf.train(pc, 0x1100) == []  # stride learned, conf 0
+        assert access(mem, pc, 0x1000) == 0
+        assert mem.stride_pf.entries[pc] == [0x1000, 0, 0]
+        assert access(mem, pc, 0x1100) == 0  # stride learned, conf 0
+        assert mem.stride_pf.entries[pc] == [0x1100, 0x100, 0]
+        assert not mem.l1.probe(0x1200)
 
     def test_stride_change_resets(self):
-        pf = StridePrefetcher(threshold=2)
+        mem = stride_hierarchy(threshold=2)
         pc = 0x400000
         for i in range(5):
-            pf.train(pc, 0x1000 + i * 64)
-        assert pf.train(pc, 0x9000) == []   # irregular jump
-        assert pf.train(pc, 0x9040) == []   # new stride, conf resets
+            access(mem, pc, 0x1000 + i * 64)
+        assert mem.stride_pf.entries[pc] == [0x1100, 64, 3]
+        assert access(mem, pc, 0x9000) == 0   # irregular jump
+        assert mem.stride_pf.entries[pc] == [0x9000, 0x9000 - 0x1100, 0]
+        assert not mem.l1.probe(0x9000 + (0x9000 - 0x1100))
+        assert access(mem, pc, 0x9040) == 0   # new stride, conf resets
+        assert mem.stride_pf.entries[pc] == [0x9040, 0x40, 0]
+        assert not mem.l1.probe(0x9080)
 
     def test_zero_stride_never_prefetches(self):
-        pf = StridePrefetcher(threshold=1)
+        mem = stride_hierarchy(threshold=1)
         pc = 0x400000
         for _ in range(8):
-            out = pf.train(pc, 0x2000)
-        assert out == []
+            assert access(mem, pc, 0x2000) == 0
+        assert mem.stride_pf.entries[pc] == [0x2000, 0, 0]
+        assert mem.l1.prefetch_fills == 0
 
     def test_negative_stride(self):
-        pf = StridePrefetcher(degree=1, threshold=2)
+        mem = stride_hierarchy(degree=1, threshold=2)
         pc = 0x400000
-        out = []
-        for i in range(6):
-            out = pf.train(pc, 0x10000 - i * 128)
-        assert out == [0x10000 - 5 * 128 - 128]
+        for i in range(5):
+            access(mem, pc, 0x10000 - i * 128)
+        last = 0x10000 - 5 * 128
+        assert access(mem, pc, last) == 1
+        assert mem.stride_pf.entries[pc] == [last, -128, 3]
+        assert_prefetched(mem, last - 128)
+        assert not mem.l1.probe(last - 256)  # degree 1
 
     def test_table_eviction(self):
-        pf = StridePrefetcher(table_size=2)
-        pf.train(0x1, 0x1000)
-        pf.train(0x2, 0x2000)
-        pf.train(0x3, 0x3000)
-        assert len(pf.entries) == 2
-        assert 0x1 not in pf.entries
+        mem = stride_hierarchy(table_size=2)
+        access(mem, 0x1, 0x1000)
+        access(mem, 0x2, 0x2000)
+        access(mem, 0x3, 0x3000)
+        assert len(mem.stride_pf.entries) == 2
+        assert 0x1 not in mem.stride_pf.entries
 
 
 class TestStreamPrefetcher:
