@@ -904,17 +904,10 @@ def _doctor_worker(conn) -> None:
 
 
 def cmd_lint(args) -> int:
-    """Run reprolint (see repro.lint.cli / docs/LINTING.md)."""
-    from repro.lint.cli import main as lint_main
+    """Run reprolint (docs/LINTING.md); imported only for this command."""
+    from repro.lint.cli import run
 
-    argv: List[str] = list(args.paths)
-    if args.select is not None:
-        argv += ["--select", args.select]
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
+    return run(args.paths, args.select, args.list_rules)
 
 
 def cmd_trace_build(args) -> int:
@@ -1151,15 +1144,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_jobs.set_defaults(func=cmd_jobs)
 
     p_lint = sub.add_parser(
-        "lint", help="simulator-aware static analysis "
-                     "(RL001-RL010; docs/LINTING.md)")
+        "lint", help="simulator-aware static analysis (the rules listed "
+                     "by --list-rules; docs/LINTING.md)")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
+                        default=["src/repro", "tools"],
                         help="files/directories to lint "
                              "(default: src/repro tools)")
     p_lint.add_argument("--select", metavar="RLxxx[,RLyyy]", default=None,
-                        help="comma-separated rule codes to run")
-    p_lint.add_argument("--format", choices=("text", "codes", "json"),
-                        default="text", help="finding render style")
+                        help="comma-separated rule codes to run "
+                             "(default: all)")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     p_lint.set_defaults(func=cmd_lint)

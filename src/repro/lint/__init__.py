@@ -1,13 +1,10 @@
 """reprolint: simulator-aware static analysis (``repro lint``).
 
-Ten AST-based rules enforce the contracts the test suite can only
-spot-check — determinism of simulated components (RL001), hot-path
-purity (RL002), fast/reference loop lockstep (RL003), the
-``repro.errors`` taxonomy (RL004), telemetry-schema consistency
-(RL005), the ``REPRO_*`` env-var registry (RL006), streaming trace
-discipline (RL007), service lock discipline (RL008), thread
-lifecycle (RL009), and durability discipline (RL010).  See
-docs/LINTING.md for the catalogue and suppression syntax.
+AST-based rules enforce the contracts the test suite can only
+spot-check; ``repro lint --list-rules`` prints them.  A rule stays
+only while some realistic defect is caught by it and by nothing else
+in tier-1 — docs/LINTING.md has the catalogue, the mutation table
+that shows it, and the suppression syntax.
 """
 
 from repro.lint.core import (Finding, LintError, Rule, lint_files,

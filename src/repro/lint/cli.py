@@ -1,80 +1,38 @@
-"""Command-line front end for reprolint.
+"""The ``repro lint`` command body.
 
-Invoked as ``repro lint`` (the subcommand) or directly via
-``tools/reprolint.py``; both call :func:`main`.  Exit status: 0 clean,
-1 findings, 2 usage/parse error — the contract the CI ``lint-strict``
-job depends on.
+``repro.cli`` owns the subcommand's parser and calls :func:`run`,
+importing this module only when ``lint`` is the command.  Exit status:
+0 clean, 1 findings, 2 usage/parse error — the contract the CI
+``lint-strict`` job depends on.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from typing import List, Optional, Sequence
 
-from repro.lint.core import Finding, LintError, lint_paths
+from repro.lint.core import LintError, lint_paths
 from repro.lint.rules import default_rules
 
-#: Paths linted when none are given: the package itself plus the
-#: maintained tooling (tests/fixtures deliberately violate the rules).
-DEFAULT_PATHS = ("src/repro", "tools")
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro lint`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="simulator-aware static analysis (rules RL001-RL010; "
-                    "see docs/LINTING.md)")
-    parser.add_argument(
-        "paths", nargs="*", default=list(DEFAULT_PATHS),
-        help="files or directories to lint "
-             f"(default: {' '.join(DEFAULT_PATHS)})")
-    parser.add_argument(
-        "--select", metavar="RLxxx[,RLyyy]", default=None,
-        help="comma-separated rule codes to run (default: all)")
-    parser.add_argument(
-        "--format", choices=("text", "codes", "json"), default="text",
-        help="finding render: full text, bare 'path:line CODE' lines, "
-             "or a JSON array of finding objects")
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit")
-    return parser
-
-
-def _render(finding: Finding, fmt: str) -> str:
-    if fmt == "codes":
-        return f"{finding.path}:{finding.line} {finding.code}"
-    return finding.format()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the linter; returns the process exit status."""
-    args = build_parser().parse_args(argv)
-    if args.list_rules:
+def run(paths: Sequence[str], select: Optional[str] = None,
+        list_rules: bool = False) -> int:
+    """Lint ``paths`` with the rules in comma-separated ``select``
+    (default: all), or print the catalogue; returns the exit status."""
+    if list_rules:
         for rule in default_rules():
             print(f"{rule.code} {rule.name:<18} {rule.description}")
         return 0
-    select: Optional[List[str]] = None
-    if args.select is not None:
-        select = [code.strip() for code in args.select.split(",")
-                  if code.strip()]
+    codes: Optional[List[str]] = None
+    if select is not None:
+        codes = [code.strip() for code in select.split(",")
+                 if code.strip()]
     try:
-        findings = lint_paths(args.paths, select=select)
+        findings = lint_paths(paths, select=codes)
     except LintError as exc:
         print(f"reprolint: error: {exc}")
         return 2
-    if args.format == "json":
-        # Machine-readable: one JSON array, no trailing summary line,
-        # so tooling can json.loads() the whole stdout.
-        print(json.dumps([
-            {"file": f.path, "line": f.line, "col": f.col,
-             "code": f.code, "message": f.message, "hint": f.hint}
-            for f in findings], indent=2))
-        return 1 if findings else 0
     for finding in findings:
-        print(_render(finding, args.format))
+        print(finding.format())
     if findings:
         print(f"reprolint: {len(findings)} finding"
               f"{'s' if len(findings) != 1 else ''} "
@@ -82,7 +40,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "where the rule is wrong)")
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via tools/
-    raise SystemExit(main())

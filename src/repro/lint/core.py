@@ -2,9 +2,9 @@
 
 ``repro.lint`` is an AST-based static-analysis suite for contracts no
 generic linter can see — determinism, dual-loop lockstep, hot-path
-purity, the error taxonomy, the telemetry schema, and the env-var
-registry (docs/LINTING.md has the full catalogue).  This module holds
-the rule-independent machinery:
+purity, the error taxonomy, the env-var registry, and more
+(``repro lint --list-rules``; docs/LINTING.md has the catalogue).
+This module holds the rule-independent machinery:
 
 * :class:`Finding` — one diagnostic, with a stable ``RLxxx`` code and
   an autofix hint.
@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tu
 class Finding(NamedTuple):
     """One diagnostic emitted by a rule."""
 
-    #: Stable rule code (``RL001`` ... ``RL007``).
+    #: Stable rule code (``RLxxx``).
     code: str
     #: Path of the offending file, as given to the driver.
     path: str

@@ -1,4 +1,4 @@
-"""The ten reprolint rules (RL001–RL010).
+"""The reprolint rules (``repro lint --list-rules`` lists them).
 
 Each rule enforces one simulator-specific contract that a generic
 linter cannot see; docs/LINTING.md is the user-facing catalogue with
@@ -791,100 +791,6 @@ class ErrorDisciplineRule(Rule):
                 return current.name in self.CTOR_NAMES
             current = parents.get(current)
         return False
-
-
-# ----------------------------------------------------------------------
-# RL005 — stat-schema consistency
-# ----------------------------------------------------------------------
-class StatSchemaRule(Rule):
-    """Published stat names and ``TELEMETRY_SCHEMA`` stay in sync.
-
-    Forward: every string literal passed as the name to a
-    ``.counter(name, desc, ...)`` / ``.histogram(name, desc)`` /
-    ``.group(name, desc)`` call must be a segment the schema declares.
-    Reverse (whole-run, only when the schema module itself was
-    scanned): every concrete schema segment must be published by some
-    literal — a schema entry nothing publishes is drift in the other
-    direction.  Dynamic names (``counters_from`` mappings, per-cache
-    group names) are exempt; their families appear as ``*`` patterns.
-    """
-
-    code = "RL005"
-    name = "stat-schema"
-    description = ("every published stat literal appears in "
-                   "TELEMETRY_SCHEMA and vice versa")
-    scope = (("repro",),)
-
-    STAT_METHODS: Tuple[str, ...] = ("counter", "histogram", "group")
-
-    def __init__(self, vocabulary: Optional[Set[str]] = None) -> None:
-        if vocabulary is None:
-            from repro.telemetry.schema import concrete_segments
-            vocabulary = set(concrete_segments())
-        self.vocabulary = vocabulary
-        self.published: Set[str] = set()
-        self.schema_path: Optional[str] = None
-        self.schema_line = 0
-
-    def check(self, tree: ast.Module, source: str,
-              path: str) -> List[Finding]:
-        if "TELEMETRY_SCHEMA" in source and \
-                any(isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name)
-                            and t.id == "TELEMETRY_SCHEMA"
-                            for t in node.targets)
-                    for node in tree.body):
-            self.schema_path = path
-            self.schema_line = 1
-            return []  # the schema itself publishes nothing
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            name_node = self._stat_name(node)
-            if name_node is None:
-                continue
-            name = name_node.value
-            self.published.add(name)
-            if name not in self.vocabulary:
-                assert isinstance(node, ast.Call)
-                assert isinstance(node.func, ast.Attribute)
-                findings.append(Finding(
-                    self.code, path, name_node.lineno,
-                    name_node.col_offset,
-                    f"stat {name!r} published via "
-                    f".{node.func.attr}() is not declared in "
-                    "TELEMETRY_SCHEMA",
-                    "add the path to "
-                    "repro.telemetry.schema.TELEMETRY_SCHEMA (or fix "
-                    "the name)"))
-        return findings
-
-    def _stat_name(self, node: ast.AST) -> Optional[ast.Constant]:
-        """The literal stat name of a publish call, if ``node`` is
-        one.  Requires >= 2 arguments (name + description) so
-        ``re.Match.group(1)``-style calls don't false-positive."""
-        if not isinstance(node, ast.Call) \
-                or not isinstance(node.func, ast.Attribute) \
-                or node.func.attr not in self.STAT_METHODS \
-                or len(node.args) < 2:
-            return None
-        first = node.args[0]
-        if isinstance(first, ast.Constant) \
-                and isinstance(first.value, str):
-            return first
-        return None
-
-    def finish(self) -> List[Finding]:
-        if self.schema_path is None or not self.published:
-            return []  # partial run: no cross-file ground truth
-        findings = [
-            Finding(self.code, self.schema_path, self.schema_line, 0,
-                    f"schema segment {segment!r} is never published "
-                    "by any .counter/.histogram/.group literal",
-                    "delete the stale schema entry or publish the stat")
-            for segment in sorted(self.vocabulary - self.published)]
-        self.published = set()
-        self.schema_path = None
-        return findings
 
 
 # ----------------------------------------------------------------------
@@ -1722,7 +1628,6 @@ def default_rules() -> List[Rule]:
         HotPathPurityRule(),
         DualLoopDriftRule(),
         ErrorDisciplineRule(),
-        StatSchemaRule(),
         EnvRegistryRule(),
         TraceMaterializationRule(),
         LockDisciplineRule(),

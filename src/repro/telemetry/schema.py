@@ -2,12 +2,11 @@
 
 Every dotted stat path a simulation publishes (relative to the ``sim``
 root group) must match a pattern in :data:`TELEMETRY_SCHEMA`, and
-every concrete name in the schema must correspond to a real
-publication site — the ``RL005`` reprolint rule (docs/LINTING.md)
-checks the static half of that contract (string literals passed to
-``StatGroup.counter`` / ``histogram`` / ``group``), and
-``tests/test_reprolint.py`` checks the runtime half against an actual
-simulation's tree.
+every concrete path in the schema must be published.
+:func:`validate_paths` checks both directions against a real tree:
+``tests/test_telemetry.py`` runs it on the union of a baseline and an
+FVP run's trees, and ``tests/test_service.py`` on the daemon's
+:data:`SERVICE_SCHEMA` tree.
 
 Pattern language
 ----------------
@@ -85,8 +84,7 @@ TELEMETRY_SCHEMA: Dict[str, str] = {
 #: ``stats`` op and ``repro jobs --stats``).  Kept separate from
 #: :data:`TELEMETRY_SCHEMA` because these paths describe the daemon,
 #: not a simulation run — the runtime sim-tree validation must not
-#: expect them, but the RL005 vocabulary covers both (see
-#: :func:`concrete_segments`).
+#: expect them.
 SERVICE_SCHEMA: Dict[str, str] = {
     # Request accounting (repro.service.daemon).
     "service": "group",
@@ -162,18 +160,6 @@ def kind_of(path: str,
     return best[1]
 
 
-def concrete_segments() -> Tuple[str, ...]:
-    """Every non-wildcard segment appearing in *any* schema (sim tree
-    and service tree), sorted — the vocabulary the RL005 static check
-    validates against."""
-    names = {segment
-             for schema in (TELEMETRY_SCHEMA, SERVICE_SCHEMA)
-             for pattern in schema
-             for segment in pattern.split(".")
-             if segment not in ("*", "**")}
-    return tuple(sorted(names))
-
-
 def validate_paths(paths: Iterable[Tuple[str, str]],
                    schema: Optional[Dict[str, str]] = None) -> List[str]:
     """Check ``(dotted path, kind)`` pairs from a real telemetry tree
@@ -202,7 +188,6 @@ def validate_paths(paths: Iterable[Tuple[str, str]],
 __all__ = [
     "SERVICE_SCHEMA",
     "TELEMETRY_SCHEMA",
-    "concrete_segments",
     "kind_of",
     "match",
     "validate_paths",

@@ -157,8 +157,33 @@ class TestFlagsAndEnvVars:
         for page in pages:
             text = page.read_text(encoding="utf-8")
             for stale in ("repro bench", "perf_baseline.json", "BENCH_",
-                          "--resume", "--stale-age", "campaigns/"):
+                          "--resume", "--stale-age", "campaigns/",
+                          "perf harness"):
                 assert stale not in text, (page, stale)
+
+
+class TestLintDocs:
+    def test_every_named_rule_code_exists(self):
+        # A rule code the docs name must be one `repro lint
+        # --list-rules` prints.  LINTING.md's mutation table is exempt:
+        # it keeps the rows of deleted rules as the record of why.
+        from repro.lint import default_rules
+
+        codes = {rule.code for rule in default_rules()}
+        pages = [REPO / name for name in (
+            "README.md", "CONTRIBUTING.md", "tools/README.md",
+            ".github/workflows/ci.yml")]
+        pages += sorted((REPO / "docs").glob("*.md"))
+        checked = 0
+        for page in pages:
+            text = page.read_text(encoding="utf-8")
+            if page.name == "LINTING.md":
+                head, table = text.split("\n## Mutation table\n")
+                text = head + table[table.index("\n## "):]
+            for code in re.findall(r"\bRL\d{3}\b", text):
+                checked += 1
+                assert code in codes, (page.name, code)
+        assert checked > 0
 
 
 class TestBenchmarkInventory:

@@ -1,4 +1,5 @@
-"""Fixture-based coverage for the reprolint rules (RL001-RL010).
+"""Fixture-based coverage for the reprolint rules (the ones listed by
+``repro lint --list-rules``).
 
 Every rule has at least one *bad* fixture (a snippet the rule must
 flag) and one *good* fixture (a snippet it must leave alone); the
@@ -18,7 +19,7 @@ import pytest
 
 from repro.lint import (default_rules, find_dual_dispatch, lint_paths,
                         lint_source)
-from repro.lint.rules import EnvRegistryRule, StatSchemaRule
+from repro.lint.rules import EnvRegistryRule
 
 REPO = Path(__file__).resolve().parent.parent
 ALL_CODES = [rule.code for rule in default_rules()]
@@ -120,6 +121,21 @@ FIXTURES = {
             ("set-call-iteration",
              "def f(items):\n    out = 0\n    for item in set(items):\n"
              "        out += item\n    return out\n"),
+            # Sole catches in docs/LINTING.md's mutation table.
+            ("M02-wall-clock-analysis-budget",
+             "def critical(trace, window):\n    import time\n"
+             "    found = []\n"
+             "    deadline = time.monotonic() + 30.0\n"
+             "    for start in range(0, len(trace), window):\n"
+             "        if time.monotonic() > deadline:\n"
+             "            break\n"
+             "        found.append(start)\n    return found\n"),
+            ("M03-catalogue-from-string-set",
+             "APPS = ('xz17', 'gcc17', 'mcf17')\n\n\n"
+             "def build():\n    catalogue = {}\n"
+             "    for name in set(APPS):\n"
+             "        catalogue[name] = len(catalogue)\n"
+             "    return catalogue\n"),
         ],
         "good": [
             ("seeded-rng",
@@ -233,6 +249,23 @@ FIXTURES = {
             ("ctor-valueerror",
              "class C:\n    def __init__(self, n):\n        if n < 0:\n"
              "            raise ValueError('n must be >= 0')\n"),
+            # Sole catches in docs/LINTING.md's mutation table.
+            ("M04-cache-read-catches-everything",
+             "import json\n\n\ndef get(path):\n    try:\n"
+             "        with open(path) as handle:\n"
+             "            return json.load(handle)\n"
+             "    except FileNotFoundError:\n        return None\n"
+             "    except Exception:\n        return None\n"),
+            ("M06-engine-ctor-valueerror",
+             "class Engine:\n"
+             "    def __init__(self, config, max_cycles=None):\n"
+             "        if max_cycles is not None and max_cycles <= 0:\n"
+             "            raise ValueError(\n"
+             "                f'max_cycles must be positive, got {max_cycles}')\n"),
+            ("M07-stop-swallows-compaction-failure",
+             "def stop(wal, board):\n    try:\n"
+             "        wal.compact(board.snapshot_records())\n"
+             "    except:\n        pass\n"),
         ],
         "good": [
             ("specific-except",
@@ -250,26 +283,6 @@ FIXTURES = {
              "    except ValueError:\n        raise\n"),
         ],
     },
-    "RL005": {
-        "bad": [
-            ("stat-not-in-schema",
-             "def register(root):\n    root.counter('bogus_stat', "
-             "'a stat no schema declares', 0)\n"),
-        ],
-        "good": [
-            ("stat-in-schema",
-             "def register(root):\n    root.counter('cycles', "
-             "'total simulated cycles', 0)\n"),
-            ("regex-group-not-a-stat",
-             "import re\n\n\ndef head(text):\n"
-             "    found = re.match('(x+)', text)\n"
-             "    return found.group(1)\n"),
-            ("schema-module-publishes-nothing",
-             "TELEMETRY_SCHEMA = {'pipeline.cycles': 'counter'}\n\n\n"
-             "def register(root):\n    root.counter("
-             "'schema_side_def', 'definitions are not publishes', 0)\n"),
-        ],
-    },
     "RL006": {
         "bad": [
             ("environ-get",
@@ -281,6 +294,11 @@ FIXTURES = {
             ("module-constant-name",
              "import os\n\nNAME = 'REPRO_BOGUS_CONST'\n"
              "VALUE = os.environ.get(NAME)\n"),
+            # Sole catch in docs/LINTING.md's mutation table.
+            ("M14-misspelt-faults-constant",
+             "import os\n\nFAULTS_ENV = 'REPRO_FAULT'\n\n\n"
+             "def active_plan():\n"
+             "    return os.environ.get(FAULTS_ENV)\n"),
         ],
         "good": [
             ("declared-read",
@@ -472,6 +490,23 @@ FIXTURES = {
              "    # daemon-thread: fixture rationale\n"
              "    thread = threading.Thread(target=_spin, daemon=True)\n"
              "    thread.start()\n    return thread\n"),
+            # Sole catches in docs/LINTING.md's mutation table.
+            ("M17-handler-thread-never-joined",
+             "import threading\n\n\nclass Daemon:\n"
+             "    def serve_forever(self, listener):\n"
+             "        while True:\n"
+             "            conn, _ = listener.accept()\n"
+             "            threading.Thread(target=self._serve_connection,\n"
+             "                             args=(conn,)).start()\n\n"
+             "    def _serve_connection(self, conn):\n"
+             "        conn.close()\n"),
+            ("M18-scheduler-neither-joined-nor-explained",
+             "import threading\n\n\nclass Daemon:\n"
+             "    def serve_forever(self):\n"
+             "        self._scheduler = threading.Thread(\n"
+             "            target=self._run_scheduler, daemon=True)\n"
+             "        self._scheduler.start()\n\n"
+             "    def _run_scheduler(self):\n        pass\n"),
         ],
         "good": [
             ("daemon-with-rationale",
@@ -513,6 +548,17 @@ FIXTURES = {
              "def journal(path, line):\n"
              "    handle = open(path, mode='ab')\n"
              "    handle.write(line)\n    handle.close()\n"),
+            # Sole catches in docs/LINTING.md's mutation table.
+            ("M19-seal-appended-without-fsync",
+             "def seal(wal, encode_record):\n"
+             "    with open(wal.segment_paths()[-1], 'ab') as seg:\n"
+             "        seg.write(encode_record({'t': 'seal'}))\n"),
+            ("M20-counters-written-in-place",
+             "import json\nimport os\n\n\n"
+             "def persist(cache_root, wal):\n"
+             "    with open(os.path.join(cache_root, 'counters.json'),\n"
+             "              mode='w', encoding='utf-8') as fh:\n"
+             "        json.dump(wal.counters(), fh)\n"),
         ],
         "good": [
             ("read-only-open",
@@ -538,6 +584,14 @@ FIXTURES = {
              "from repro.trace.io import open_trace\n\n\n"
              "def ordered(path):\n    src = open_trace(path)\n"
              "    return sorted(src)\n"),
+            # Sole catch in docs/LINTING.md's mutation table.
+            ("M15-timing-loop-counts-ops-by-listing",
+             "from repro.trace.source import TraceSource\n\n\n"
+             "class Engine:\n"
+             "    def _time_trace(self, trace: TraceSource, warmup):\n"
+             "        total_ops = len(list(trace))\n"
+             "        for op in trace:\n            pass\n"
+             "        return total_ops\n"),
         ],
         "good": [
             ("chunked-iteration",
@@ -671,7 +725,7 @@ def test_locator_finds_engine_dual_dispatch():
 
 
 # ----------------------------------------------------------------------
-# RL003's cross-file vector-loop half (finish() pass, like RL005/6).
+# RL003's cross-file vector-loop half (finish() pass, like RL006's).
 # ----------------------------------------------------------------------
 _LOCKSTEP_BODY = ("cfg = self.config\nwidth = cfg.fetch_width\n"
                   "pred = self.predictor\n"
@@ -750,20 +804,6 @@ def test_rl003_vector_partial_run_is_silent():
 # ----------------------------------------------------------------------
 # Cross-file reverse directions (finish() passes).
 # ----------------------------------------------------------------------
-def test_rl005_reverse_flags_never_published_segment():
-    rule = StatSchemaRule(vocabulary={"cycles", "ghost_segment"})
-    schema_src = "TELEMETRY_SCHEMA = {'cycles': 'counter'}\n"
-    assert rule.check(ast.parse(schema_src), schema_src,
-                      "src/repro/telemetry/schema.py") == []
-    pub_src = ("def register(root):\n"
-               "    root.counter('cycles', 'cycle count', 0)\n")
-    assert rule.check(ast.parse(pub_src), pub_src,
-                      "src/repro/pipeline/stats.py") == []
-    stale = rule.finish()
-    assert [f.code for f in stale] == ["RL005"]
-    assert "ghost_segment" in stale[0].message
-
-
 def test_rl006_reverse_flags_dead_registry_entry():
     rule = EnvRegistryRule(declared={"REPRO_ALIVE", "REPRO_DEAD"})
     reg_src = "REGISTRY = {}\n"
@@ -778,8 +818,7 @@ def test_rl006_reverse_flags_dead_registry_entry():
 
 
 # ----------------------------------------------------------------------
-# Dogfood: the shipped tree is clean, and what it publishes at runtime
-# matches the schema the linter checks against.
+# Dogfood: the shipped tree is clean.
 # ----------------------------------------------------------------------
 def test_shipped_tree_is_lint_clean():
     findings = lint_paths([str(REPO / "src" / "repro"),
@@ -787,69 +826,27 @@ def test_shipped_tree_is_lint_clean():
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
-def test_runtime_stat_paths_match_schema():
-    from repro.pipeline.engine import simulate
-    from repro.telemetry.schema import validate_paths
-    from repro.trace.builder import build_trace
-    from repro.trace.workloads import get_profile
-
-    result = simulate(build_trace(get_profile("astar"), 3000), warmup=500)
-    kind_of = {"Counter": "counter", "Histogram": "histogram"}
-    pairs = [(path, kind_of[type(leaf).__name__])
-             for path, leaf in result.telemetry.walk()]
-    assert pairs
-    assert validate_paths(pairs) == []
-
-
 # ----------------------------------------------------------------------
 # CLI contract: exit codes, rendering, and the repro subcommand.
 # ----------------------------------------------------------------------
 def test_cli_exit_codes_and_render(tmp_path, capsys):
-    from repro.lint.cli import main
+    from repro.cli import main
 
     clean = tmp_path / "clean.py"
     clean.write_text("GOOD = 1\n")
-    assert main([str(clean)]) == 0
+    assert main(["lint", str(clean)]) == 0
 
     dirty = tmp_path / "dirty.py"
     dirty.write_text("def f():\n    raise RuntimeError('boom')\n")
-    assert main([str(dirty)]) == 1
+    assert main(["lint", str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "RL004" in out and "[fix:" in out
 
-    assert main([str(tmp_path / "missing.py")]) == 2
-    assert main(["--select", "RL999", str(clean)]) == 2
-
-
-def test_cli_codes_format(tmp_path, capsys):
-    from repro.lint.cli import main
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("def f():\n    raise RuntimeError('boom')\n")
-    assert main(["--format", "codes", str(dirty)]) == 1
-    first = capsys.readouterr().out.splitlines()[0]
-    assert first.endswith("RL004") and ":2 " in first
-
-
-def test_cli_json_format(tmp_path, capsys):
-    import json
-
-    from repro.lint.cli import main
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("def f():\n    raise RuntimeError('boom')\n")
-    assert main(["--format", "json", str(dirty)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert isinstance(payload, list) and payload
-    entry = payload[0]
-    assert entry["code"] == "RL004" and entry["line"] == 2
-    assert set(entry) == {"file", "line", "col", "code",
-                          "message", "hint"}
-
-    clean = tmp_path / "clean.py"
-    clean.write_text("GOOD = 1\n")
-    assert main(["--format", "json", str(clean)]) == 0
-    assert json.loads(capsys.readouterr().out) == []
+    assert main(["lint", str(tmp_path / "missing.py")]) == 2
+    assert main(["lint", "--select", "RL999", str(clean)]) == 2
+    with pytest.raises(SystemExit) as exited:  # one render: no --format
+        main(["lint", "--format", "json", str(clean)])
+    assert exited.value.code == 2
 
 
 def test_rl010_blessed_module_is_exempt():
@@ -866,9 +863,9 @@ def test_rl010_blessed_module_is_exempt():
 
 
 def test_cli_list_rules(capsys):
-    from repro.lint.cli import main
+    from repro.cli import main
 
-    assert main(["--list-rules"]) == 0
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ALL_CODES:
         assert code in out
@@ -881,6 +878,20 @@ def test_repro_lint_subcommand_wired():
         env={**os.environ, "PYTHONPATH": "src"})
     assert proc.returncode == 0, proc.stderr
     assert "RL001" in proc.stdout and "RL006" in proc.stdout
+
+
+def test_repro_cli_loads_no_lint_module():
+    # Only the `lint` command body imports repro.lint, so building the
+    # parser (every command does) loads none of it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; repro.cli.build_parser(); "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith('repro.lint')))"],
+        cwd=REPO, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.telemetry.export import (
     write_chrome_trace,
     write_csv_trace,
 )
+from repro.telemetry.schema import validate_paths
 from repro.telemetry.trace import KINDS
 
 
@@ -246,6 +247,21 @@ class TestTelemetryTree:
         # FVP publishes its internals.
         assert result.telemetry["predictor"].children
         assert SimResult("w", "c", "p").telemetry is None
+
+    def test_runtime_stat_paths_match_schema(self, runs):
+        # The one schema gate for simulation trees: every path a
+        # baseline or an FVP run publishes is declared with its kind,
+        # and every concrete schema path is published by one of them.
+        # The FVP run adds the stats published only on the predictor
+        # path.
+        kind_of = {Counter: "counter", Histogram: "histogram"}
+        pairs = {(path, kind_of[type(leaf)])
+                 for spec in ("baseline", "fvp")
+                 for path, leaf in runs["astar", spec].telemetry.walk()}
+        assert any(path.startswith("predictor.")
+                   and path != "predictor.storage_bits"
+                   for path, _ in pairs)
+        assert validate_paths(sorted(pairs)) == []
 
 
 class TestSimResultRoundTrip:
