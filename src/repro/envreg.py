@@ -61,7 +61,7 @@ REGISTRY: Dict[str, EnvVar] = {
                "40% of length, capped at 100k",
                "repro.experiments.runner"),
         EnvVar("REPRO_ENGINE_BACKEND",
-               "timing-loop backend: vector, scalar or reference",
+               "timing-loop backend: vector or scalar",
                "vector (scalar when numpy is unavailable)",
                "repro.pipeline.engine"),
         EnvVar("REPRO_CHECK_INVARIANTS",

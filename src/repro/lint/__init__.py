@@ -9,8 +9,7 @@ that shows it, and the suppression syntax.
 
 from repro.lint.core import (Finding, LintError, Rule, lint_files,
                              lint_paths, lint_source)
-from repro.lint.rules import (LoopDispatch, default_rules,
-                              find_dual_dispatch, find_loop_dispatch)
+from repro.lint.rules import LoopDispatch, default_rules, find_loop_dispatch
 
 __all__ = [
     "Finding",
@@ -18,7 +17,6 @@ __all__ = [
     "LoopDispatch",
     "Rule",
     "default_rules",
-    "find_dual_dispatch",
     "find_loop_dispatch",
     "lint_files",
     "lint_paths",

@@ -144,13 +144,10 @@ def _call_signature(call: ast.Call) -> str:
 class LoopDispatch(NamedTuple):
     """The timing-loop dispatch located by :func:`find_loop_dispatch`."""
 
-    #: Optimized scalar loop method (the ``elif``/``else`` hot arm).
+    #: Optimized scalar loop method (the ``if`` arm).
     hot_name: str
-    #: Readable reference loop method (the opt-in ``if`` arm).
-    ref_name: str
-    #: Vector backend method (the trailing ``else`` arm of a three-way
-    #: chain), or ``None`` for the legacy two-way shape.
-    vector_name: Optional[str]
+    #: Vector backend method (the ``else`` arm).
+    vector_name: str
     #: The enclosing class.
     cls: ast.ClassDef
 
@@ -158,29 +155,19 @@ class LoopDispatch(NamedTuple):
 def find_loop_dispatch(tree: ast.Module) -> Optional[LoopDispatch]:
     """Locate the timing-loop dispatch *structurally*.
 
-    The engine's ``run()`` selects a timing loop either with the
-    two-way shape::
+    The engine's ``run()`` selects a timing loop with the backend
+    dispatch (docs/VECTOR.md)::
 
-        if self._resolve_backend() == "reference":
-            self._time_trace_reference(trace, warmup, result, gap_hist)
-        else:
-            self._time_trace(trace, warmup, result, gap_hist)
-
-    or the three-way backend chain (docs/VECTOR.md)::
-
-        if (backend := self._resolve_backend()) == "reference":
-            self._time_trace_reference(trace, warmup, result, gap_hist)
-        elif backend == "scalar":
+        if self._resolve_backend() == "scalar":
             self._time_trace(trace, warmup, result, gap_hist)
         else:
             self._time_trace_vector(trace, warmup, result, gap_hist)
 
     so the shape we look for — independent of any method naming — is
-    an ``if`` whose test involves a call and whose branches each
+    an ``if`` whose test involves a call and whose two branches each
     consist of exactly one ``self.<method>(...)`` call with identical
-    arguments: the ``if`` branch is the opt-in slow/reference loop,
-    the next arm the optimized scalar loop, and the trailing ``else``
-    of a three-way chain the vector backend.
+    arguments: the ``if`` branch is the scalar hot loop, the ``else``
+    branch the vector backend.
     """
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
@@ -191,51 +178,20 @@ def find_loop_dispatch(tree: ast.Module) -> Optional[LoopDispatch]:
             if not any(isinstance(sub, ast.Call)
                        for sub in ast.walk(node.test)):
                 continue
-            ref_call = _sole_self_call(node.body)
-            if ref_call is None:
-                continue
-            assert isinstance(ref_call.func, ast.Attribute)
-            ref_name = ref_call.func.attr
-            if len(node.orelse) == 1 \
-                    and isinstance(node.orelse[0], ast.If):
-                # elif chain: scalar arm, then the vector else arm.
-                inner = node.orelse[0]
-                hot_call = _sole_self_call(inner.body)
-                vec_call = _sole_self_call(inner.orelse)
-                if hot_call is None or vec_call is None:
-                    continue
-                assert isinstance(hot_call.func, ast.Attribute)
-                assert isinstance(vec_call.func, ast.Attribute)
-                hot_name = hot_call.func.attr
-                vec_name = vec_call.func.attr
-                if len({ref_name, hot_name, vec_name}) != 3:
-                    continue
-                if len({_call_signature(c) for c in
-                        (ref_call, hot_call, vec_call)}) != 1:
-                    continue
-                return LoopDispatch(hot_name, ref_name, vec_name, cls)
-            hot_call = _sole_self_call(node.orelse)
-            if hot_call is None:
+            hot_call = _sole_self_call(node.body)
+            vec_call = _sole_self_call(node.orelse)
+            if hot_call is None or vec_call is None:
                 continue
             assert isinstance(hot_call.func, ast.Attribute)
+            assert isinstance(vec_call.func, ast.Attribute)
             hot_name = hot_call.func.attr
-            if ref_name == hot_name:
+            vec_name = vec_call.func.attr
+            if hot_name == vec_name:
                 continue
-            if _call_signature(ref_call) != _call_signature(hot_call):
+            if _call_signature(hot_call) != _call_signature(vec_call):
                 continue
-            return LoopDispatch(hot_name, ref_name, None, cls)
+            return LoopDispatch(hot_name, vec_name, cls)
     return None
-
-
-def find_dual_dispatch(tree: ast.Module
-                       ) -> Optional[Tuple[str, str, ast.ClassDef]]:
-    """The scalar pair of :func:`find_loop_dispatch` — ``(hot method
-    name, reference method name, enclosing class)`` or ``None``
-    (RL002's interface; the vector arm has no per-op hot loop here)."""
-    found = find_loop_dispatch(tree)
-    if found is None:
-        return None
-    return found.hot_name, found.ref_name, found.cls
 
 
 def _method(cls: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
@@ -290,7 +246,7 @@ class HotPathPurityRule(Rule):
     """The optimized timing loop stays allocation- and lookup-lean.
 
     Inside the per-op loop of the *hot* method (located via
-    :func:`find_dual_dispatch`, never by name): no container
+    :func:`find_loop_dispatch`, never by name): no container
     allocations, no repeated ``self.`` attribute lookups, and no
     telemetry calls outside a capability-flag gate.
     """
@@ -312,7 +268,7 @@ class HotPathPurityRule(Rule):
 
     def check(self, tree: ast.Module, source: str,
               path: str) -> List[Finding]:
-        dispatch = find_dual_dispatch(tree)
+        dispatch = find_loop_dispatch(tree)
         if dispatch is None:
             return []
         hot_name, _, cls = dispatch
@@ -439,46 +395,38 @@ class HotPathPurityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RL003 — dual-loop drift
+# RL003 — scalar/vector loop drift
 # ----------------------------------------------------------------------
 class DualLoopDriftRule(Rule):
-    """The timing-loop implementations read the same model.
+    """The vector timing loop reads the same model as the scalar loop.
 
-    For the scalar pair selected by :func:`find_loop_dispatch`, the
-    *effective* set of core-config attributes, the set of predictor
-    hooks, and the set of trace-stream reads must match.  "Effective"
-    folds in ``__init__``: the hot path may precompute a config
-    attribute into a dispatch table at construction time (e.g.
-    ``ports``), so each loop's set is its own direct reads unioned
-    with the constructor's — drift is a config attribute one path can
-    see and the other cannot.  The trace-stream comparison covers the
-    chunk-refill seam: both loops must consume the trace through the
-    same :class:`~repro.trace.source.TraceSource` surface (e.g. both
-    via ``.chunks()``), or one path's window boundaries silently
-    diverge from the other's.
-
-    When the dispatch has a vector arm (docs/VECTOR.md), the vector
-    loop lives in its own module, so its checks run cross-file in
-    :meth:`finish` once both sides were scanned: the vector loop's
-    effective config reads must equal the scalar hot loop's, its
-    hook *delegation probe* (``is not ValuePredictor.<hook>``
-    comparisons) must cover every predictor hook the scalar loop
-    calls, and it must consume the trace through a declared streaming
-    surface (``chunks``/``soa_windows``).
+    :func:`find_loop_dispatch` locates the scalar hot loop in the
+    engine class; the vector loop lives in its own module
+    (docs/VECTOR.md), so the checks run cross-file in :meth:`finish`
+    once both sides were scanned.  The vector loop's *effective*
+    config reads must equal the scalar hot loop's ("effective" folds
+    in ``__init__``: a loop may precompute a config attribute into a
+    dispatch table at construction time, e.g. ``ports``, so each
+    loop's set is its own direct reads unioned with the
+    constructor's).  Its hook *delegation probe* (``is not
+    ValuePredictor.<hook>`` comparisons) must cover every predictor
+    hook the scalar loop calls, and it must consume the trace through
+    a declared streaming surface (``chunks``/``soa_windows``), or its
+    window boundaries silently diverge from the scalar loop's.
     """
 
     code = "RL003"
     name = "dual-loop-drift"
-    description = ("optimized, reference, and vector timing loops must "
-                   "read the same config attributes, predictor hooks, "
-                   "and trace-stream surface")
+    description = ("the vector timing loop must read the scalar loop's "
+                   "config attributes, probe every predictor hook it "
+                   "calls, and stream the trace")
     scope = (("repro", "pipeline"),)
 
     #: TraceSource streaming surfaces a timing loop may consume.
     STREAM_SURFACES: Tuple[str, ...] = ("chunks", "soa_windows")
 
     def __init__(self) -> None:
-        #: Engine-side record when a three-way dispatch was located.
+        #: Engine-side record once the dispatch was located.
         self._dispatch: Optional[Dict[str, object]] = None
         #: Vector-loop records (module-level functions with
         #: ``ValuePredictor`` identity probes).
@@ -486,60 +434,29 @@ class DualLoopDriftRule(Rule):
 
     def check(self, tree: ast.Module, source: str,
               path: str) -> List[Finding]:
-        findings: List[Finding] = []
         self._scan_vector_loops(tree, path)
         dispatch = find_loop_dispatch(tree)
         if dispatch is None:
-            return findings
-        hot_name, ref_name, vec_name, cls = dispatch
+            return []
+        hot_name, vec_name, cls = dispatch
         hot = _method(cls, hot_name)
-        ref = _method(cls, ref_name)
-        arms = [(hot_name, hot), (ref_name, ref)]
-        if vec_name is not None:
-            arms.append((vec_name, _method(cls, vec_name)))
-        missing = [name for name, method in arms if method is None]
+        missing = [name for name in (hot_name, vec_name)
+                   if _method(cls, name) is None]
         if missing:
             return [Finding(
                 self.code, path, cls.lineno, cls.col_offset,
                 f"dispatch targets missing method {missing[0]}",
                 "keep every timing-loop method defined in the class")]
-        assert hot is not None and ref is not None
+        assert hot is not None
         init_reads = self._init_config_reads(cls)
-
-        hot_cfg = self._config_reads(hot) | init_reads
-        ref_cfg = self._config_reads(ref) | init_reads
-        findings.extend(self._drift(
-            path, hot, "config attribute", hot_name, ref_name,
-            hot_cfg, ref_cfg,
-            "read the attribute in both loops, or precompute it in "
-            "__init__ so both effective sets include it"))
-
-        hot_hooks = self._predictor_hooks(hot)
-        ref_hooks = self._predictor_hooks(ref)
-        findings.extend(self._drift(
-            path, hot, "predictor hook", hot_name, ref_name,
-            hot_hooks, ref_hooks,
-            "call the same predictor hooks from both loops (a hook "
-            "one loop skips changes training behaviour)"))
-
-        hot_stream = self._trace_reads(hot)
-        ref_stream = self._trace_reads(ref)
-        findings.extend(self._drift(
-            path, hot, "trace-stream read", hot_name, ref_name,
-            hot_stream, ref_stream,
-            "consume the trace through the same TraceSource surface "
-            "in both loops — the chunk-refill seam is part of the "
-            "bit-identity contract"))
-
-        if vec_name is not None:
-            self._dispatch = {
-                "path": path,
-                "hot_name": hot_name,
-                "hot_cfg": hot_cfg,
-                "hot_hooks": hot_hooks,
-                "init_reads": init_reads,
-            }
-        return findings
+        self._dispatch = {
+            "path": path,
+            "hot_name": hot_name,
+            "hot_cfg": self._config_reads(hot) | init_reads,
+            "hot_hooks": self._predictor_hooks(hot),
+            "init_reads": init_reads,
+        }
+        return []
 
     # -- cross-file vector-loop half -----------------------------------
     @staticmethod
@@ -637,24 +554,6 @@ class DualLoopDriftRule(Rule):
                     "contract"))
         return findings
 
-    def _drift(self, path: str, anchor: ast.FunctionDef, what: str,
-               hot_name: str, ref_name: str, hot_set: Set[str],
-               ref_set: Set[str], hint: str) -> List[Finding]:
-        findings: List[Finding] = []
-        only_hot = sorted(hot_set - ref_set)
-        only_ref = sorted(ref_set - hot_set)
-        if only_hot:
-            findings.append(Finding(
-                self.code, path, anchor.lineno, anchor.col_offset,
-                f"{what} drift: {', '.join(only_hot)} read by "
-                f"{hot_name} but not {ref_name}", hint))
-        if only_ref:
-            findings.append(Finding(
-                self.code, path, anchor.lineno, anchor.col_offset,
-                f"{what} drift: {', '.join(only_ref)} read by "
-                f"{ref_name} but not {hot_name}", hint))
-        return findings
-
     @staticmethod
     def _config_reads(func: ast.FunctionDef) -> Set[str]:
         aliases = _aliases_of(func, "self", "config")
@@ -688,15 +587,6 @@ class DualLoopDriftRule(Rule):
     def _predictor_hooks(func: ast.FunctionDef) -> Set[str]:
         aliases = _aliases_of(func, "self", "predictor")
         return _attr_reads_on(func, "self", "predictor", aliases)
-
-    @staticmethod
-    def _trace_reads(func: ast.FunctionDef) -> Set[str]:
-        # The trace source is the first parameter after self; every
-        # attribute read on it is part of the streaming surface.
-        args = func.args.args
-        if len(args) < 2:
-            return set()
-        return _attr_reads_on(func, "", None, {args[1].arg})
 
 
 # ----------------------------------------------------------------------

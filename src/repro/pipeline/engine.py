@@ -21,7 +21,7 @@ held it back.  The per-bucket totals partition the run's cycles
 exactly, and every component publishes its statistics into one
 :class:`~repro.telemetry.stats.StatGroup` tree on the result.
 
-Three implementations of the per-op loop coexist (docs/PERF.md,
+Two implementations of the per-op loop coexist (docs/PERF.md,
 docs/VECTOR.md):
 
 * the **vector** backend (:mod:`repro.pipeline.engine_vector`) — the
@@ -34,18 +34,18 @@ docs/VECTOR.md):
   the bandwidth machines and the fetch-line check, keeps headline
   counters in locals, and skips engine→predictor calls that resolve
   to the no-op base-class implementations.
-* the **reference** backend, :meth:`Engine._time_trace_reference` —
-  the readable specification loop.
 
 Selection: the ``backend=`` engine parameter wins, then the
 registered ``REPRO_ENGINE_BACKEND`` environment variable, then the
 default (``vector``, or ``scalar`` without numpy).
 
-All three produce **bit-identical**
+Both produce **bit-identical**
 :class:`~repro.pipeline.results.SimResult` objects for any
 (trace, config, predictor) — asserted across the workload catalogue by
 ``tests/test_perf_neutrality.py`` and policed statically by reprolint
-RL003.
+RL003.  The model itself is checked against an independent,
+cycle-stepped core in ``tests/oracle.py`` (docs/ENGINE.md §How the
+model is checked).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import heapq
 import importlib.util
 import os
 import weakref
-from bisect import bisect_right
 from typing import Optional, Sequence, Union
 
 from repro.errors import (ConfigError, InvariantViolation,
@@ -121,9 +120,11 @@ _ADDR_ALIGN = ~0x7  # store→load forwarding tracked at 8-byte granularity
 _NO_CYCLE_LIMIT = 1 << 62
 
 
-#: The three timing-loop implementations (docs/VECTOR.md), in the
-#: order of their telemetry codes (``engine.backend``).
-BACKENDS = ("reference", "scalar", "vector")
+#: The two timing-loop implementations (docs/VECTOR.md), in the order
+#: of their telemetry codes (``engine.backend``): 1 and 2.  Code 0 was
+#: the retired reference loop and is not reused, so the telemetry of
+#: cached results keeps its meaning.
+BACKENDS = ("scalar", "vector")
 
 #: Whether the vector backend's numpy dependency is importable (probed
 #: without importing, so scalar-only runs never pay the import).
@@ -153,36 +154,11 @@ def _default_max_cycles() -> Optional[int]:
     text = os.environ.get("REPRO_MAX_CYCLES", "")
     if not text or text == "0":
         return None
-    limit = int(text)
-    if limit < 0:
-        raise ValueError(f"REPRO_MAX_CYCLES must be >= 0, got {limit}")
-    return limit
-
-
-class _WidthMachine:
-    """In-order bandwidth limiter: at most ``width`` events per cycle,
-    event times never decrease."""
-
-    __slots__ = ("width", "cycle", "count")
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.cycle = -1
-        self.count = 0
-
-    def schedule(self, earliest: int) -> int:
-        """Earliest cycle >= ``earliest`` with a free slot; claims it."""
-        t = earliest if earliest > self.cycle else self.cycle
-        if t == self.cycle:
-            if self.count >= self.width:
-                t += 1
-                self.count = 1
-            else:
-                self.count += 1
-        else:
-            self.count = 1
-        self.cycle = t
-        return t
+    if not text.isdigit():
+        raise ConfigError(
+            f"REPRO_MAX_CYCLES must be a whole number of cycles (0 or "
+            f"unset disarms the watchdog), got {text!r}")
+    return int(text)
 
 
 class Engine:
@@ -219,9 +195,9 @@ class Engine:
         sentinel.  See docs/ROBUSTNESS.md.
     backend:
         Which timing-loop implementation runs (docs/VECTOR.md):
-        ``"vector"``, ``"scalar"`` or ``"reference"``.  ``None`` (the
+        ``"vector"`` or ``"scalar"``.  ``None`` (the
         default) defers to ``REPRO_ENGINE_BACKEND``, then ``vector``
-        when numpy is importable (``scalar`` otherwise).  All backends
+        when numpy is importable (``scalar`` otherwise).  Both backends
         are bit-identical; an explicit ``"vector"`` without numpy
         raises :class:`~repro.errors.ConfigError` at run time.
     """
@@ -346,7 +322,7 @@ class Engine:
             stall-cycle partition, and the per-component telemetry
             tree.  Deterministic: the same inputs always produce a
             bit-identical result, whichever backend runs
-            (docs/VECTOR.md documents the three-loop identity
+            (docs/VECTOR.md documents the two-loop identity
             contract).
         """
         source = as_source(trace)
@@ -372,10 +348,7 @@ class Engine:
                     "pipeline", "cycle accounting and stall attribution")
                 gap_hist = pipeline_group.histogram(
                     "stall-gaps", "non-retiring gap lengths (post-warmup)")
-                if (backend := self._resolve_backend()) == "reference":
-                    self._time_trace_reference(source, warmup, result,
-                                               gap_hist)
-                elif backend == "scalar":
+                if self._resolve_backend() == "scalar":
                     self._time_trace(source, warmup, result, gap_hist)
                 else:
                     self._time_trace_vector(source, warmup, result,
@@ -428,14 +401,15 @@ class Engine:
                     result: SimResult, gap_hist) -> None:
         """Optimized per-op loop (the default hot path).
 
-        Semantically identical to :meth:`_time_trace_reference`; the
-        differences are mechanical: op-class dispatch tables instead of
-        dict lookups, the alloc/retire bandwidth machines inlined as
-        local integers, the fetch-line check inlined, headline counters
-        accumulated in locals and written back once, branch-history
-        context recomputed only after control ops, and calls into the
-        predictor skipped when they would hit the no-op base-class
-        implementation.
+        Solves docs/ENGINE.md's timestamp recurrence in one
+        program-order pass; ``tests/oracle.py`` is the cycle-stepped
+        spec it is checked against.  For speed it uses op-class
+        dispatch tables instead of dict lookups, inlines the
+        alloc/retire bandwidth machines as local integers and the
+        fetch-line check, accumulates headline counters in locals and
+        writes them back once, recomputes the branch-history context
+        only after control ops, and skips calls into the predictor that
+        would hit the no-op base-class implementation.
         """
         cfg = self.config
         predictor = self.predictor
@@ -483,7 +457,8 @@ class Engine:
         store_by_addr = self._store_by_addr
         store_records = self._store_records
 
-        # Inlined bandwidth machines (see _WidthMachine.schedule).
+        # Inlined in-order bandwidth machines: at most ``width`` events
+        # per cycle, event times never decrease.
         alloc_width = cfg.fetch_width
         alloc_cycle = -1
         alloc_count = 0
@@ -777,10 +752,11 @@ class Engine:
                 prev_retire = retire_t
 
                 # ---------------- criticality signal ----------------
-                # The reference loop's bisect in O(1): fewer than
-                # retire_width older ops retire after complete_t iff the
-                # retire_width-th newest does not (retire times never
-                # decrease).
+                # The ROB head at complete_t is the oldest op retiring
+                # after it.  Fewer than retire_width older ops retire
+                # after complete_t iff the retire_width-th newest does
+                # not (retire times never decrease), so one comparison
+                # replaces a bisect over the retire times.
                 if need_crit:
                     ctx.stalls_retirement = (
                         retire_t == complete_t + 1
@@ -930,380 +906,6 @@ class Engine:
         result.events = events
 
     # ------------------------------------------------------------------
-    def _time_trace_reference(self, trace: TraceSource, warmup: int,
-                              result: SimResult, gap_hist) -> None:
-        """Readable reference implementation of the per-op loop.
-
-        Selected by ``backend="reference"``.  This is the behavioural
-        specification :meth:`_time_trace` is validated against; keep
-        the two in lockstep when changing the timing model.
-        """
-        cfg = self.config
-        predictor = self.predictor
-        frontend = self.frontend
-        memory = self.memory
-        ctx = self._ctx
-        n = len(trace)
-        collect_stalls = self.collect_stalls
-
-        cycle_base = 0
-        level_base = {}
-
-        reg_ready = [0] * 16
-        # Whether the last writer of each register was a load whose
-        # value arrives from the memory system (value-predicted and
-        # renamed producers count as non-load: their consumers are not
-        # waiting on memory).
-        reg_writer_load = [False] * 16
-        writer_pc = [0] * 16
-        self._reg_ready = reg_ready
-        ctx.writer_pc = writer_pc
-
-        retire_times: list = []
-        self._retire_times = retire_times
-        load_retires: list = []
-        store_retires: list = []
-        # IQ occupancy: entries free at *issue*, which is out of order.
-        # Exact model (given in-order alloc): alloc(i) must be >= the
-        # iq_size-th largest issue time seen so far — maintained as a
-        # bounded min-heap of the largest issue times.
-        iq_heap: list = []
-
-        self._store_by_addr = {}
-        self._store_records = {}
-        store_by_addr = self._store_by_addr
-        store_records = self._store_records
-
-        alloc_machine = _WidthMachine(cfg.fetch_width)
-        retire_machine = _WidthMachine(cfg.retire_width)
-        cycle_limit = self.max_cycles if self.max_cycles is not None \
-            else _NO_CYCLE_LIMIT
-
-        port_heaps = {key: list(h) for key, h in self._port_heaps.items()}
-        for heap in port_heaps.values():
-            heapq.heapify(heap)
-        issue_bw = list(self._issue_bw)
-        heapq.heapify(issue_bw)
-
-        redirect_t = 0
-        redirect_cause = FRONTEND_STARVED  # placeholder until a flush
-        prev_retire = 0
-        num_loads = 0
-        num_stores = 0
-
-        # Cycle accounting: post-warmup and warmup buckets (kept
-        # separate so default_warmup runs don't pollute the reported
-        # breakdown), plus a histogram of retirement-gap lengths.
-        main_buckets = result.stall_cycles
-        warmup_buckets = result.warmup_stall_cycles
-
-        events = EventTrace(self.event_capacity) \
-            if self.collect_events else None
-
-        timing = None
-        if self.collect_timing:
-            timing = {k: [0] * n for k in
-                      ("alloc", "ready", "issue", "complete", "retire")}
-            timing["mispredict"] = [False] * n
-            result.timing = timing
-
-        rob_size = cfg.rob_size
-        iq_size = cfg.iq_size
-        lq_size = cfg.lq_size
-        sq_size = cfg.sq_size
-        fwd_latency = cfg.forward_latency
-
-        idx = -1
-        for _window in trace.chunks():
-            for uop in _window:
-                idx += 1
-                op = uop.op
-                is_load = op == opcodes.LOAD
-                is_store = op == opcodes.STORE
-                is_control = op in opcodes.CONTROL
-                collecting = idx >= warmup
-                if idx == warmup:
-                    cycle_base = prev_retire
-                    level_base = dict(memory.level_counts)
-
-                # ---------------- front end / allocate ----------------
-                # Track which constraint binds allocation (`alloc_cause`);
-                # ties keep the earlier, higher-priority cause.
-                earliest = redirect_t
-                alloc_cause = redirect_cause
-                bubbles = frontend.fetch_bubbles(uop.pc)
-                if bubbles:
-                    base = earliest if earliest > alloc_machine.cycle \
-                        else alloc_machine.cycle
-                    earliest = base + bubbles
-                    alloc_cause = FRONTEND_STARVED
-                if idx >= rob_size:
-                    t = retire_times[idx - rob_size]
-                    if t > earliest:
-                        earliest = t
-                        alloc_cause = ROB_FULL
-                if len(iq_heap) >= iq_size and iq_heap[0] > earliest:
-                    earliest = iq_heap[0]
-                    alloc_cause = IQ_FULL
-                if is_load and num_loads >= lq_size:
-                    t = load_retires[num_loads - lq_size]
-                    if t > earliest:
-                        earliest = t
-                        alloc_cause = LQ_FULL
-                if is_store and num_stores >= sq_size:
-                    t = store_retires[num_stores - sq_size]
-                    if t > earliest:
-                        earliest = t
-                        alloc_cause = SQ_FULL
-                alloc_t = alloc_machine.schedule(earliest)
-                self._now_alloc = alloc_t
-
-                # ---------------- context + front-end VP lookup ----------------
-                ctx.seq = idx
-                ctx.history32 = frontend.history.recent(32)
-                ctx.history = frontend.history.recent(128)
-                fwd = None
-                if is_load:
-                    num_loads += 1
-                    if collecting:
-                        result.loads += 1
-                    entry = store_by_addr.get(uop.addr & _ADDR_ALIGN)
-                    if entry is not None and entry[3] >= alloc_t:
-                        fwd = entry  # (seq, pc, complete, retire, value)
-
-                prediction = predictor.predict(uop, ctx)
-
-                # ---------------- dataflow readiness ----------------
-                ready = alloc_t + 1
-                dep_load = False
-                for src in uop.srcs:
-                    t = reg_ready[src]
-                    if t > ready:
-                        ready = t
-                        dep_load = reg_writer_load[src]
-
-                # Memory disambiguation for loads with an in-flight producer
-                # store: a store-sets hit serialises the load behind the
-                # store; otherwise the load speculates and pays a violation
-                # flush when the store's data was not yet available.
-                violation = False
-                if fwd is not None:
-                    store_complete = fwd[2]
-                    dep = self.store_sets.load_dependence(uop.pc)
-                    if dep is not None:
-                        if store_complete > ready:
-                            ready = store_complete
-                            dep_load = False
-                    elif store_complete > ready:
-                        violation = True
-
-                # ---------------- issue ----------------
-                group = _GROUP_OF[op]
-                heap = port_heaps[group]
-                port_free = heapq.heappop(heap)
-                bw_free = heapq.heappop(issue_bw)
-                issue_t = ready
-                if port_free > issue_t:
-                    issue_t = port_free
-                if bw_free > issue_t:
-                    issue_t = bw_free
-                pg = cfg.ports[op]
-                heapq.heappush(heap, issue_t + (1 if pg.pipelined else pg.latency))
-                heapq.heappush(issue_bw, issue_t + 1)
-
-                # ---------------- execute / complete ----------------
-                level = "L1"
-                if is_load:
-                    if fwd is not None and not violation:
-                        store_complete = fwd[2]
-                        base = issue_t if issue_t > store_complete else store_complete
-                        complete_t = base + fwd_latency
-                        predictor.on_forwarding(fwd[1], uop.pc, fwd[0])
-                    else:
-                        latency, level = memory.access(uop.pc, uop.addr, issue_t)
-                        complete_t = issue_t + latency
-                        if violation:
-                            # Ordering violation: squash + refetch from the load.
-                            if collecting:
-                                result.mem_violations += 1
-                            self.store_sets.record_violation(uop.pc, fwd[1])
-                            t = complete_t + cfg.mem_violation_penalty
-                            if t > redirect_t:
-                                redirect_t = t
-                                redirect_cause = MEM_FLUSH
-                                if events is not None:
-                                    events.record(complete_t, "flush", idx,
-                                                  uop.pc, op, MEM_FLUSH)
-                elif is_store:
-                    complete_t = issue_t + 1
-                    memory.access(uop.pc, uop.addr, complete_t, is_store=True)
-                else:
-                    complete_t = issue_t + cfg.ports[op].latency
-
-                # ---------------- retire ----------------
-                retire_t = retire_machine.schedule(
-                    max(complete_t + 1, prev_retire))
-                if retire_t > cycle_limit:
-                    self._abort_nonterminating(idx, n, uop.pc, retire_t)
-
-                # ---------------- cycle accounting ----------------
-                # Gap cycles back to the previous retirement are exactly
-                # the cycles in which nothing retired; charge them to the
-                # constraint chain that bound this op (retirement times are
-                # monotone, so the partition is exact by construction).
-                gap = retire_t - prev_retire
-                if gap > 0 and collect_stalls:
-                    buckets = main_buckets if collecting else warmup_buckets
-                    buckets[RETIRING] += 1
-                    if gap > 1:
-                        # gap > 1 implies retire_t == complete_t + 1: the
-                        # op's own completion was the binding constraint.
-                        hi = retire_t - 1
-                        pos = prev_retire
-                        for bound, bucket in (
-                                (earliest, alloc_cause),
-                                (alloc_t, FRONTEND_STARVED),
-                                (ready, HEAD_WAIT_LOAD if dep_load
-                                 else HEAD_WAIT_EXEC),
-                                (issue_t, PORT_CONTENTION),
-                                (hi, HEAD_WAIT_LOAD if is_load
-                                 else HEAD_WAIT_EXEC)):
-                            if bound > pos:
-                                top = bound if bound < hi else hi
-                                buckets[bucket] += top - pos
-                                pos = top
-                                if pos == hi:
-                                    break
-                        if collecting:
-                            gap_hist.observe(gap - 1)
-                prev_retire = retire_t
-
-                # ---------------- criticality signal ----------------
-                # ROB head when this op finished executing: the oldest op
-                # whose retirement is still pending at complete_t.  An op
-                # "stalls retirement" when it is within commit-width of the
-                # head *and* its own completion is what its retirement is
-                # waiting on (an op whose retirement is bound by fetch or
-                # older ops is not a bottleneck even if near the head).
-                head = bisect_right(retire_times, complete_t, 0, idx)
-                rob_distance = idx - head
-                completion_bound = retire_t == complete_t + 1
-                ctx.stalls_retirement = (rob_distance < cfg.retire_width
-                                         and completion_bound)
-                ctx.l1_hit = level == "L1"
-
-                # ---------------- control flow ----------------
-                ctx.branch_mispredicted = False
-                if is_control:
-                    if collecting:
-                        result.branches += 1
-                    correct_cf = frontend.process_control(
-                        uop.pc, op, uop.taken, uop.target)
-                    if not correct_cf:
-                        if collecting:
-                            result.branch_mispredicts += 1
-                        ctx.branch_mispredicted = True
-                        t = complete_t + frontend.mispredict_penalty
-                        if t > redirect_t:
-                            redirect_t = t
-                            redirect_cause = BRANCH_FLUSH
-                            if events is not None:
-                                events.record(complete_t, "flush", idx,
-                                              uop.pc, op, BRANCH_FLUSH)
-
-                # ---------------- value-prediction outcome ----------------
-                vp_correct = True
-                if prediction is not None:
-                    vp_correct = prediction.value == uop.value
-                    if collecting:
-                        if is_load:
-                            result.predicted_loads += 1
-                        else:
-                            result.predicted_nonloads += 1
-                        if prediction.store_seq is not None:
-                            result.mr_predictions += 1
-                        else:
-                            result.register_predictions += 1
-                        attribution = result.by_source.setdefault(
-                            prediction.source, [0, 0])
-                        attribution[0] += 1
-                        if vp_correct:
-                            attribution[1] += 1
-                            result.correct_predictions += 1
-                        else:
-                            result.wrong_predictions += 1
-                            result.vp_flushes += 1
-                    if not vp_correct:
-                        t = complete_t + cfg.vp_penalty
-                        if t > redirect_t:
-                            redirect_t = t
-                            redirect_cause = VP_FLUSH
-                            if events is not None:
-                                events.record(complete_t, "flush", idx,
-                                              uop.pc, op, VP_FLUSH)
-
-                # ---------------- architectural updates ----------------
-                dest = uop.dest
-                if dest is not None:
-                    if prediction is not None and vp_correct:
-                        avail = alloc_t + 1
-                        if prediction.store_seq is not None:
-                            rec = store_records.get(prediction.store_seq)
-                            if rec is not None and rec[2] > avail:
-                                avail = rec[2]
-                        reg_ready[dest] = avail
-                        reg_writer_load[dest] = False
-                    else:
-                        reg_ready[dest] = complete_t
-                        reg_writer_load[dest] = is_load
-                    writer_pc[dest] = uop.pc
-
-                if is_store:
-                    num_stores += 1
-                    if collecting:
-                        result.stores += 1
-                    self.store_sets.store_dispatched(uop.pc, idx)
-                    record = (idx, uop.pc, complete_t, retire_t, uop.value)
-                    store_by_addr[uop.addr & _ADDR_ALIGN] = record
-                    store_records[idx] = (uop.pc, uop.addr & _ADDR_ALIGN,
-                                          complete_t, retire_t, uop.value)
-                    store_retires.append(retire_t)
-                    if len(store_records) > 4 * sq_size:
-                        self._prune_stores(retire_t)
-                if is_load:
-                    load_retires.append(retire_t)
-
-                retire_times.append(retire_t)
-                if len(iq_heap) < iq_size:
-                    heapq.heappush(iq_heap, issue_t)
-                elif issue_t > iq_heap[0]:
-                    heapq.heapreplace(iq_heap, issue_t)
-
-                # ---------------- training ----------------
-                predictor.train_execute(uop, ctx, prediction, vp_correct)
-                predictor.epoch_tick(idx + 1)
-
-                if timing is not None:
-                    timing["alloc"][idx] = alloc_t
-                    timing["ready"][idx] = ready
-                    timing["issue"][idx] = issue_t
-                    timing["complete"][idx] = complete_t
-                    timing["retire"][idx] = retire_t
-                    timing["mispredict"][idx] = ctx.branch_mispredicted
-
-                if events is not None:
-                    events.record(alloc_t, "alloc", idx, uop.pc, op)
-                    events.record(issue_t, "issue", idx, uop.pc, op)
-                    events.record(complete_t, "complete", idx, uop.pc, op)
-                    events.record(retire_t, "retire", idx, uop.pc, op)
-
-        result.cycles = prev_retire - cycle_base
-        result.level_counts = {
-            level: count - level_base.get(level, 0)
-            for level, count in memory.level_counts.items()}
-        result.events = events
-
-    # ------------------------------------------------------------------
     # Guardrails (docs/ROBUSTNESS.md).
     # ------------------------------------------------------------------
     def _abort_nonterminating(self, idx: int, n: int, pc: int,
@@ -1403,8 +1005,8 @@ class Engine:
         engine_group = telemetry.group(
             "engine", "timing-loop backend and vector coverage")
         engine_group.counter(
-            "backend", "backend code (0=reference 1=scalar 2=vector)",
-            BACKENDS.index(self._resolve_backend()))
+            "backend", "backend code (1=scalar 2=vector)",
+            1 + BACKENDS.index(self._resolve_backend()))
         engine_group.counter("vector-windows",
                              "windows timed by the vector recurrence",
                              self._vec_windows)
@@ -1486,9 +1088,9 @@ def simulate(trace: Union[TraceSource, Sequence[MicroOp]], *,
     max_cycles:
         Optional non-termination watchdog budget — see :class:`Engine`.
     backend:
-        Timing-loop backend pin (``"reference"`` / ``"scalar"`` /
-        ``"vector"``; ``None`` defers to the environment and the
-        numpy autodetect — docs/VECTOR.md).
+        Timing-loop backend pin (``"scalar"`` / ``"vector"``; ``None``
+        defers to the environment and the numpy autodetect —
+        docs/VECTOR.md).
 
     >>> from repro.isa import alu
     >>> r = simulate([alu(0x400000 + 4 * i, dest=0, value=i)

@@ -26,7 +26,7 @@ in-flight store (the one timestamp coupling that cannot be hoisted) run
 through an embedded scalar fallback loop instead; runs using predictor
 hooks or event collection delegate entirely to
 :meth:`Engine._time_trace`.  Either way the result is **bit-identical**
-to both scalar loops — the three-loop identity contract asserted by
+to the scalar loop — the two-loop identity contract asserted by
 ``tests/test_perf_neutrality.py`` and policed by reprolint RL003.
 
 Fallback rules (docs/VECTOR.md):
@@ -116,7 +116,8 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
     store_by_addr = engine._store_by_addr
     store_records = engine._store_records
 
-    # Inlined bandwidth machines (see _WidthMachine.schedule).
+    # Inlined in-order bandwidth machines: at most ``width`` events per
+    # cycle, event times never decrease.
     alloc_width = cfg.fetch_width
     alloc_cycle = -1
     alloc_count = 0

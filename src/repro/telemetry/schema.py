@@ -35,7 +35,7 @@ TELEMETRY_SCHEMA: Dict[str, str] = {
     "source.chunks": "counter",
     "source.peak-window": "counter",
     # Timing-loop backend coverage (repro.pipeline.engine._publish):
-    # which of the three loops ran, and how much of the run the vector
+    # which of the two loops ran, and how much of the run the vector
     # recurrence covered vs its scalar fallback (docs/VECTOR.md).
     "engine": "group",
     "engine.backend": "counter",

@@ -149,7 +149,8 @@ class TestFlagsAndEnvVars:
         # tests/test_perf_neutrality.py.  A sweep resumes by re-running
         # its printed command: the checkpoint manifests under
         # ``campaigns/``, ``sweep --resume`` and ``doctor --stale-age``
-        # are retired too.
+        # are retired too, and so is the reference timing loop:
+        # tests/oracle.py is the model's spec now.
         pages = [REPO / name for name in (
             "README.md", "CONTRIBUTING.md", ".github/workflows/ci.yml",
             ".claude/skills/verify/SKILL.md")]
@@ -158,7 +159,8 @@ class TestFlagsAndEnvVars:
             text = page.read_text(encoding="utf-8")
             for stale in ("repro bench", "perf_baseline.json", "BENCH_",
                           "--resume", "--stale-age", "campaigns/",
-                          "perf harness"):
+                          "perf harness", "_time_trace_reference",
+                          "REPRO_ENGINE_BACKEND=reference"):
                 assert stale not in text, (page, stale)
 
 

@@ -4,23 +4,10 @@ import pytest
 
 from repro.isa import MicroOp, alu, branch, load, opcodes, store
 from repro.pipeline import CoreConfig, simulate
-from repro.pipeline.engine import _WidthMachine
 
 
 def pcs(n, base=0x400000):
     return [base + 4 * i for i in range(n)]
-
-
-class TestWidthMachine:
-    def test_width_limits_per_cycle(self):
-        machine = _WidthMachine(2)
-        times = [machine.schedule(0) for _ in range(5)]
-        assert times == [0, 0, 1, 1, 2]
-
-    def test_times_never_decrease(self):
-        machine = _WidthMachine(4)
-        machine.schedule(10)
-        assert machine.schedule(3) >= 10
 
 
 class TestBasicTiming:

@@ -2,7 +2,7 @@
 resolution precedence, eligibility/fallback/delegation telemetry, and
 the structure-of-arrays window view.
 
-The three-loop *identity* contract itself lives in
+The two-loop *identity* contract itself lives in
 ``tests/test_perf_neutrality.py``; this module covers the machinery
 around it — which loop runs, what it truthfully reports, and that the
 SoA columns are an exact view of the MicroOp stream.
@@ -79,16 +79,25 @@ class TestBackendResolution:
         with pytest.raises(ConfigError, match="backend"):
             _engine(backend="turbo")
 
+    def test_retired_reference_backend_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "reference")
+        with pytest.raises(ConfigError) as excinfo:
+            _engine()._resolve_backend()
+        assert "'scalar'" in str(excinfo.value)
+        assert "'vector'" in str(excinfo.value)
+        with pytest.raises(ConfigError):
+            _engine(backend="reference")
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_simulate_backend_passthrough(self, backend):
         trace = build_trace(get_profile("mcf"), LENGTH)
         result = simulate(trace, config=CoreConfig.skylake(),
                           warmup=WARMUP, backend=backend)
-        assert _engine_stat(result, "backend") == BACKENDS.index(backend)
+        codes = {"scalar": 1, "vector": 2}  # 0 is retired, never reused
+        assert _engine_stat(result, "backend") == codes[backend]
 
-    @pytest.mark.parametrize("backend", ("scalar", "reference"))
-    def test_scalar_backends_report_zero_vector_coverage(self, backend):
-        result = _run("mcf", "baseline", backend=backend)
+    def test_scalar_backend_reports_zero_vector_coverage(self):
+        result = _run("mcf", "baseline", backend="scalar")
         assert _engine_stat(result, "vector-ops") == 0
         assert _engine_stat(result, "vector-windows") == 0
         assert _engine_stat(result, "delegated") == 0

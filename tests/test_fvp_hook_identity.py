@@ -2,18 +2,18 @@
 
 FVP's ``predict`` and ``train_execute`` inline their table probes and
 fold the Criticality Epoch into training, and the scalar loop derives
-the retirement-stall signal in O(1) where the reference loop bisects.
-None of that may change a result.  Every FVP registry variant, an
-oracle-criticality FVP and ``FVP(epoch=3000)`` run on the scalar,
-reference and default backends; the whole ``SimResult`` (telemetry
-included, bar the ``engine.*`` group that names the backend) and
+the retirement-stall signal in O(1) instead of bisecting for the ROB
+head.  None of that may change a result.  Every FVP registry variant,
+an oracle-criticality FVP and ``FVP(epoch=3000)`` run on the scalar
+and default backends; the whole ``SimResult`` (telemetry included,
+bar the ``engine.*`` group that names the backend) and
 ``predictor.stats()`` must agree.  The short epoch makes CIT resets
 fire, which none do at the default lengths: those are at most 250k
 ops, and the default epoch is 400k.
 
 ``PINNED`` holds the cycles and stats these runs produced before the
-hook path was flattened, so a change that shifts all three backends
-alike is caught too.
+hook path was flattened, so a change that shifts both backends alike
+is caught too.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ WORKLOADS = ("mcf", "hadoop")
 VARIANTS = tuple(name for name in predictor_names()
                  if name.startswith("fvp")) + ("fvp(epoch=3000)",
                                                "fvp-oracle")
-BACKENDS = ("scalar", "reference", None)  # None: the default backend
+BACKENDS = ("scalar", None)  # None: the default backend
 STAT_KEYS = ("lv_predictions", "cv_predictions", "mr_predictions",
              "walks", "lt_hits", "cit_recordings", "cit_epoch_resets",
              "vt_allocs")

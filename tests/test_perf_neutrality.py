@@ -1,29 +1,28 @@
-"""The three-loop identity contract (docs/VECTOR.md, docs/PERF.md).
+"""The two-loop identity contract (docs/VECTOR.md, docs/PERF.md).
 
-The engine keeps three per-op loop implementations:
+The engine keeps two per-op loop implementations:
 
-* ``_time_trace_reference`` — the readable reference
-  (``backend="reference"``),
-* ``_time_trace`` — the optimized scalar loop (``backend="scalar"``),
+* ``_time_trace`` — the scalar loop (``backend="scalar"``),
 * ``engine_vector.time_trace_vector`` — the vectorized
   structure-of-arrays loop (``backend="vector"``, the default when
   numpy is importable).
 
 Every optimization must be invisible in results: the same trace under
 the same predictor must produce bit-identical ``SimResult.to_dict()``
-output on all three, with telemetry collection on or off.  The single
+output on both, with telemetry collection on or off.  The single
 permitted difference is the ``engine.*`` telemetry group, which
 *truthfully* reports which backend ran and its vector/fallback
 coverage — :func:`_strip_engine_group` removes it before comparing.
 This test is the contract the perf work is held to.  Identity alone
-cannot catch a change that moves all three loops together, so
-:func:`test_paper_matrix_cycle_pins` also pins absolute cycle counts.
+cannot catch a change that moves both loops together, so
+:func:`test_paper_matrix_cycle_pins` also pins absolute cycle counts,
+and tests/test_oracle.py checks the scalar loop against an
+independent, cycle-stepped model of the core.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
 import textwrap
@@ -32,11 +31,11 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.campaign import build_predictor
-from repro.isa import instruction as I
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.engine import BACKENDS, Engine
 from repro.trace import build_trace
 from repro.trace.workloads import get_profile
+from tests.helpers import TRACE_SHAPES, random_trace
 
 REPO = Path(__file__).resolve().parent.parent
 LENGTH = 6000
@@ -80,12 +79,10 @@ def _simulate(workload: str, predictor_spec: str, backend: str,
 
 
 @pytest.mark.parametrize("workload,predictor", MATRIX)
-def test_three_loops_match(workload, predictor):
-    """All three loops produce identical SimResults."""
-    reference = _simulate(workload, predictor, "reference")
-    for backend in ("scalar", "vector"):
-        assert _simulate(workload, predictor, backend) == reference, \
-            backend
+def test_two_loops_match(workload, predictor):
+    """Both loops produce identical SimResults."""
+    assert _simulate(workload, predictor, "vector") \
+        == _simulate(workload, predictor, "scalar")
 
 
 # Simulated cycles at 100k ops (warmup 40k, skylake) for one
@@ -117,7 +114,7 @@ def pinned_traces():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_paper_matrix_cycle_pins(backend, pinned_traces):
     """Every loop reproduces the pinned cycle counts (simulator drift
-    gate: the three loops agreeing with each other is not enough)."""
+    gate: the two loops agreeing with each other is not enough)."""
     config = CoreConfig.skylake()
     measured = {}
     for workload, spec in PINNED_CYCLES:
@@ -151,14 +148,13 @@ def test_timing_and_events_match_across_backends():
     Event collection makes the vector backend delegate to the scalar
     loop (fallback rule 1), so this also pins the delegation seam.
     """
-    reference = _simulate("mcf", "fvp", "reference",
-                          collect_events=True, collect_timing=True)
-    for backend in ("scalar", "vector"):
-        out = _simulate("mcf", "fvp", backend,
-                        collect_events=True, collect_timing=True)
-        assert out["_timing"] == reference["_timing"], backend
-        assert out["_events"] == reference["_events"], backend
-        assert out == reference, backend
+    scalar = _simulate("mcf", "fvp", "scalar",
+                       collect_events=True, collect_timing=True)
+    vector = _simulate("mcf", "fvp", "vector",
+                       collect_events=True, collect_timing=True)
+    assert vector["_timing"] == scalar["_timing"]
+    assert vector["_events"] == scalar["_events"]
+    assert vector == scalar
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +167,7 @@ def test_streaming_matches_list_path(chunk_ops, backend):
 
     Chunk size 1 maximises refill-seam crossings (and, on the vector
     backend, makes every window trivially small), 7 puts the seam at
-    awkward offsets, 4096 is the default window — all three must be
+    awkward offsets, 4096 is the default window — each must be
     bit-identical to handing the engine the raw list.  The only
     permitted difference is the ``source.*`` telemetry group, which
     *truthfully* reports the window shape (chunk count and peak
@@ -215,7 +211,7 @@ def test_file_replay_matches_list_path(backend, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Randomized three-loop identity properties.  Adversarial trace shapes
+# Randomized two-loop identity properties.  Adversarial trace shapes
 # aimed at the vector backend's seams: store→load aliasing (fallback
 # rule 2 firing mid-run), flush-heavy control (redirect state carried
 # across the window boundary), and warmup edges landing mid-window.
@@ -223,69 +219,17 @@ def test_file_replay_matches_list_path(backend, tmp_path):
 _RANDOM_SEEDS = (11, 23, 47)
 
 
-def _random_trace(seed: int, length: int, *, branch_frac: float,
-                  load_frac: float, store_frac: float,
-                  addr_pool_size: int) -> list:
-    """A seeded random MicroOp stream.  A small ``addr_pool_size``
-    forces 8-byte-block collisions between loads and in-flight stores
-    (aliasing windows); a large one keeps windows vector-eligible."""
-    rng = random.Random(seed)
-    pool = [0x10000 + 8 * rng.randrange(addr_pool_size)
-            for _ in range(max(4, addr_pool_size))]
-    ops = []
-    pc = 0x1000
-    for _ in range(length):
-        roll = rng.random()
-        if roll < branch_frac:
-            taken = rng.random() < 0.5
-            target = 0x1000 + 4 * rng.randrange(512)
-            ops.append(I.branch(pc, taken=taken, target=target,
-                                srcs=(rng.randrange(16),)))
-            pc = target if taken else pc + 4
-        elif roll < branch_frac + load_frac:
-            ops.append(I.load(pc, dest=rng.randrange(16),
-                              addr=rng.choice(pool),
-                              srcs=(rng.randrange(16),)))
-            pc += 4
-        elif roll < branch_frac + load_frac + store_frac:
-            ops.append(I.store(pc, addr=rng.choice(pool),
-                               srcs=(rng.randrange(16),),
-                               value=rng.randrange(1 << 32)))
-            pc += 4
-        else:
-            ops.append(I.alu(pc, dest=rng.randrange(16),
-                             srcs=(rng.randrange(16), rng.randrange(16)),
-                             value=rng.randrange(1 << 16)))
-            pc += 4
-    return ops
-
-
-_TRACE_SHAPES = {
-    # Dense loads+stores over 32 blocks: most windows alias and fall
-    # back, some don't — the carried-state handoff is exercised hard.
-    "aliasing": dict(branch_frac=0.05, load_frac=0.35, store_frac=0.25,
-                     addr_pool_size=32),
-    # Random-target branches every ~3 ops: mispredict redirects pile
-    # up across window seams.
-    "flush-heavy": dict(branch_frac=0.35, load_frac=0.10,
-                        store_frac=0.05, addr_pool_size=4096),
-    # Sparse addresses: almost everything stays on the vector path.
-    "vector-friendly": dict(branch_frac=0.10, load_frac=0.30,
-                            store_frac=0.10, addr_pool_size=1 << 20),
-}
-
-
-@pytest.mark.parametrize("shape", sorted(_TRACE_SHAPES))
+@pytest.mark.parametrize("shape", sorted(TRACE_SHAPES))
 @pytest.mark.parametrize("seed", _RANDOM_SEEDS)
-def test_three_loop_identity_on_random_traces(shape, seed):
+def test_two_loop_identity_on_random_traces(shape, seed):
     """Property: random traces of every shape are bit-identical across
-    the three loops, with the warmup edge at an awkward offset."""
+    both loops, with the warmup edge at an awkward offset."""
     from repro.trace.source import ListSource
 
-    ops = _random_trace(seed, 5000, **_TRACE_SHAPES[shape])
+    ops = random_trace(seed, 5000, **TRACE_SHAPES[shape])
     # 1111 lands mid-window for both chunk sizes below.
     warmup = 1111
-    reference = None
+    first = None
     for backend in BACKENDS:
         for chunk_ops in (1024, 999):
             engine = Engine(CoreConfig.skylake(), None, backend=backend)
@@ -293,29 +237,29 @@ def test_three_loop_identity_on_random_traces(shape, seed):
                                 warmup=warmup)
             out = _strip_engine_group(result.to_dict())
             out["telemetry"]["children"].pop("source")
-            if reference is None:
-                reference = out
+            if first is None:
+                first = out
             else:
-                assert out == reference, (backend, chunk_ops)
+                assert out == first, (backend, chunk_ops)
 
 
 @pytest.mark.parametrize("predictor_spec", ["fvp", "vtage"])
-def test_three_loop_identity_on_predictor_heavy_random_trace(
+def test_two_loop_identity_on_predictor_heavy_random_trace(
         predictor_spec):
     """Property: with a hosted predictor (vector delegates, rule 1),
     random aliasing-heavy traces still agree across all backends."""
-    ops = _random_trace(7, 4000, **_TRACE_SHAPES["aliasing"])
+    ops = random_trace(7, 4000, **TRACE_SHAPES["aliasing"])
     config = CoreConfig.skylake()
-    reference = None
+    first = None
     for backend in BACKENDS:
         predictor = build_predictor(predictor_spec, ops, config)
         result = Engine(config, predictor, backend=backend).run(
             ops, warmup=1000)
         out = _strip_engine_group(result.to_dict())
-        if reference is None:
-            reference = out
+        if first is None:
+            first = out
         else:
-            assert out == reference, backend
+            assert out == first, backend
 
 
 def test_million_op_streaming_run_is_rss_bounded(tmp_path):
@@ -323,10 +267,11 @@ def test_million_op_streaming_run_is_rss_bounded(tmp_path):
 
     The whole point of the streaming redesign: peak resident state is
     one decode window, not the trace.  The child process generates the
-    trace straight to disk (ProfileSource), replays it mmap-backed,
-    and reports its own peak RSS; the budget is the acceptance
-    criterion from the redesign, with the generous margin covering the
-    interpreter baseline.
+    trace straight to disk (ProfileSource), replays it mmap-backed on
+    the scalar loop and then on the default backend, and reports its
+    own peak RSS; the budget is the acceptance criterion from the
+    redesign, with the generous margin covering the interpreter
+    baseline.
     """
     script = textwrap.dedent("""
         import resource, sys
@@ -340,8 +285,9 @@ def test_million_op_streaming_run_is_rss_bounded(tmp_path):
             stream_trace(get_profile("mcf"), 1_000_000), path)
         assert count >= 1_000_000, count
         with open_trace(path) as source:
-            result = simulate(source, warmup=40_000)
-        assert result.cycles > 0
+            scalar = simulate(source, warmup=40_000, backend="scalar")
+            default = simulate(source, warmup=40_000)
+        assert scalar.cycles == default.cycles > 0
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         if sys.platform == "darwin":
             peak_kb //= 1024

@@ -206,9 +206,9 @@ def test_skylake2x_never_slower(seed):
 @settings(max_examples=300, deadline=None)
 def test_o1_stall_rule_matches_rob_head_bisect(gaps, complete_t, late,
                                                retire_width):
-    """The reference loop finds the ROB head by bisecting the retire
-    times of older ops; the scalar loop compares one of them.  The two
-    agree on any non-decreasing retire-time array."""
+    """docs/ENGINE.md finds the ROB head by bisecting the retire times
+    of older ops; the scalar loop compares one of them.  The two agree
+    on any non-decreasing retire-time array."""
     from bisect import bisect_right
     from itertools import accumulate
 

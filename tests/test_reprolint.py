@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (default_rules, find_dual_dispatch, lint_paths,
+from repro.lint import (default_rules, find_loop_dispatch, lint_paths,
                         lint_source)
 from repro.lint.rules import EnvRegistryRule
 
@@ -25,9 +25,9 @@ REPO = Path(__file__).resolve().parent.parent
 ALL_CODES = [rule.code for rule in default_rules()]
 
 
-def dual_class(hot="pass", ref="pass", init_extra=""):
-    """A minimal class exhibiting the fast/slow dual-dispatch shape
-    that ``find_dual_dispatch`` locates structurally (RL002/RL003
+def engine_class(hot="pass", vec="pass", init_extra=""):
+    """A minimal class exhibiting the scalar/vector backend dispatch
+    that ``find_loop_dispatch`` locates structurally (RL002/RL003
     fixtures plug loop bodies into it)."""
     def block(code):
         lines = [ln for ln in code.strip("\n").splitlines()] or ["pass"]
@@ -41,36 +41,7 @@ def dual_class(hot="pass", ref="pass", init_extra=""):
         + init +
         "\n"
         "    def run(self, trace):\n"
-        "        if self._slow_path():\n"
-        "            self._loop_reference(trace)\n"
-        "        else:\n"
-        "            self._loop_hot(trace)\n"
-        "\n"
-        "    def _slow_path(self):\n"
-        "        return False\n"
-        "\n"
-        "    def _loop_hot(self, trace):\n" + block(hot) + "\n"
-        "\n"
-        "    def _loop_reference(self, trace):\n" + block(ref) + "\n"
-    )
-
-
-def tri_class(hot="pass", ref="pass", vec="pass"):
-    """A minimal class exhibiting the three-way backend dispatch chain
-    (docs/VECTOR.md) that ``find_loop_dispatch`` must also locate."""
-    def block(code):
-        lines = [ln for ln in code.strip("\n").splitlines()] or ["pass"]
-        return "\n".join("        " + ln if ln else "" for ln in lines)
-
-    return (
-        "class Engine:\n"
-        "    def __init__(self, config):\n"
-        "        self.config = config\n"
-        "\n"
-        "    def run(self, trace):\n"
-        "        if (backend := self._resolve()) == 'reference':\n"
-        "            self._loop_reference(trace)\n"
-        "        elif backend == 'scalar':\n"
+        "        if self._resolve() == 'scalar':\n"
         "            self._loop_hot(trace)\n"
         "        else:\n"
         "            self._loop_vector(trace)\n"
@@ -80,26 +51,12 @@ def tri_class(hot="pass", ref="pass", vec="pass"):
         "\n"
         "    def _loop_hot(self, trace):\n" + block(hot) + "\n"
         "\n"
-        "    def _loop_reference(self, trace):\n" + block(ref) + "\n"
-        "\n"
         "    def _loop_vector(self, trace):\n" + block(vec) + "\n"
     )
 
 
-MISSING_METHOD_CLASS = (
-    "class Engine:\n"
-    "    def run(self, trace):\n"
-    "        if self._slow_path():\n"
-    "            self._loop_reference(trace)\n"
-    "        else:\n"
-    "            self._loop_hot(trace)\n"
-    "\n"
-    "    def _slow_path(self):\n"
-    "        return False\n"
-    "\n"
-    "    def _loop_hot(self, trace):\n"
-    "        pass\n"
-)
+MISSING_METHOD_CLASS = engine_class().replace(
+    "    def _loop_vector(self, trace):\n        pass\n", "")
 
 
 #: code -> {"bad": [(label, source)], "good": [(label, source)]}
@@ -152,83 +109,54 @@ FIXTURES = {
     "RL002": {
         "bad": [
             ("list-alloc-in-loop",
-             dual_class(hot="total = 0\nfor op in trace:\n"
-                            "    tmp = [op]\n    total += tmp[0]",
-                        ref="for op in trace:\n    pass")),
+             engine_class(hot="total = 0\nfor op in trace:\n"
+                              "    tmp = [op]\n    total += tmp[0]")),
             ("comprehension-in-loop",
-             dual_class(hot="total = 0\nfor op in trace:\n"
-                            "    vals = [x for x in range(op)]\n"
-                            "    total += len(vals)")),
+             engine_class(hot="total = 0\nfor op in trace:\n"
+                              "    vals = [x for x in range(op)]\n"
+                              "    total += len(vals)")),
             ("self-lookup-in-loop",
-             dual_class(hot="for op in trace:\n    width = self.width")),
+             engine_class(hot="for op in trace:\n    width = self.width")),
             ("ungated-telemetry",
-             dual_class(hot="hist = self.hist\nfor op in trace:\n"
-                            "    hist.observe(op)")),
+             engine_class(hot="hist = self.hist\nfor op in trace:\n"
+                              "    hist.observe(op)")),
             ("ungated-telemetry-alias",
-             dual_class(hot="observe = self.hist.observe\n"
-                            "for op in trace:\n    observe(op)")),
+             engine_class(hot="observe = self.hist.observe\n"
+                              "for op in trace:\n    observe(op)")),
+            # Sole catches in docs/LINTING.md's mutation table.
+            ("M21-attribution-setdefault",
+             engine_class(hot="by_source = self.by_source\n"
+                              "for op in trace:\n"
+                              "    counts = by_source.setdefault(op, [0, 0])\n"
+                              "    counts[0] += 1")),
+            ("M22-config-lookup-in-loop",
+             engine_class(hot="redirect = 0\nfor op in trace:\n"
+                              "    redirect = op + self.config.vp_penalty")),
         ],
         "good": [
             ("gated-telemetry",
-             dual_class(hot="hist = self.hist\ncollect = self.collect\n"
-                            "for op in trace:\n    if collect:\n"
-                            "        hist.observe(op)")),
+             engine_class(hot="hist = self.hist\ncollect = self.collect\n"
+                              "for op in trace:\n    if collect:\n"
+                              "        hist.observe(op)")),
             ("is-not-none-gate",
-             dual_class(hot="hist = self.hist\nfor op in trace:\n"
-                            "    if hist is not None:\n"
-                            "        hist.observe(op)")),
+             engine_class(hot="hist = self.hist\nfor op in trace:\n"
+                              "    if hist is not None:\n"
+                              "        hist.observe(op)")),
             ("hoisted-locals-store-ok",
-             dual_class(hot="width = self.width\ntable = self.table\n"
-                            "total = 0\nfor op in trace:\n"
-                            "    total += table[op] * width\n"
-                            "    self.cursor = op")),
+             engine_class(hot="width = self.width\ntable = self.table\n"
+                              "total = 0\nfor op in trace:\n"
+                              "    total += table[op] * width\n"
+                              "    self.cursor = op")),
         ],
     },
     "RL003": {
+        # The cross-file half (vector loop against the scalar loop) is
+        # exercised through finish() below.
         "bad": [
-            ("config-drift",
-             dual_class(hot="cfg = self.config\nwidth = cfg.fetch_width",
-                        ref="cfg = self.config\nwidth = cfg.fetch_width\n"
-                            "depth = cfg.rob_size")),
-            ("predictor-hook-drift",
-             dual_class(hot="pred = self.predictor\nfor op in trace:\n"
-                            "    pred.predict(op)",
-                        ref="pred = self.predictor\nfor op in trace:\n"
-                            "    pred.predict(op)\n"
-                            "    pred.train_execute(op)")),
             ("missing-dispatch-target", MISSING_METHOD_CLASS),
-            ("three-way-config-drift",
-             tri_class(hot="cfg = self.config\nwidth = cfg.fetch_width",
-                       ref="cfg = self.config\nwidth = cfg.fetch_width\n"
-                           "depth = cfg.rob_size")),
-            ("three-way-missing-vector-target",
-             tri_class().replace("    def _loop_vector(self, trace):\n"
-                                 "        pass\n", "")),
-            ("trace-stream-drift",
-             dual_class(hot="for window in trace.chunks():\n"
-                            "    for op in window:\n        pass",
-                        ref="for op in trace:\n    pass")),
         ],
         "good": [
-            ("three-way-lockstep",
-             tri_class(hot="cfg = self.config\nwidth = cfg.fetch_width",
-                       ref="cfg = self.config\nwidth = cfg.fetch_width")),
-            ("chunked-lockstep",
-             dual_class(hot="for window in trace.chunks():\n"
-                            "    for op in window:\n        pass",
-                        ref="for window in trace.chunks():\n"
-                            "    for op in window:\n        pass")),
-            ("lockstep",
-             dual_class(hot="cfg = self.config\npred = self.predictor\n"
-                            "for op in trace:\n"
-                            "    pred.predict(cfg.fetch_width)",
-                        ref="for op in trace:\n"
-                            "    self.predictor.predict("
-                            "self.config.fetch_width)")),
-            ("init-precompute-folds-in",
-             dual_class(init_extra="self._tab = config.ports",
-                        hot="pass",
-                        ref="width = self.config.ports")),
+            ("complete-dispatch", engine_class()),
         ],
     },
     "RL004": {
@@ -708,20 +636,13 @@ def test_suppression_is_per_code():
 # ----------------------------------------------------------------------
 # The structural dispatch locator against the real engine.
 # ----------------------------------------------------------------------
-def test_locator_finds_engine_dual_dispatch():
+def test_locator_finds_engine_dispatch():
     engine_py = REPO / "src" / "repro" / "pipeline" / "engine.py"
-    tree = ast.parse(engine_py.read_text())
-    located = find_dual_dispatch(tree)
+    located = find_loop_dispatch(ast.parse(engine_py.read_text()))
     assert located is not None
-    hot_name, ref_name, cls = located
-    assert hot_name == "_time_trace"
-    assert ref_name == "_time_trace_reference"
-    assert cls.name == "Engine"
-
-    from repro.lint import find_loop_dispatch
-    loop = find_loop_dispatch(tree)
-    assert loop is not None
-    assert loop.vector_name == "_time_trace_vector"
+    assert located.hot_name == "_time_trace"
+    assert located.vector_name == "_time_trace_vector"
+    assert located.cls.name == "Engine"
 
 
 # ----------------------------------------------------------------------
@@ -750,10 +671,10 @@ VECTOR_LOOP_SRC = (
     "        pass\n")
 
 
-def _rl003_cross_file(vector_src):
+def _rl003_cross_file(vector_src, init_extra=""):
     from repro.lint.rules import DualLoopDriftRule
 
-    engine_src = tri_class(hot=_LOCKSTEP_BODY, ref=_LOCKSTEP_BODY)
+    engine_src = engine_class(hot=_LOCKSTEP_BODY, init_extra=init_extra)
     rule = DualLoopDriftRule()
     assert rule.check(ast.parse(engine_src), engine_src,
                       "src/repro/pipeline/engine.py") == []
@@ -764,6 +685,17 @@ def _rl003_cross_file(vector_src):
 
 def test_rl003_vector_lockstep_is_clean():
     assert _rl003_cross_file(VECTOR_LOOP_SRC) == []
+
+
+def test_rl003_init_precompute_folds_in():
+    # The engine precomputes ``ports`` in __init__: a vector loop that
+    # reads it directly sees the same model.
+    reads_ports = VECTOR_LOOP_SRC.replace(
+        "width = cfg.fetch_width",
+        "width = cfg.fetch_width\n    ports = cfg.ports")
+    assert _rl003_cross_file(reads_ports,
+                             init_extra="self._tab = config.ports") == []
+    assert _rl003_cross_file(reads_ports)
 
 
 def test_rl003_vector_config_drift():

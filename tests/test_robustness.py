@@ -135,11 +135,17 @@ class TestMaxCycles:
         assert snapshot["cycle"] > 10
         assert 0 <= snapshot["op_index"] < len(trace)
 
-    def test_reference_loop_same_watchdog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "reference")
-        engine = Engine(CoreConfig.skylake(), max_cycles=10)
-        with pytest.raises(NonTerminatingSimulation):
-            engine.run(make_trace(), warmup=WARMUP)
+    @pytest.mark.parametrize("text", ["-5", "abc"])
+    def test_bad_env_budget_is_a_usage_error(self, monkeypatch, capsys,
+                                             text):
+        monkeypatch.setenv("REPRO_MAX_CYCLES", text)
+        assert main(["run", "astar", "--length", "3000", "--warmup",
+                     "800", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "REPRO_MAX_CYCLES must be a whole number of cycles (0 or "
+            f"unset disarms the watchdog), got {text!r}")
 
     def test_generous_budget_changes_nothing(self):
         trace = make_trace()
