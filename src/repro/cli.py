@@ -48,8 +48,9 @@ resumes by re-running the command it printed (only the jobs the cache
 has no result for simulate again), and failed jobs surface as an
 explicit summary (exit status 1) instead of aborting the sweep.
 A :class:`~repro.errors.ConfigError`, such as a ``--warmup`` that is
-negative or not below ``--length``, is a usage error: one stderr line,
-exit status 2.
+negative, not below ``--length``, or so close to it that the measured
+region takes 0 cycles, is a usage error: one stderr line, exit
+status 2.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from repro.experiments.runner import (
     core_names,
     default_warmup,
 )
+from repro.pipeline.results import SimResult
 from repro.predictors import make_predictor
 from repro.telemetry.trace import DEFAULT_CAPACITY
 from repro.trace.workloads import CATALOGUE, CATEGORIES, get_profile
@@ -208,12 +210,22 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _check_measured(runner: Runner, *results: SimResult) -> None:
+    """Reject results whose measured region took 0 cycles (the warmup
+    swallowed it): they have no IPC to compare."""
+    for result in results:
+        if not result.cycles:
+            raise ConfigError(
+                f"{result.workload}: warmup {runner.warmup} leaves a "
+                "measured region of 0 cycles; lower --warmup")
+
+
 def cmd_run(args) -> int:
     """Simulate one (workload, core, predictor) job."""
     runner = _runner(args, workloads=[args.workload])
     run = runner.workload_run(args.workload, args.core, args.predictor)
-    result = run.result
-    print(result.summary())
+    _check_measured(runner, run.baseline, run.result)
+    print(run.result.summary())
     print(f"speedup over baseline: {run.gain:+.2%}")
     return 0
 
@@ -222,12 +234,14 @@ def cmd_compare(args) -> int:
     """Rank predictors against the baseline on one workload."""
     runner = _runner(args, workloads=[args.workload])
     baseline = runner.baseline(args.workload, args.core)
+    results = [runner.run(args.workload, args.core, name)
+               for name in args.predictors]
+    _check_measured(runner, baseline, *results)
     print(f"{args.workload} on {args.core}: baseline IPC "
           f"{baseline.ipc:.3f}")
     print(f"{'predictor':<16} {'speedup':>9} {'coverage':>9} "
           f"{'accuracy':>9}")
-    for name in args.predictors:
-        result = runner.run(args.workload, args.core, name)
+    for name, result in zip(args.predictors, results):
         print(f"{name:<16} {result.ipc / baseline.ipc - 1:+9.2%} "
               f"{result.coverage:9.1%} {result.accuracy:9.2%}")
     return 0
@@ -261,6 +275,7 @@ def cmd_profile(args) -> int:
     against_spec = None if args.against == "baseline" else args.against
     result = runner.run(args.workload, args.core, args.predictor)
     against = runner.run(args.workload, args.core, against_spec)
+    _check_measured(runner, result, against)
     print(format_cpi_breakdown(result, against))
     print(f"IPC {result.ipc:.3f} vs {against.predictor} "
           f"{against.ipc:.3f} ({result.ipc / against.ipc - 1:+.2%})")

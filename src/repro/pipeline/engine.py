@@ -14,10 +14,11 @@ the retirement-stall criticality signal, and the LSQ forwarding tap.
 
 Cycle accounting (docs/TELEMETRY.md): as each op's retirement is
 scheduled, the gap back to the previous retirement is charged to the
-top-down cause that bound it — the op's own execution (load vs
-non-load), port/issue contention, a producer dependence, or whichever
-allocation constraint (flush recovery, window/queue occupancy, fetch)
-held it back.  The per-bucket totals partition the run's cycles
+top-down cause that bound it — flush recovery or fetch before
+allocation, a producer dependence (load vs non-load) before the op
+was ready, then the op's own execution.  Window, queue and port bounds
+are times of older ops, never above the previous retirement, so no
+bucket is theirs.  The per-bucket totals partition the run's cycles
 exactly, and every component publishes its statistics into one
 :class:`~repro.telemetry.stats.StatGroup` tree on the result.
 
@@ -72,13 +73,8 @@ from repro.telemetry.stalls import (
     FRONTEND_STARVED,
     HEAD_WAIT_EXEC,
     HEAD_WAIT_LOAD,
-    IQ_FULL,
-    LQ_FULL,
     MEM_FLUSH,
-    PORT_CONTENTION,
     RETIRING,
-    ROB_FULL,
-    SQ_FULL,
     VP_FLUSH,
     empty_buckets,
 )
@@ -583,24 +579,22 @@ class Engine:
                             else alloc_cycle
                         earliest = base + bubbles
                         alloc_cause = FRONTEND_STARVED
+                # Window and queue bounds are older ops' retire or issue
+                # times, at most prev_retire: they never own a charged cycle.
                 if idx >= rob_size:
                     t = retire_times[idx - rob_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = ROB_FULL
                 if len(iq_heap) >= iq_size and iq_heap[0] > earliest:
                     earliest = iq_heap[0]
-                    alloc_cause = IQ_FULL
                 if is_load and num_loads >= lq_size:
                     t = load_retires[num_loads - lq_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = LQ_FULL
                 if is_store and num_stores >= sq_size:
                     t = store_retires[num_stores - sq_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = SQ_FULL
                 # Inlined alloc-width machine.
                 if earliest > alloc_cycle:
                     alloc_cycle = earliest
@@ -735,12 +729,6 @@ class Engine:
                                 top = ready if ready < hi else hi
                                 buckets[HEAD_WAIT_LOAD if dep_load
                                         else HEAD_WAIT_EXEC] += top - pos
-                                pos = top
-                                if pos == hi:
-                                    break
-                            if issue_t > pos:
-                                top = issue_t if issue_t < hi else hi
-                                buckets[PORT_CONTENTION] += top - pos
                                 pos = top
                                 if pos == hi:
                                     break

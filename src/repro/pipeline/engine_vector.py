@@ -61,13 +61,8 @@ from repro.telemetry.stalls import (
     FRONTEND_STARVED,
     HEAD_WAIT_EXEC,
     HEAD_WAIT_LOAD,
-    IQ_FULL,
-    LQ_FULL,
     MEM_FLUSH,
-    PORT_CONTENTION,
     RETIRING,
-    ROB_FULL,
-    SQ_FULL,
 )
 from repro.trace.source import TraceSource
 
@@ -279,24 +274,22 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
                         else alloc_cycle
                     earliest = base_t + bubbles
                     alloc_cause = FRONTEND_STARVED
+                # Window and queue bounds are older ops' retire or issue
+                # times, at most prev_retire: they never own a charged cycle.
                 if gidx >= rob_size:
                     t = retire_times[gidx - rob_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = ROB_FULL
                 if len(iq_heap) >= iq_size and iq_heap[0] > earliest:
                     earliest = iq_heap[0]
-                    alloc_cause = IQ_FULL
                 if is_load and num_loads >= lq_size:
                     t = load_retires[num_loads - lq_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = LQ_FULL
                 if is_store and num_stores >= sq_size:
                     t = store_retires[num_stores - sq_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = SQ_FULL
                 # Inlined alloc-width machine.
                 if earliest > alloc_cycle:
                     alloc_cycle = earliest
@@ -401,12 +394,6 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
                                 pos = top
                                 if pos == hi:
                                     break
-                            if issue_t > pos:
-                                top = issue_t if issue_t < hi else hi
-                                buckets[PORT_CONTENTION] += top - pos
-                                pos = top
-                                if pos == hi:
-                                    break
                             buckets[HEAD_WAIT_LOAD if is_load
                                     else HEAD_WAIT_EXEC] += hi - pos
                             break
@@ -497,24 +484,22 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
                             else alloc_cycle
                         earliest = base_t + bubbles
                         alloc_cause = FRONTEND_STARVED
+                # Window and queue bounds are older ops' retire or issue
+                # times, at most prev_retire: they never own a charged cycle.
                 if gidx >= rob_size:
                     t = retire_times[gidx - rob_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = ROB_FULL
                 if len(iq_heap) >= iq_size and iq_heap[0] > earliest:
                     earliest = iq_heap[0]
-                    alloc_cause = IQ_FULL
                 if is_load and num_loads >= lq_size:
                     t = load_retires[num_loads - lq_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = LQ_FULL
                 if is_store and num_stores >= sq_size:
                     t = store_retires[num_stores - sq_size]
                     if t > earliest:
                         earliest = t
-                        alloc_cause = SQ_FULL
                 # Inlined alloc-width machine.
                 if earliest > alloc_cycle:
                     alloc_cycle = earliest
@@ -638,12 +623,6 @@ def time_trace_vector(engine: "Engine", trace: TraceSource, warmup: int,
                                 top = ready if ready < hi else hi
                                 buckets[HEAD_WAIT_LOAD if dep_load
                                         else HEAD_WAIT_EXEC] += top - pos
-                                pos = top
-                                if pos == hi:
-                                    break
-                            if issue_t > pos:
-                                top = issue_t if issue_t < hi else hi
-                                buckets[PORT_CONTENTION] += top - pos
                                 pos = top
                                 if pos == hi:
                                     break

@@ -11,7 +11,7 @@ from repro.telemetry.trace import EventTrace
 #: Bump when the shape of the serialised result (telemetry tree, stall
 #: taxonomy, event schema) changes — participates in campaign-cache
 #: keys so stale entries never deserialise into the new shape.
-TELEMETRY_SCHEMA_VERSION = 3
+TELEMETRY_SCHEMA_VERSION = 4
 
 
 class SimResult:

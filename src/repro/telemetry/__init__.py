@@ -28,13 +28,8 @@ from repro.telemetry.stalls import (
     FRONTEND_STARVED,
     HEAD_WAIT_EXEC,
     HEAD_WAIT_LOAD,
-    IQ_FULL,
-    LQ_FULL,
     MEM_FLUSH,
-    PORT_CONTENTION,
     RETIRING,
-    ROB_FULL,
-    SQ_FULL,
     STALL_BUCKETS,
     VP_FLUSH,
     cpi_breakdown,
@@ -50,11 +45,6 @@ __all__ = [
     "EventTrace",
     "RETIRING",
     "FRONTEND_STARVED",
-    "ROB_FULL",
-    "IQ_FULL",
-    "LQ_FULL",
-    "SQ_FULL",
-    "PORT_CONTENTION",
     "HEAD_WAIT_LOAD",
     "HEAD_WAIT_EXEC",
     "BRANCH_FLUSH",

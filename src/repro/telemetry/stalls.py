@@ -19,12 +19,6 @@ Bucket semantics (the cause the ROB head was bound by):
 ``retiring``           at least one op retired this cycle
 ``frontend-starved``   allocation bound by fetch (I-cache bubbles or
                        fetch bandwidth)
-``rob-full``           allocation bound by the reorder-buffer window
-``iq-full``            allocation bound by issue-queue occupancy
-``lq-full``            allocation bound by load-queue occupancy
-``sq-full``            allocation bound by store-queue occupancy
-``port-contention``    ready but waiting for an execution port or an
-                       issue slot
 ``head-waiting-on-load``  head op is a load in the memory system, or
                        is waiting on a load producer's data
 ``head-waiting-on-exec``  head op (or its producer) is still executing
@@ -35,19 +29,19 @@ Bucket semantics (the cause the ROB head was bound by):
 ``mem-flush``          allocation bound by a memory-ordering-violation
                        redirect
 =====================  ==============================================
+
+There is no window, queue or port bucket: those bounds are times of
+older ops, never above the previous retirement where charging starts,
+so their cost lands in the head-waiting buckets (docs/ENGINE.md
+§Cycle accounting).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 RETIRING = "retiring"
 FRONTEND_STARVED = "frontend-starved"
-ROB_FULL = "rob-full"
-IQ_FULL = "iq-full"
-LQ_FULL = "lq-full"
-SQ_FULL = "sq-full"
-PORT_CONTENTION = "port-contention"
 HEAD_WAIT_LOAD = "head-waiting-on-load"
 HEAD_WAIT_EXEC = "head-waiting-on-exec"
 BRANCH_FLUSH = "branch-flush"
@@ -58,11 +52,6 @@ MEM_FLUSH = "mem-flush"
 #: the back, flush recovery last).
 STALL_BUCKETS = (
     FRONTEND_STARVED,
-    ROB_FULL,
-    IQ_FULL,
-    LQ_FULL,
-    SQ_FULL,
-    PORT_CONTENTION,
     HEAD_WAIT_LOAD,
     HEAD_WAIT_EXEC,
     BRANCH_FLUSH,
@@ -89,21 +78,8 @@ def cpi_breakdown(stall_cycles: Mapping[str, int],
             for bucket in ALL_BUCKETS}
 
 
-def breakdown_delta(stall_cycles: Mapping[str, int], instructions: int,
-                    baseline_cycles: Optional[Mapping[str, int]] = None,
-                    baseline_instructions: int = 0) -> Dict[str, float]:
-    """Per-bucket CPI delta versus a baseline run (positive = this run
-    spends more cycles per instruction in the bucket)."""
-    mine = cpi_breakdown(stall_cycles, instructions)
-    if baseline_cycles is None:
-        return mine
-    theirs = cpi_breakdown(baseline_cycles, baseline_instructions)
-    return {bucket: mine[bucket] - theirs[bucket] for bucket in ALL_BUCKETS}
-
-
 __all__ = [
-    "RETIRING", "FRONTEND_STARVED", "ROB_FULL", "IQ_FULL", "LQ_FULL",
-    "SQ_FULL", "PORT_CONTENTION", "HEAD_WAIT_LOAD", "HEAD_WAIT_EXEC",
+    "RETIRING", "FRONTEND_STARVED", "HEAD_WAIT_LOAD", "HEAD_WAIT_EXEC",
     "BRANCH_FLUSH", "VP_FLUSH", "MEM_FLUSH", "STALL_BUCKETS",
-    "ALL_BUCKETS", "empty_buckets", "cpi_breakdown", "breakdown_delta",
+    "ALL_BUCKETS", "empty_buckets", "cpi_breakdown",
 ]

@@ -2,7 +2,7 @@
 
 Every simulation builds one :class:`StatGroup` root; components
 register child groups and leaf statistics under stable dotted names
-(``frontend.mispredicts``, ``pipeline.stalls.rob-full``, ...).  The
+(``frontend.mispredicts``, ``pipeline.stalls.vp-flush``, ...).  The
 tree replaces the ad-hoc per-component stat dicts: one shape for
 reporting, one serializer for the campaign cache, and one ``merge``
 for aggregating runs.
@@ -182,7 +182,7 @@ class StatGroup:
 
     # -- access --------------------------------------------------------
     def __getitem__(self, path: str) -> Stat:
-        """Child by name or dotted path (``"stalls.rob-full"``)."""
+        """Child by name or dotted path (``"stalls.vp-flush"``)."""
         node: Stat = self
         for part in path.split(_SEPARATOR):
             if not isinstance(node, StatGroup):

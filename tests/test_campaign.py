@@ -100,20 +100,21 @@ class TestJobKey:
         assert key_a != job_key(Job("astar", "skylake", "fvp",
                                     LENGTH, WARMUP))
 
-    #: Keys computed before fingerprints were memoized.  Result-cache
+    #: Keys at telemetry schema 4 (the version is hashed into every
+    #: key, so the 3 → 4 bump moved all five).  Result-cache
     #: entries and WAL logs are addressed by these exact hex strings;
     #: only a deliberate version or telemetry-schema bump may move them.
     GOLDEN_KEYS = [
         (Job("astar", "skylake", None, LENGTH, WARMUP),
-         "17faea0d55bac0fe29e5da12f0ad2ff6057ac1f8c444563714e6a0ffd678e88c"),
+         "9d2569cc7ba85ff08f3d144a690b0da9e4bd1dc88dc248d4798a9661273a8579"),
         (Job("astar", "skylake", "fvp", LENGTH, WARMUP),
-         "d7b902e5ab412eba7d205ca5c94f4048e5a8189bb4d50ecb9f9110408149ab83"),
+         "1ae99ffc7c0d90a842dd87c1a41e49fe83cbcc4ff5d071d8677b85283093b646"),
         (Job("mcf", "skylake-2x", None, LENGTH, WARMUP),
-         "2769684566c0b1bad57c360956ad0bdf6804ad4a0b5f37fb0d7ee94ad7e18947"),
+         "a0c6ce53a58362c05365e9252f91138cc898a1401db08d32347c2f8007db1b03"),
         (Job("milc", "skylake-2x", "fvp", LENGTH, WARMUP, seed=5),
-         "503a8a9b567298f26001136a89d2d575470a36173b7e55c9c8b3a09b8974aa92"),
+         "c57bd9892745aeffb346d8102b58d49a89113c5b086fa83d537d59fabb058946"),
         (Job("hadoop", "skylake", "lvp", 250_000, 100_000),
-         "b0947c3ff498aeaad931b401f8d7922061b1a216bf73d60f8dda26e52e7cbce1"),
+         "d72ce23235d7753d79715132ebf749c29b6400a2d024d3412cb53aad4bdd34c4"),
     ]
 
     @pytest.mark.parametrize("job,key", GOLDEN_KEYS,

@@ -219,6 +219,23 @@ class TestSharedTraceShapeFlags:
                                "--no-cache"]) == 2
         assert capsys.readouterr().err.strip() == message
 
+    @pytest.mark.parametrize("command", [
+        ["run", "mcf"],
+        ["compare", "mcf", "fvp"],
+        ["profile", "mcf"],
+    ])
+    def test_zero_cycle_measured_region_is_a_usage_error(self, command,
+                                                         capsys):
+        # The one measured op retires in the last warmup op's cycle, so
+        # the measured region has no IPC to compare.
+        assert main(command + ["--length", "2000", "--warmup", "1999",
+                               "--no-cache"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "mcf: warmup 1999 leaves a measured region of 0 cycles; "
+            "lower --warmup")
+
     def test_figure_rejects_trace_file(self, capsys):
         assert main(["figure", "6", "--trace-file", "t.rvt",
                      "--no-cache"]) == 2

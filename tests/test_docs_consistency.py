@@ -188,6 +188,18 @@ class TestLintDocs:
         assert checked > 0
 
 
+class TestTelemetryDocs:
+    def test_bucket_table_matches_taxonomy(self):
+        from repro.telemetry import ALL_BUCKETS
+
+        doc = read("docs/TELEMETRY.md")
+        table = doc.split("| bucket | the ROB head was bound by |\n")[1]
+        rows = table[:table.index("\n\n")].splitlines()[1:]
+        names = tuple(re.match(r"\| `([a-z-]+)` \|", row).group(1)
+                      for row in rows)
+        assert names == ALL_BUCKETS
+
+
 class TestBenchmarkInventory:
     @pytest.mark.parametrize("figure", range(6, 14))
     def test_every_figure_has_a_benchmark(self, figure):

@@ -12,6 +12,10 @@ import pytest
 
 from repro import build_workload, simulate
 from repro.experiments.campaign import ResultCache
+from repro.isa import opcodes
+from repro.isa.instruction import MicroOp, alu, load
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.engine import Engine
 from repro.pipeline.results import SimResult, TELEMETRY_SCHEMA_VERSION
 from repro.predictors import make_predictor
 from repro.telemetry import (
@@ -19,6 +23,9 @@ from repro.telemetry import (
     BRANCH_FLUSH,
     Counter,
     EventTrace,
+    FRONTEND_STARVED,
+    HEAD_WAIT_EXEC,
+    HEAD_WAIT_LOAD,
     Histogram,
     MEM_FLUSH,
     RETIRING,
@@ -94,7 +101,7 @@ class TestStatGroup:
         root = StatGroup("sim")
         root.group("pipeline").counter("cycles", value=100)
         stalls = root.group("pipeline").group("stalls")
-        stalls.counter("rob-full", value=30)
+        stalls.counter("vp-flush", value=30)
         hist = root.group("pipeline").histogram("gaps")
         hist.observe(4)
         return root
@@ -102,7 +109,7 @@ class TestStatGroup:
     def test_dotted_path_access(self):
         root = self.make_tree()
         assert root.value("pipeline.cycles") == 100
-        assert root["pipeline.stalls.rob-full"].value == 30
+        assert root["pipeline.stalls.vp-flush"].value == 30
         assert root.get("pipeline.nope") is None
 
     def test_duplicate_leaf_rejected(self):
@@ -121,7 +128,7 @@ class TestStatGroup:
     def test_flat_view(self):
         flat = self.make_tree().flat()
         assert flat["pipeline.cycles"] == 100
-        assert flat["pipeline.stalls.rob-full"] == 30
+        assert flat["pipeline.stalls.vp-flush"] == 30
         assert flat["pipeline.gaps:mean"] == pytest.approx(4.0)
 
     def test_round_trip_equality(self):
@@ -153,6 +160,7 @@ class TestStatGroup:
 
 
 WORKLOADS = ("astar", "milc", "omnetpp")
+BACKENDS = ("scalar", None)  # None: the default backend
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +227,32 @@ class TestStallAttribution:
         assert result.vp_flushes > 0
         assert result.stall_cycles[VP_FLUSH] > 0
         assert sum(result.stall_cycles.values()) == result.cycles
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("make_trace,expected", [
+        # Independent DIVs queue for the unpipelined divide unit.
+        pytest.param(
+            lambda config: [MicroOp(pc=0x400000 + 4 * i, op=opcodes.DIV,
+                                    dest=i % 8) for i in range(40)],
+            {RETIRING: 40, FRONTEND_STARVED: 12, HEAD_WAIT_EXEC: 682},
+            id="port-pressure"),
+        # A DRAM miss at the head fills the ROB behind it.
+        pytest.param(
+            lambda config: [load(0x500000, 1, 0x7000_0000)] + [
+                alu(0x500004 + 4 * i, dest=2 + i % 6)
+                for i in range(2 * config.rob_size)],
+            {RETIRING: 91, FRONTEND_STARVED: 165, HEAD_WAIT_LOAD: 142,
+             HEAD_WAIT_EXEC: 37},
+            id="rob-pressure"),
+    ])
+    def test_window_and_port_pressure_land_in_head_waiting(
+            self, make_trace, expected, backend):
+        config = CoreConfig.skylake()
+        result = Engine(config, backend=backend).run(
+            make_trace(config), workload="micro")
+        assert result.cycles == sum(expected.values())
+        assert {bucket: cycles for bucket, cycles
+                in result.stall_cycles.items() if cycles} == expected
 
 
 class TestTelemetryTree:
@@ -412,5 +446,86 @@ class TestCachePrune:
 class TestEmptyBuckets:
     def test_covers_full_taxonomy(self):
         buckets = empty_buckets()
-        assert tuple(buckets) == ALL_BUCKETS
+        assert tuple(buckets) == ALL_BUCKETS == (
+            "retiring", "frontend-starved", "head-waiting-on-load",
+            "head-waiting-on-exec", "branch-flush", "vp-flush", "mem-flush")
         assert set(buckets.values()) == {0}
+
+
+#: (workload, core, predictor) -> (measured, warmup) stall partitions,
+#: in ``ALL_BUCKETS`` order, at 10k ops with a 4k warmup.  Recorded
+#: under the former twelve-bucket taxonomy, whose five window, queue
+#: and port buckets read 0 in every one of these runs: deleting them
+#: moved no cycle.  Every bucket is nonzero somewhere; ``mem-flush``
+#: only in warmup partitions (no ordering violation follows op 4000).
+PARTITION_PINS = {
+    ("tpce", "skylake", "baseline"): (
+        (1045, 85, 8004, 20, 30, 0, 0), (804, 128, 7265, 41, 144, 0, 75)),
+    ("tpce", "skylake", "fvp"): (
+        (1035, 81, 7961, 20, 35, 0, 0), (803, 128, 7265, 41, 144, 0, 75)),
+    ("tpce", "skylake", "composite-8kb"): (
+        (1057, 97, 8046, 24, 39, 13, 0), (821, 169, 7298, 59, 162, 12, 75)),
+    ("tpce", "skylake-2x", "baseline"): (
+        (511, 32, 5722, 5, 3, 0, 0), (434, 80, 5690, 27, 79, 0, 46)),
+    ("tpce", "skylake-2x", "fvp"): (
+        (486, 32, 5502, 5, 3, 0, 0), (423, 80, 5598, 27, 82, 0, 46)),
+    ("tpce", "skylake-2x", "composite-8kb"): (
+        (510, 32, 5713, 5, 3, 0, 0), (456, 84, 5814, 32, 95, 0, 46)),
+    ("milc", "skylake", "baseline"): (
+        (1377, 12, 5051, 1259, 266, 0, 0), (1113, 42, 7017, 1113, 817, 0, 40)),
+    ("milc", "skylake", "fvp"): (
+        (1377, 12, 5051, 1259, 266, 0, 0), (1113, 42, 7017, 1113, 817, 0, 40)),
+    ("milc", "skylake", "composite-8kb"): (
+        (1344, 12, 4910, 1194, 251, 0, 0), (1068, 48, 6971, 1096, 808, 0, 40)),
+    ("milc", "skylake-2x", "baseline"): (
+        (756, 9, 3938, 876, 44, 0, 0), (719, 39, 5578, 894, 556, 0, 19)),
+    ("milc", "skylake-2x", "fvp"): (
+        (756, 9, 3938, 876, 44, 0, 0), (719, 39, 5578, 894, 556, 0, 19)),
+    ("milc", "skylake-2x", "composite-8kb"): (
+        (739, 9, 3835, 854, 44, 0, 0), (701, 47, 5552, 898, 546, 0, 31)),
+    ("xz17", "skylake", "baseline"): (
+        (2162, 21, 3780, 1139, 2806, 0, 0),
+        (1585, 255, 5365, 807, 2188, 0, 139)),
+    ("xz17", "skylake", "fvp"): (
+        (2162, 21, 3780, 1139, 2806, 0, 0),
+        (1585, 255, 5365, 807, 2188, 0, 139)),
+    ("xz17", "skylake", "composite-8kb"): (
+        (2080, 22, 3765, 1141, 2784, 0, 0),
+        (1539, 265, 5359, 815, 2175, 0, 138)),
+    ("xz17", "skylake-2x", "baseline"): (
+        (1346, 20, 3384, 961, 2225, 0, 0),
+        (1142, 214, 4829, 787, 1906, 0, 95)),
+    ("xz17", "skylake-2x", "fvp"): (
+        (1346, 20, 3384, 961, 2225, 0, 0),
+        (1142, 214, 4829, 787, 1906, 0, 95)),
+    ("xz17", "skylake-2x", "composite-8kb"): (
+        (1282, 24, 3395, 957, 2213, 0, 0),
+        (1094, 226, 4829, 793, 1913, 0, 95)),
+}
+CORES = {"skylake": CoreConfig.skylake, "skylake-2x": CoreConfig.skylake_2x}
+
+
+@pytest.fixture(scope="module")
+def pin_traces():
+    return {workload: build_workload(workload, length=10_000)
+            for workload in {workload for workload, _, _ in PARTITION_PINS}}
+
+
+def test_stall_partition_pins_cover_every_bucket():
+    for index, bucket in enumerate(ALL_BUCKETS):
+        assert any(partition[index] for pins in PARTITION_PINS.values()
+                   for partition in pins), bucket
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("key", list(PARTITION_PINS),
+                         ids=["/".join(key) for key in PARTITION_PINS])
+def test_stall_partition_golden_pin(pin_traces, key, backend):
+    workload, core, spec = key
+    predictor = None if spec == "baseline" else make_predictor(spec)
+    result = Engine(CORES[core](), predictor, backend=backend).run(
+        pin_traces[workload], workload=workload, warmup=4000)
+    assert (tuple(result.stall_cycles.values()),
+            tuple(result.warmup_stall_cycles.values())) == \
+        PARTITION_PINS[key]
+    assert tuple(result.stall_cycles) == ALL_BUCKETS
