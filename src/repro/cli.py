@@ -70,13 +70,12 @@ from repro.experiments.campaign import (
     parse_size,
 )
 from repro.experiments.runner import (
-    DEFAULT_LENGTH,
     Runner,
     core_names,
+    default_length,
     default_warmup,
 )
-from repro.pipeline.results import SimResult
-from repro.predictors import make_predictor
+from repro.predictors import parse_spec
 from repro.telemetry.trace import DEFAULT_CAPACITY
 from repro.trace.workloads import CATALOGUE, CATEGORIES, get_profile
 
@@ -89,8 +88,9 @@ def _trace_shape_parent() -> argparse.ArgumentParser:
     ``trace build``."""
     parent = argparse.ArgumentParser(add_help=False)
     shape = parent.add_argument_group("trace shape")
-    shape.add_argument("--length", type=int, default=DEFAULT_LENGTH,
-                       help="trace length in micro-ops")
+    shape.add_argument("--length", type=int, default=None,
+                       help="trace length in micro-ops (default: "
+                            "$REPRO_LENGTH or 250000)")
     shape.add_argument("--warmup", type=int, default=None,
                        help="warmup prefix excluded from statistics "
                             "(default: 40%% of length, capped at 100k)")
@@ -210,21 +210,10 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _check_measured(runner: Runner, *results: SimResult) -> None:
-    """Reject results whose measured region took 0 cycles (the warmup
-    swallowed it): they have no IPC to compare."""
-    for result in results:
-        if not result.cycles:
-            raise ConfigError(
-                f"{result.workload}: warmup {runner.warmup} leaves a "
-                "measured region of 0 cycles; lower --warmup")
-
-
 def cmd_run(args) -> int:
     """Simulate one (workload, core, predictor) job."""
     runner = _runner(args, workloads=[args.workload])
     run = runner.workload_run(args.workload, args.core, args.predictor)
-    _check_measured(runner, run.baseline, run.result)
     print(run.result.summary())
     print(f"speedup over baseline: {run.gain:+.2%}")
     return 0
@@ -233,17 +222,15 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     """Rank predictors against the baseline on one workload."""
     runner = _runner(args, workloads=[args.workload])
-    baseline = runner.baseline(args.workload, args.core)
-    results = [runner.run(args.workload, args.core, name)
-               for name in args.predictors]
-    _check_measured(runner, baseline, *results)
+    runs = [runner.workload_run(args.workload, args.core, name)
+            for name in args.predictors]
     print(f"{args.workload} on {args.core}: baseline IPC "
-          f"{baseline.ipc:.3f}")
+          f"{runs[0].baseline.ipc:.3f}")
     print(f"{'predictor':<16} {'speedup':>9} {'coverage':>9} "
           f"{'accuracy':>9}")
-    for name, result in zip(args.predictors, results):
-        print(f"{name:<16} {result.ipc / baseline.ipc - 1:+9.2%} "
-              f"{result.coverage:9.1%} {result.accuracy:9.2%}")
+    for name, run in zip(args.predictors, runs):
+        print(f"{name:<16} {run.gain:+9.2%} "
+              f"{run.coverage:9.1%} {run.result.accuracy:9.2%}")
     return 0
 
 
@@ -275,10 +262,10 @@ def cmd_profile(args) -> int:
     against_spec = None if args.against == "baseline" else args.against
     result = runner.run(args.workload, args.core, args.predictor)
     against = runner.run(args.workload, args.core, against_spec)
-    _check_measured(runner, result, against)
-    print(format_cpi_breakdown(result, against))
-    print(f"IPC {result.ipc:.3f} vs {against.predictor} "
-          f"{against.ipc:.3f} ({result.ipc / against.ipc - 1:+.2%})")
+    run = runner.pair(args.workload, against, result)
+    print(format_cpi_breakdown(run.result, run.baseline))
+    print(f"IPC {run.result.ipc:.3f} vs {run.baseline.predictor} "
+          f"{run.baseline.ipc:.3f} ({run.gain:+.2%})")
     if args.trace_json or args.trace_csv:
         _export_event_trace(args, runner)
     return 0
@@ -298,7 +285,7 @@ def _export_event_trace(args, runner) -> None:
     engine = Engine(config, predictor, collect_events=True,
                     event_capacity=args.trace_events)
     result = engine.run(trace, workload=args.workload,
-                        warmup=_warmup(args))
+                        warmup=runner.warmup)
     label = f"{args.workload}/{args.core}/{args.predictor}"
     if args.trace_json:
         write_chrome_trace(args.trace_json, result.events, label)
@@ -1188,18 +1175,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"unknown workload {workload!r} "
                   f"(see `repro list`)", file=sys.stderr)
             return 2
-    names = list(getattr(args, "predictors", None) or ())
+    specs = list(getattr(args, "predictors", None) or ())
     for attr in ("predictor", "against"):
         value = getattr(args, attr, None)
-        if value is not None and value != "baseline":
-            names.append(value)
-    for name in names:
-        try:
-            make_predictor(name)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        if value is not None:
+            specs.append(value)
     try:
+        for spec in specs:
+            parse_spec(spec)
+        if getattr(args, "length", 0) is None:
+            args.length = default_length()
         return args.func(args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

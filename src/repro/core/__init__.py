@@ -16,6 +16,7 @@ from repro.core.fvp import (
     fvp_memory_only,
     fvp_oracle,
     fvp_register_only,
+    fvp_store_chains,
     fvp_with_stride,
 )
 from repro.core.learning_table import LearningTable
@@ -40,6 +41,7 @@ __all__ = [
     "fvp_memory_only",
     "fvp_all_instructions",
     "fvp_branch_chains",
+    "fvp_store_chains",
     "fvp_with_stride",
     "FvpPlusStride",
 ]

@@ -61,8 +61,10 @@ class FVP(ValuePredictor):
 
     Parameters
     ----------
-    vt_entries / cit_size / lt_size:
-        Structure geometries (defaults are the paper's: 48 / 32 / 2).
+    vt_entries / cit_size / lt_size / vf_entries:
+        Structure geometries (defaults are the paper's: 48 / 32 / 2 /
+        40).  ``vf_entries`` sizes the Value File of the Memory
+        Renaming component, whose Store/Load cache keeps 136 entries.
     use_vt / use_mr:
         Enable the register-dependence (Value Table) and
         memory-dependence (Memory Renaming) components — Figure 13
@@ -87,7 +89,7 @@ class FVP(ValuePredictor):
     name = "fvp"
 
     def __init__(self, vt_entries: int = 48, cit_size: int = 32,
-                 lt_size: int = 2, mr: Optional[MemoryRenaming] = None,
+                 lt_size: int = 2, vf_entries: int = 40,
                  use_vt: bool = True, use_mr: bool = True,
                  criticality: str = RETIRE_STALL,
                  oracle_pcs: Optional[Iterable[int]] = None,
@@ -102,7 +104,7 @@ class FVP(ValuePredictor):
         self.vt = ValueTable(vt_entries)
         self.cit = CriticalInstructionTable(cit_size, epoch=epoch)
         self.lt = LearningTable(lt_size)
-        self.mr = mr or MemoryRenaming(sl_entries=136, vf_entries=40)
+        self.mr = MemoryRenaming(sl_entries=136, vf_entries=vf_entries)
         self.use_vt = use_vt
         self.use_mr = use_mr
         self.criticality = criticality
@@ -408,61 +410,69 @@ class FVP(ValuePredictor):
 # ----------------------------------------------------------------------
 # Evaluation variants.
 # ----------------------------------------------------------------------
-def fvp_default(**overrides) -> FVP:
+def fvp_default() -> FVP:
     """The paper's FVP: retirement-stall criticality, LV+CV+MR, loads
     only, 1.2 KB total."""
-    return FVP(**overrides)
+    return FVP()
 
 
-def fvp_l1_miss_only(**overrides) -> FVP:
+def fvp_l1_miss_only() -> FVP:
     """Figure 12 'FVP-L1-Miss-Only': predict only L1-missing loads
     themselves, no dependence-chain walk."""
-    predictor = FVP(criticality=L1_MISS_ONLY, **overrides)
+    predictor = FVP(criticality=L1_MISS_ONLY)
     predictor.name = "fvp-l1-miss-only"
     return predictor
 
 
-def fvp_l1_miss(**overrides) -> FVP:
+def fvp_l1_miss() -> FVP:
     """Figure 12 'FVP-L1-Miss': any L1 miss is treated as a critical
     root (walk enabled) instead of the retirement-stall heuristic."""
-    predictor = FVP(criticality=L1_MISS, **overrides)
+    predictor = FVP(criticality=L1_MISS)
     predictor.name = "fvp-l1-miss"
     return predictor
 
 
-def fvp_oracle(oracle_pcs: Iterable[int], **overrides) -> FVP:
+def fvp_oracle(oracle_pcs: Iterable[int]) -> FVP:
     """Figure 12 'Oracle Criticality': critical roots supplied by the
     DDG analysis of :mod:`repro.criticality`."""
-    predictor = FVP(criticality=ORACLE, oracle_pcs=oracle_pcs, **overrides)
+    predictor = FVP(criticality=ORACLE, oracle_pcs=oracle_pcs)
     predictor.name = "fvp-oracle"
     return predictor
 
 
-def fvp_register_only(**overrides) -> FVP:
+def fvp_register_only() -> FVP:
     """Figure 13: register-dependence component alone (no MR)."""
-    predictor = FVP(use_mr=False, **overrides)
+    predictor = FVP(use_mr=False)
     predictor.name = "fvp-reg"
     return predictor
 
 
-def fvp_memory_only(**overrides) -> FVP:
+def fvp_memory_only() -> FVP:
     """Figure 13: memory-dependence component alone (no Value Table)."""
-    predictor = FVP(use_vt=False, **overrides)
+    predictor = FVP(use_vt=False)
     predictor.name = "fvp-mem"
     return predictor
 
 
-def fvp_all_instructions(**overrides) -> FVP:
+def fvp_all_instructions() -> FVP:
     """§VI-A2: predict every producing instruction, not just loads."""
-    predictor = FVP(loads_only=False, **overrides)
+    predictor = FVP(loads_only=False)
     predictor.name = "fvp-all"
     return predictor
 
 
-def fvp_branch_chains(**overrides) -> FVP:
+def fvp_branch_chains() -> FVP:
     """§VI-A3: additionally target mispredicting branches' chains."""
-    predictor = FVP(target_branch_chains=True, **overrides)
+    predictor = FVP(target_branch_chains=True)
     predictor.name = "fvp-br"
+    return predictor
+
+
+def fvp_store_chains() -> FVP:
+    """§III-A extension: after a confident memory renaming, also walk
+    the producer store's dependence chain."""
+    predictor = FVP(accelerate_store_chains=True)
+    predictor.name = "fvp+store-chains"
     return predictor
 
 
@@ -511,6 +521,6 @@ class FvpPlusStride(ValuePredictor):
 
 
 
-def fvp_with_stride(**overrides) -> FvpPlusStride:
+def fvp_with_stride() -> FvpPlusStride:
     """FVP + a 32-entry stride layer (§VI-B extension)."""
-    return FvpPlusStride(FVP(**overrides))
+    return FvpPlusStride()

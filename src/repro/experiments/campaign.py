@@ -12,10 +12,9 @@ things the plain :class:`~repro.experiments.runner.Runner` loop lacks:
 * **Fan-out** — :class:`CampaignEngine` runs jobs over a watchdog-
   supervised worker pool (``jobs=N``, default ``os.cpu_count()``).
   Traces are deterministic, so workers rebuild them locally instead of
-  shipping micro-ops across the pipe.  Jobs whose predictor spec is a
-  Python callable cannot be pickled and run in-process; if the pool
-  itself cannot start (sandboxes without ``fork``), the engine degrades
-  to serial execution rather than aborting the campaign.
+  shipping micro-ops across the pipe.  If the pool itself cannot start
+  (sandboxes without ``fork``), the engine degrades to serial
+  execution rather than aborting the campaign.
 * **Fault tolerance** (docs/ROBUSTNESS.md) — every job gets a per-job
   wall-clock ``timeout`` enforced by a watchdog that kills and requeues
   hung workers, bounded ``retries`` with exponential ``backoff`` for
@@ -91,10 +90,9 @@ try:  # advisory locking is POSIX-only; degrade to no-op elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-#: A predictor specification: a registry name, a zero-argument factory,
-#: or a ``callable(trace, config) -> predictor`` (see
-#: :func:`repro.predictors.make_predictor`).  ``None`` means baseline.
-PredictorSpec = Union[str, Callable, None]
+#: A predictor specification: a registry spec string (see
+#: :func:`repro.predictors.parse_spec`).  ``None`` means baseline.
+PredictorSpec = Optional[str]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -139,8 +137,8 @@ RETRYABLE_ERRORS = frozenset(cls.__name__ for cls in RETRYABLE)
 class Job:
     """One simulation: a workload on a core under a predictor spec.
 
-    Jobs compare by value (callable specs by identity), so a campaign
-    deduplicates naturally when used as dict keys.
+    Jobs compare by value, so a campaign deduplicates naturally when
+    used as dict keys.
 
     The trace input is named, never inline: workers rebuild it from
     ``workload`` (optionally under a ``seed`` override) or replay it
@@ -158,17 +156,9 @@ class Job:
     trace_file: Optional[str] = None
 
     @property
-    def distributable(self) -> bool:
-        """Whether the job can be shipped to a worker process.  Only
-        named (or baseline) specs are picklable by construction."""
-        return self.spec is None or isinstance(self.spec, str)
-
-    @property
     def label(self) -> str:
         """Human-readable ``workload/core/predictor`` job identifier."""
-        spec = self.spec if isinstance(self.spec, str) else \
-            ("baseline" if self.spec is None else "<callable>")
-        return f"{self.workload}/{self.core}/{spec}"
+        return f"{self.workload}/{self.core}/{self.spec or 'baseline'}"
 
 
 @dataclass(frozen=True)
@@ -300,11 +290,8 @@ def _core_json(core: str) -> RawJSON:
     return RawJSON(canonical_json(fingerprint(core_config(core))))
 
 
-def job_key(job: Job) -> Optional[str]:
-    """Content-hash cache key for ``job``, or ``None`` when the job has
-    no stable key (callable predictor specs)."""
-    if not job.distributable:
-        return None
+def job_key(job: Job) -> str:
+    """Content-hash cache key for ``job``."""
     payload = {
         "profile": _profile_json(job.workload),
         "core": _core_json(job.core),
@@ -329,45 +316,11 @@ def job_key(job: Job) -> Optional[str]:
 # ----------------------------------------------------------------------
 def build_predictor(spec: PredictorSpec, trace: Sequence[MicroOp],
                     config) -> Optional[ValuePredictor]:
-    """Instantiate a predictor from its spec (see :data:`PredictorSpec`)."""
-    import inspect
-
+    """Instantiate a predictor from its spec (see :data:`PredictorSpec`)
+    for one run of ``trace`` on ``config``."""
     from repro.predictors import make_predictor
 
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        return make_predictor(spec)
-    if callable(spec):
-        try:
-            params = inspect.signature(spec).parameters
-        except (TypeError, ValueError):
-            params = {}
-        if len(params) >= 2:
-            return spec(trace, config)
-        return spec()
-    raise TypeError(f"bad predictor spec: {spec!r}")
-
-
-def _claim_predictor(predictor: Optional[ValuePredictor]) -> None:
-    """Assert the instance has not already been consumed by a job.
-
-    Predictor state must never leak between jobs; a spec like
-    ``lambda: shared_instance`` would silently corrupt a campaign.
-    :meth:`ValuePredictor.reset` clears the claim for deliberate reuse
-    outside the engine."""
-    if predictor is None:
-        return
-    if getattr(predictor, "_claimed_by_job", False):
-        # RuntimeError is this guard's published contract (tests and
-        # user code match on it).  # reprolint: disable=RL004
-        raise RuntimeError(
-            f"predictor {predictor.name!r} reused across jobs; specs must "
-            "return a fresh instance (or call reset() between runs)")
-    try:
-        predictor._claimed_by_job = True
-    except AttributeError:  # pragma: no cover - slotted user predictor
-        pass
+    return None if spec is None else make_predictor(spec, trace, config)
 
 
 def execute_job(job: Job, trace: Optional[List[MicroOp]] = None,
@@ -402,9 +355,7 @@ def execute_job(job: Job, trace: Optional[List[MicroOp]] = None,
                 profile = reseeded(profile, job.seed)
             source = build_trace(profile, job.length)
     config = core_config(job.core)
-    predictor = build_predictor(job.spec, source, config)
-    _claim_predictor(predictor)
-    engine = Engine(config, predictor)
+    engine = Engine(config, build_predictor(job.spec, source, config))
     try:
         return engine.run(source, workload=job.workload, warmup=job.warmup)
     finally:
@@ -831,8 +782,8 @@ class CampaignEngine:
     timeout:
         Per-job wall-clock budget in seconds.  Pool jobs exceeding it
         are killed by the watchdog and retried (``None`` disables).
-        In-process jobs cannot be preempted; the timeout applies only
-        to distributable jobs.
+        Jobs run in-process (``jobs=1``, or a campaign with one job
+        left to simulate) cannot be preempted.
     retries:
         Extra attempts granted to retryable failures
         (:data:`repro.errors.RETRYABLE`) before quarantine.
@@ -951,13 +902,15 @@ class CampaignEngine:
         state = {"done": 0}
         lock_acquired = False
         simulated = [0]
+        keys: Dict[Job, str] = {}
 
         def on_success(job: Job, result: SimResult, elapsed: float) -> None:
             """Record a finished job: ledger, cache write, progress event."""
             ledger.results[job] = result
             simulated[0] += 1
             state["done"] += 1
-            self._store(job, keys[job], result)
+            if self.cache is not None:
+                self.cache.put(keys[job], result, label=job.label)
             self._emit(JobEvent(job, "done", state["done"], total, elapsed))
 
         def on_failure(failure: JobFailure) -> None:
@@ -982,11 +935,11 @@ class CampaignEngine:
         try:
             # 1. Serve cache hits.
             pending: List[Job] = []
-            keys: Dict[Job, Optional[str]] = {}
             for job in unique:
-                key = job_key(job) if self.cache is not None else None
-                keys[job] = key
-                cached = self.cache.get(key) if key is not None else None
+                cached = None
+                if self.cache is not None:
+                    keys[job] = job_key(job)
+                    cached = self.cache.get(keys[job])
                 if cached is not None:
                     ledger.results[job] = cached
                     state["done"] += 1
@@ -994,26 +947,23 @@ class CampaignEngine:
                 else:
                     pending.append(job)
 
-            # 2. Fan the picklable remainder out to worker processes.
-            parallel = [job for job in pending if job.distributable]
-            serial = [job for job in pending if not job.distributable]
-            if self.jobs > 1 and len(parallel) > 1:
+            # 2. Fan the remainder out to worker processes.
+            if self.jobs > 1 and len(pending) > 1:
                 try:
-                    self._run_pool(parallel, on_success, on_failure,
+                    self._run_pool(pending, on_success, on_failure,
                                    on_retry)
-                    parallel = []
+                    pending = []
                 except _PoolUnavailable:
                     # Pool infrastructure failed (no fork, resource
                     # limits) — degrade to serial rather than abort.
                     self.stats.fallbacks += 1
-                    parallel = [job for job in parallel
-                                if job not in ledger.results
-                                and job not in ledger.failures]
-            serial = parallel + serial
+                    pending = [job for job in pending
+                               if job not in ledger.results
+                               and job not in ledger.failures]
 
             # 3. Whatever is left runs here, with the shared trace
             #    cache and the same retry/quarantine policy.
-            for job in serial:
+            for job in pending:
                 self._emit(JobEvent(job, "start", state["done"], total))
                 self._run_serial(job, trace_provider, on_success,
                                  on_failure, on_retry)
@@ -1056,12 +1006,6 @@ class CampaignEngine:
                 return
             on_success(job, result, time.perf_counter() - start)
             return
-
-    # ------------------------------------------------------------------
-    def _store(self, job: Job, key: Optional[str],
-               result: SimResult) -> None:
-        if self.cache is not None and key is not None:
-            self.cache.put(key, result, label=job.label)
 
     # ------------------------------------------------------------------
     # Watchdog-supervised worker pool.

@@ -16,7 +16,6 @@ from repro.analysis.reporting import (
     format_category_summary,
     format_series,
 )
-from repro.criticality.oracle import oracle_critical_pcs
 from repro.experiments.campaign import JobEvent
 from repro.experiments.runner import Runner, core_config
 from repro.trace.workloads import CATALOGUE
@@ -175,26 +174,17 @@ def render_figure11(bars: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 # Figure 12: criticality-detection quality.
 # ----------------------------------------------------------------------
-def _oracle_spec(trace, config):
-    from repro.core.fvp import fvp_oracle
-
-    pcs = oracle_critical_pcs(trace, config)
-    return fvp_oracle(pcs)
-
-
 FIG12_PREDICTORS = ("fvp-l1-miss-only", "fvp-l1-miss", "fvp")
 
 
 def figure12(runner: Optional[Runner] = None,
              include_oracle: bool = True) -> Dict[str, Dict[str, float]]:
-    """Criticality heuristics vs the DDG oracle (Figure 12)."""
+    """Criticality heuristics vs the DDG oracle (Figure 12).  Each
+    ``fvp-oracle`` job takes its critical roots from a DDG analysis of
+    its own trace and core."""
     runner = runner or Runner()
-    bars = _bar_comparison(runner, "skylake", FIG12_PREDICTORS)
-    if include_oracle:
-        suite = runner.suite(_oracle_spec, core="skylake")
-        bars["fvp-oracle"] = {"gain": suite.gain,
-                              "coverage": suite.coverage}
-    return bars
+    oracle = ("fvp-oracle",) if include_oracle else ()
+    return _bar_comparison(runner, "skylake", FIG12_PREDICTORS + oracle)
 
 
 def render_figure12(bars: Dict[str, Dict[str, float]]) -> str:

@@ -13,18 +13,11 @@ repeats from the persistent on-disk cache (``use_cache=True``) — see
 * :meth:`Runner.suite` — every workload under one predictor spec,
   returned as a :class:`~repro.analysis.metrics.SuiteResult`.
 
-Predictor state is never shared between runs — each run constructs a
-fresh predictor from its *spec* (and the campaign engine asserts it):
-
-* a registry name (``"fvp"``, ``"composite-8kb"``, ... — see
-  :func:`repro.predictors.make_predictor`),
-* a zero-argument factory, or
-* a ``callable(trace, config) -> predictor`` (used by the oracle
-  configuration, which needs a per-workload DDG analysis).
-
-Only *named* specs are distributable to worker processes and cacheable
-on disk; callable specs always run in-process (they cannot be pickled
-or content-hashed).
+Predictor state is never shared between runs: each job builds a
+fresh predictor from its *spec*, a registry string such as ``"fvp"``,
+``"fvp-oracle"`` or ``"fvp:epoch=1000"`` (see
+:func:`repro.predictors.parse_spec`).  A spec is plain data, so every
+job can go to a worker process and into the on-disk cache.
 
 Scale knobs (`length`, `warmup`, `workloads`) let benchmarks trade
 fidelity for wall-clock; the environment variables ``REPRO_LENGTH``
@@ -42,6 +35,7 @@ from repro.experiments.campaign import (
     CampaignEngine,
     Job,
     JobEvent,
+    PredictorSpec,
     ResultCache,
 )
 from repro.isa.instruction import MicroOp
@@ -52,9 +46,9 @@ from repro.trace.io import open_trace, trace_file_length
 from repro.trace.source import TraceSource
 from repro.trace.workloads import CATALOGUE, get_profile, reseeded
 
-PredictorSpec = Union[str, Callable]
-
-DEFAULT_LENGTH = int(os.environ.get("REPRO_LENGTH", 250_000))
+#: Trace length (micro-ops) when neither the caller nor
+#: ``REPRO_LENGTH`` sets one.
+DEFAULT_LENGTH = 250_000
 #: Cap on the default warmup prefix (micro-ops).
 DEFAULT_WARMUP = 100_000
 
@@ -62,6 +56,23 @@ _CORES = {
     "skylake": CoreConfig.skylake,
     "skylake-2x": CoreConfig.skylake_2x,
 }
+
+
+def _env_ops(name: str, text: str) -> int:
+    """The micro-op count ``text`` read from environment variable
+    ``name``.  Raises :class:`~repro.errors.ConfigError` naming the
+    variable when it is not a whole number."""
+    if not text.isdigit():
+        raise ConfigError(
+            f"{name} must be a whole number of micro-ops, got {text!r}")
+    return int(text)
+
+
+def default_length() -> int:
+    """The trace length used when none is given: ``REPRO_LENGTH`` if
+    set, else :data:`DEFAULT_LENGTH`."""
+    env = os.environ.get("REPRO_LENGTH")
+    return DEFAULT_LENGTH if env is None else _env_ops("REPRO_LENGTH", env)
 
 
 def default_warmup(length: int) -> int:
@@ -72,7 +83,7 @@ def default_warmup(length: int) -> int:
     outright."""
     env = os.environ.get("REPRO_WARMUP")
     if env is not None:
-        return int(env)
+        return _env_ops("REPRO_WARMUP", env)
     return min(int(length * 0.4), DEFAULT_WARMUP)
 
 
@@ -147,7 +158,7 @@ class Runner:
                     "(the label the replayed trace is recorded under)")
             if length is None:
                 length = trace_file_length(trace_file)
-        self.length = length if length is not None else DEFAULT_LENGTH
+        self.length = length if length is not None else default_length()
         self.warmup = warmup if warmup is not None \
             else default_warmup(self.length)
         if self.length <= 0:
@@ -185,7 +196,7 @@ class Runner:
         return self._traces[workload]
 
     def job(self, workload: str, core: str,
-            predictor: Optional[PredictorSpec]) -> Job:
+            predictor: PredictorSpec) -> Job:
         """The campaign job this runner would execute for the triple."""
         return Job(workload, core, predictor, self.length, self.warmup,
                    self.seed, self.trace_file)
@@ -206,29 +217,40 @@ class Runner:
         return self._baselines[key]
 
     def run(self, workload: str, core: str = "skylake",
-            predictor: Optional[PredictorSpec] = None) -> SimResult:
+            predictor: PredictorSpec = None) -> SimResult:
         job = self.job(workload, core, predictor)
         return self._run_jobs([job])[job]
 
     def workload_run(self, workload: str, core: str,
                      predictor: PredictorSpec) -> WorkloadRun:
-        profile = get_profile(workload)
-        return WorkloadRun(
-            workload, profile.category,
-            baseline=self.baseline(workload, core),
-            result=self.run(workload, core, predictor))
+        return self.pair(workload, self.baseline(workload, core),
+                         self.run(workload, core, predictor))
 
-    def suite(self, predictor: PredictorSpec, core: str = "skylake",
+    def pair(self, workload: str, baseline: SimResult,
+             result: SimResult) -> WorkloadRun:
+        """``result`` against its reference run on the same trace; every
+        comparison with a baseline is built here.  Raises
+        :class:`~repro.errors.ConfigError` when the warmup left either
+        run a measured region of 0 cycles, which has no IPC."""
+        for run in (baseline, result):
+            if not run.cycles:
+                raise ConfigError(
+                    f"{workload}: warmup {self.warmup} leaves a measured "
+                    "region of 0 cycles; lower --warmup")
+        return WorkloadRun(workload, get_profile(workload).category,
+                           baseline=baseline, result=result)
+
+    def suite(self, predictor: str, core: str = "skylake",
               progress: Optional[Callable[[str], None]] = None
               ) -> SuiteResult:
         """Run every workload under one predictor spec, as a single
         deduplicated campaign (baselines included, so they parallelise
-        too).  Named specs are memoised per core, so figure drivers
+        too).  Suites are memoised per spec and core, so figure drivers
         sharing a configuration (e.g. Figures 6 and 8 both need
         FVP-on-Skylake) reuse runs.  ``progress`` is called with each
         workload name as its predictor job completes."""
-        cache_key = (predictor, core) if isinstance(predictor, str) else None
-        if cache_key is not None and cache_key in self._suites:
+        cache_key = (predictor, core)
+        if cache_key in self._suites:
             return self._suites[cache_key]
         jobs: List[Job] = []
         for workload in self.workloads:
@@ -250,10 +272,8 @@ class Runner:
                 # it as an explicit gap instead of a KeyError.
                 gaps.append(workload)
                 continue
-            runs.append(WorkloadRun(
-                workload, get_profile(workload).category,
-                baseline=baseline, result=result))
+            runs.append(self.pair(workload, baseline, result))
         suite = SuiteResult(runs, gaps=gaps)
-        if cache_key is not None and not gaps:
+        if not gaps:
             self._suites[cache_key] = suite
         return suite

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.core.fvp import FVP
 from repro.experiments.runner import Runner
 
 
@@ -54,8 +53,8 @@ def epoch_sweep(runner: Optional[Runner] = None,
     runner = runner or Runner()
     out = {}
     for epoch in epochs:
-        spec = (lambda e: (lambda: FVP(epoch=e)))(epoch)
-        out[epoch] = runner.suite(spec, core="skylake").gain
+        out[epoch] = runner.suite(f"fvp:epoch={epoch}",
+                                  core="skylake").gain
     return out
 
 
@@ -66,19 +65,13 @@ def table_size_sweep(runner: Optional[Runner] = None
     Paper: growing VT 48→96 and VF 40→128 adds only ~1%; growing
     further adds nothing visible; CIT 8→16 is worth ~0.15%.
     """
-    from repro.predictors.memory_renaming import MemoryRenaming
-
     runner = runner or Runner()
     configs = {
-        "default (VT48/VF40/CIT32)": lambda: FVP(),
-        "VT96/VF128": lambda: FVP(
-            vt_entries=96, mr=MemoryRenaming(sl_entries=136,
-                                             vf_entries=128)),
-        "VT192/VF256": lambda: FVP(
-            vt_entries=192, mr=MemoryRenaming(sl_entries=136,
-                                              vf_entries=256)),
-        "CIT8": lambda: FVP(cit_size=8),
-        "CIT16": lambda: FVP(cit_size=16),
+        "default (VT48/VF40/CIT32)": "fvp",
+        "VT96/VF128": "fvp:vt_entries=96,vf_entries=128",
+        "VT192/VF256": "fvp:vt_entries=192,vf_entries=256",
+        "CIT8": "fvp:cit_size=8",
+        "CIT16": "fvp:cit_size=16",
     }
     out = {}
     for label, spec in configs.items():
@@ -93,8 +86,8 @@ def lt_size_sweep(runner: Optional[Runner] = None,
     runner = runner or Runner()
     out = {}
     for size in sizes:
-        spec = (lambda s: (lambda: FVP(lt_size=s)))(size)
-        out[size] = runner.suite(spec, core="skylake").gain
+        out[size] = runner.suite(f"fvp:lt_size={size}",
+                                 core="skylake").gain
     return out
 
 
@@ -170,6 +163,6 @@ def store_chain_study(runner: Optional[Runner] = None
     runner = runner or Runner()
     return {
         "fvp": runner.suite("fvp", core="skylake").gain,
-        "fvp+store-chains": runner.suite(
-            lambda: FVP(accelerate_store_chains=True), core="skylake").gain,
+        "fvp+store-chains": runner.suite("fvp+store-chains",
+                                         core="skylake").gain,
     }

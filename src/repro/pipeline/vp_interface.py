@@ -116,23 +116,9 @@ class EngineContext:
 class ValuePredictor:
     """Base class; the default implementation predicts nothing.
 
-    Lifecycle
-    ---------
-    A predictor instance belongs to exactly **one** simulation.  The
-    campaign engine (:mod:`repro.experiments.campaign`) marks each
-    instance when a job consumes it and raises if a spec hands the same
-    instance to a second job — learned state leaking between runs
-    would silently corrupt a campaign.  :meth:`reset` is the escape
-    hatch: it returns the predictor to a just-constructed state and
-    clears the engine's reuse marker, for interactive use and tests
-    that deliberately rerun one instance.
-
-    Every subclass supports :meth:`reset` without writing any code:
-    the base class records each instance's constructor arguments (see
-    ``__init_subclass__``) and ``reset`` replays the constructor, so
-    post-reset state is *defined* to equal fresh-construction state
-    (asserted over the whole registry in
-    ``tests/test_predictor_reset.py``).
+    An instance belongs to one simulation: the campaign engine builds
+    a fresh one for every job from the job's registry spec
+    (:func:`repro.predictors.make_predictor`).
     """
 
     #: Short identifier used in result tables.
@@ -145,47 +131,6 @@ class ValuePredictor:
     #: valid in :meth:`train_execute`.  Wrappers that delegate to
     #: component predictors must OR their components' flags.
     needs_criticality = True
-
-    #: Set by the campaign engine when a job consumes this instance.
-    _claimed_by_job = False
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        """Wrap the subclass's own ``__init__`` to remember the
-        arguments it was constructed with.  The outermost constructor
-        records last, so ``_ctor_args`` always reflects the arguments
-        of the instance's actual class."""
-        super().__init_subclass__(**kwargs)
-        init = cls.__dict__.get("__init__")
-        if init is None or getattr(init, "_records_ctor_args", False):
-            return
-
-        import functools
-
-        @functools.wraps(init)
-        def recording_init(self, *args, **kw):
-            """Record ctor args (for worker-process rebuilds), then init."""
-            init(self, *args, **kw)
-            self._ctor_args = (args, kw)
-
-        recording_init._records_ctor_args = True
-        cls.__init__ = recording_init
-
-    def reset(self) -> None:
-        """Restore the just-constructed state by replaying the
-        constructor with its recorded arguments, and clear the
-        campaign engine's reuse marker.
-
-        Composite predictors take already-built component predictors
-        as constructor arguments; replaying the constructor alone
-        would re-adopt them with their learned state intact, so any
-        :class:`ValuePredictor` found among the recorded arguments is
-        reset first.
-        """
-        args, kwargs = getattr(self, "_ctor_args", ((), {}))
-        for argument in (*args, *kwargs.values()):
-            _reset_nested(argument)
-        self.__init__(*args, **kwargs)
-        self._claimed_by_job = False
 
     def predict(self, uop: MicroOp, ctx: EngineContext) -> Optional[Prediction]:
         """Front-end lookup at allocation.  Return a prediction only at
@@ -224,15 +169,6 @@ class ValuePredictor:
         _publish_mapping(group, self.stats())
         group.counter("storage_bits", "Table-I state budget",
                       self.storage_bits())
-
-
-def _reset_nested(argument) -> None:
-    """Reset predictors hiding in a recorded constructor argument."""
-    if isinstance(argument, ValuePredictor):
-        argument.reset()
-    elif isinstance(argument, (list, tuple)):
-        for item in argument:
-            _reset_nested(item)
 
 
 def _publish_mapping(group, mapping: dict) -> None:

@@ -50,6 +50,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.errors import (
+    ConfigError,
     ProtocolError,
     ReproError,
     ServiceError,
@@ -448,7 +449,7 @@ class ServiceDaemon:
         live registries' names — the daemon rejects what it cannot
         run."""
         from repro.experiments.runner import core_names
-        from repro.predictors import predictor_names
+        from repro.predictors import parse_spec
         from repro.trace.workloads import CATALOGUE
 
         wire_jobs = frame.get("jobs")
@@ -456,14 +457,16 @@ class ServiceDaemon:
             raise ProtocolError("'jobs' must be a non-empty list")
         jobs = [job_from_wire(wire) for wire in wire_jobs]
         cores = set(core_names())
-        predictors = set(predictor_names())
         for job in jobs:
             if job.workload not in CATALOGUE:
                 raise ProtocolError(f"unknown workload {job.workload!r}")
             if job.core not in cores:
                 raise ProtocolError(f"unknown core {job.core!r}")
-            if isinstance(job.spec, str) and job.spec not in predictors:
-                raise ProtocolError(f"unknown predictor {job.spec!r}")
+            if job.spec is not None:
+                try:
+                    parse_spec(job.spec)
+                except ConfigError as exc:
+                    raise ProtocolError(str(exc)) from None
             if job.trace_file is not None \
                     and not os.path.exists(job.trace_file):
                 raise ProtocolError(

@@ -21,9 +21,8 @@ Request vocabulary
 ``shutdown``   drain and stop the daemon → ``bye``
 
 Jobs cross the wire as plain dicts (:func:`job_to_wire` /
-:func:`job_from_wire`).  Only *distributable* jobs — named predictor
-specs — are representable; callable specs never leave the submitting
-process, exactly the constraint the worker pool already imposes.
+:func:`job_from_wire`); a predictor spec is a registry string
+(:func:`repro.predictors.parse_spec`) or ``null`` for the baseline.
 """
 
 from __future__ import annotations
@@ -147,12 +146,12 @@ def check_request(frame: Dict[str, Any]) -> str:
 
 
 def job_to_wire(job: Job) -> Dict[str, Any]:
-    """A job's wire dict.  Raises :class:`ProtocolError` for callable
-    predictor specs, which cannot cross a process boundary."""
-    if not job.distributable:
+    """A job's wire dict.  Raises :class:`ProtocolError` when the
+    predictor spec is neither a spec string nor ``None``."""
+    if job.spec is not None and not isinstance(job.spec, str):
         raise ProtocolError(
-            f"job {job.label} has a callable predictor spec; only "
-            "named specs are serialisable")
+            f"job {job.workload}/{job.core}: predictor spec {job.spec!r} "
+            "is not a string")
     return {name: getattr(job, name) for name in _JOB_FIELDS}
 
 

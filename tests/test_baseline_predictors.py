@@ -195,3 +195,37 @@ class TestEves:
 
         with pytest.raises(ValueError):
             make_predictor("nope")
+
+    def test_spec_grammar(self):
+        import pytest
+
+        from repro.errors import ConfigError
+        from repro.predictors import parse_spec
+
+        assert parse_spec("fvp") == ("fvp", {})
+        assert parse_spec("fvp:vt_entries=96,vf_entries=128") == \
+            ("fvp", {"vt_entries": 96, "vf_entries": 128})
+        assert parse_spec("fvp:epoch=0") == ("fvp", {"epoch": 0})
+        for bad in ("nope", "fvp:epoch=x", "fvp:bogus=1", "lvp:epoch=1",
+                    "fvp:", "fvp:epoch=1,epoch=2", "fvp:cit_size=0",
+                    "fvp:vf_entries=128,vt_entries=96", 5):
+            with pytest.raises(ConfigError):
+                parse_spec(bad)
+        # The oracle needs the job's trace and core.
+        with pytest.raises(ConfigError, match="trace"):
+            make_predictor("fvp-oracle")
+
+    def test_override_spec_sizes_fvp(self):
+        from repro.predictors.memory_renaming import MemoryRenaming
+
+        predictor = make_predictor("fvp:epoch=1000,lt_size=4,"
+                                   "vt_entries=96,vf_entries=128,"
+                                   "cit_size=8")
+        assert predictor.name == "fvp"
+        assert predictor.vt.sets * predictor.vt.ways == 96
+        assert predictor.cit.size == 8
+        assert predictor.lt.size == 4
+        assert predictor.cit.epoch == 1000
+        assert predictor.mr.vf_entries == 128
+        assert predictor.mr.assoc.sets == \
+            MemoryRenaming(sl_entries=136).assoc.sets

@@ -20,6 +20,7 @@ from repro.experiments.campaign import (
 from repro.experiments.runner import (
     DEFAULT_WARMUP,
     Runner,
+    default_length,
     default_warmup,
 )
 
@@ -64,9 +65,11 @@ class TestJobKey:
         assert job_key(Job("astar", "skylake", "fvp",
                            LENGTH, WARMUP)) != base
 
-    def test_callable_specs_have_no_key(self):
-        assert job_key(Job("astar", "skylake", lambda: None,
-                           LENGTH, WARMUP)) is None
+    def test_override_specs_have_their_own_key(self):
+        plain = job_key(Job("astar", "skylake", "fvp", LENGTH, WARMUP))
+        sized = job_key(Job("astar", "skylake", "fvp:epoch=1000",
+                            LENGTH, WARMUP))
+        assert isinstance(sized, str) and sized != plain
 
     def test_fingerprint_rejects_lambdas(self):
         with pytest.raises(TypeError):
@@ -289,16 +292,26 @@ class TestParallelExecution:
         assert engine.stats.simulated == 1
         assert len(results) == 1
 
-    def test_callable_specs_run_in_process(self, tmp_path):
-        from repro.core import FVP
-
-        runner = make_runner(tmp_path, jobs=4)
-        result = runner.run("astar", "skylake", lambda: FVP(vt_entries=96))
-        assert result.predictor == "fvp"
-        # Callable specs cannot be content-hashed, so nothing reached
-        # the cache — a rerun simulates again.
-        assert runner.engine.cache.entries() == []
-        assert runner.engine.stats.simulated == 1
+    def test_oracle_and_override_specs_run_in_the_pool_and_cache(
+            self, tmp_path):
+        specs = ("fvp-oracle", "fvp:epoch=1000", "fvp+store-chains")
+        workloads = ("astar", "hadoop")
+        jobs = [Job(w, "skylake", spec, LENGTH, WARMUP)
+                for w in workloads for spec in specs]
+        serial = Runner(length=LENGTH, warmup=WARMUP,
+                        workloads=list(workloads))
+        expected = {job: serial.run(job.workload, job.core, job.spec)
+                    for job in jobs}
+        engine = CampaignEngine(
+            jobs=2, cache=ResultCache(str(tmp_path / "cache")))
+        assert engine.run_jobs(jobs) == expected
+        assert engine.stats.simulated == len(jobs)
+        assert engine.stats.fallbacks == 0
+        assert expected[jobs[1]].predictor == "fvp"
+        rerun = CampaignEngine(
+            jobs=2, cache=ResultCache(str(tmp_path / "cache")))
+        assert rerun.run_jobs(jobs) == expected
+        assert (rerun.stats.hits, rerun.stats.simulated) == (len(jobs), 0)
 
     def test_simresult_round_trips_through_pickle(self):
         result = execute_job(Job("astar", "skylake", "fvp",
@@ -312,24 +325,6 @@ class TestParallelExecution:
 # Predictor lifecycle.
 # ----------------------------------------------------------------------
 class TestPredictorLifecycle:
-    def test_shared_instance_across_jobs_rejected(self, tmp_path):
-        from repro.core import FVP
-
-        shared = FVP()
-        runner = make_runner(tmp_path, use_cache=False)
-        runner.run("astar", "skylake", lambda: shared)
-        with pytest.raises(RuntimeError, match="reused across jobs"):
-            runner.run("hadoop", "skylake", lambda: shared)
-
-    def test_reset_clears_the_claim(self, tmp_path):
-        from repro.core import FVP
-
-        shared = FVP()
-        runner = make_runner(tmp_path, use_cache=False)
-        runner.run("astar", "skylake", lambda: shared)
-        shared.reset()
-        runner.run("hadoop", "skylake", lambda: shared)
-
     def test_prediction_is_frozen_and_compares_by_value(self):
         from repro.pipeline.vp_interface import Prediction
 
@@ -354,6 +349,24 @@ class TestDefaultWarmup:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARMUP", "123")
         assert default_warmup(10_000) == 123
+
+    @pytest.mark.parametrize("name", ["REPRO_WARMUP", "REPRO_LENGTH"])
+    def test_unparseable_env_names_the_variable(self, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        with pytest.raises(ConfigError, match=name):
+            Runner(workloads=["astar"])
+
+    def test_pair_rejects_a_zero_cycle_measured_region(self):
+        runner = Runner(length=2000, warmup=1999, workloads=["mcf"])
+        with pytest.raises(ConfigError, match="mcf: warmup 1999 leaves "
+                                              "a measured region of 0"):
+            runner.workload_run("mcf", "skylake", "fvp")
+
+    def test_length_env_read_when_used(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LENGTH", "5000")
+        monkeypatch.delenv("REPRO_WARMUP", raising=False)
+        assert default_length() == 5000
+        assert Runner(workloads=["astar"]).length == 5000
 
     def test_runner_default_is_valid_for_short_traces(self, monkeypatch):
         monkeypatch.delenv("REPRO_WARMUP", raising=False)

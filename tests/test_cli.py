@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import shlex
 
 import pytest
@@ -219,13 +220,17 @@ class TestSharedTraceShapeFlags:
                                "--no-cache"]) == 2
         assert capsys.readouterr().err.strip() == message
 
-    @pytest.mark.parametrize("command", [
-        ["run", "mcf"],
-        ["compare", "mcf", "fvp"],
-        ["profile", "mcf"],
+    @pytest.mark.parametrize("command,workload", [
+        (["run", "mcf"], "mcf"),
+        (["compare", "mcf", "fvp"], "mcf"),
+        (["profile", "mcf"], "mcf"),
+        (["sweep", "fvp", "--per-category", "1"], "bwaves"),
+        (["figure", "6", "--per-category", "1"], "bwaves"),
+        (["report", "--figures", "6", "--per-category", "1",
+          "--output", os.devnull], "bwaves"),
     ])
     def test_zero_cycle_measured_region_is_a_usage_error(self, command,
-                                                         capsys):
+                                                         workload, capsys):
         # The one measured op retires in the last warmup op's cycle, so
         # the measured region has no IPC to compare.
         assert main(command + ["--length", "2000", "--warmup", "1999",
@@ -233,8 +238,51 @@ class TestSharedTraceShapeFlags:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1] == (
-            "mcf: warmup 1999 leaves a measured region of 0 cycles; "
-            "lower --warmup")
+            f"{workload}: warmup 1999 leaves a measured region of 0 "
+            "cycles; lower --warmup")
+
+    @pytest.mark.parametrize("name,command", [
+        ("REPRO_LENGTH", ["run", "astar", "--warmup", "800"]),
+        ("REPRO_WARMUP", ["run", "astar", "--length", "3000"]),
+    ])
+    def test_unparseable_env_is_a_usage_error(self, monkeypatch, capsys,
+                                              name, command):
+        monkeypatch.setenv(name, "abc")
+        assert main(command + ["--no-cache"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"{name} must be a whole number of micro-ops, got 'abc'")
+
+    def test_length_env_is_read_only_when_used(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_LENGTH", "abc")
+        assert main(["list"]) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["run", "astar", "--predictor"],
+        ["sweep"],
+    ])
+    @pytest.mark.parametrize("spec", [
+        "nope", "fvp:epoch=x", "fvp:bogus=1", "lvp:epoch=1"])
+    def test_malformed_spec_fails_before_any_job(self, capsys, command,
+                                                 spec):
+        assert main(command + [spec, "--length", "3000", "--warmup",
+                               "800", "--no-cache"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert repr(spec) in err
+
+    def test_compare_oracle_and_override_specs(self, capsys):
+        assert main(["compare", "astar", "fvp-oracle", "fvp:lt_size=4",
+                     "--length", "3000", "--warmup", "800",
+                     "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "fvp-oracle" in out and "fvp:lt_size=4" in out
+
+    def test_run_override_spec(self, capsys):
+        assert main(["run", "astar", "--predictor", "fvp:epoch=1000",
+                     "--length", "3000", "--warmup", "800",
+                     "--no-cache"]) == 0
+        assert "speedup over baseline" in capsys.readouterr().out
 
     def test_figure_rejects_trace_file(self, capsys):
         assert main(["figure", "6", "--trace-file", "t.rvt",
@@ -338,3 +386,15 @@ class TestProfileCommand:
         assert csv_path.read_text().startswith("cycle,")
         out = capsys.readouterr().out
         assert "512 events" in out
+
+    def test_profile_trace_export_replays_trace_file(self, tmp_path,
+                                                     capsys):
+        # The export reruns with the profiled run's warmup, which a
+        # trace file derives from its own length, not from --length.
+        path = str(tmp_path / "astar.rvt")
+        assert main(["trace", "build", "astar", "--length", "3000",
+                     "--output", path]) == 0
+        json_path = tmp_path / "trace.json"
+        assert main(["profile", "astar", "--trace-file", path,
+                     "--no-cache", "--trace-json", str(json_path)]) == 0
+        assert json_path.exists()

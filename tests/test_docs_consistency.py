@@ -150,7 +150,10 @@ class TestFlagsAndEnvVars:
         # its printed command: the checkpoint manifests under
         # ``campaigns/``, ``sweep --resume`` and ``doctor --stale-age``
         # are retired too, and so is the reference timing loop:
-        # tests/oracle.py is the model's spec now.
+        # tests/oracle.py is the model's spec now.  Every predictor spec
+        # is a registry string, so the callable-spec label, the reuse
+        # claim and ValuePredictor.reset are gone, and the worker pool
+        # is the watchdog pool, one process and pipe per job.
         pages = [REPO / name for name in (
             "README.md", "CONTRIBUTING.md", ".github/workflows/ci.yml",
             ".claude/skills/verify/SKILL.md")]
@@ -160,7 +163,9 @@ class TestFlagsAndEnvVars:
             for stale in ("repro bench", "perf_baseline.json", "BENCH_",
                           "--resume", "--stale-age", "campaigns/",
                           "perf harness", "_time_trace_reference",
-                          "REPRO_ENGINE_BACKEND=reference"):
+                          "REPRO_ENGINE_BACKEND=reference",
+                          "<callable>", "_claimed_by_job",
+                          "ValuePredictor.reset", "ProcessPoolExecutor"):
                 assert stale not in text, (page, stale)
 
 

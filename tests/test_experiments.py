@@ -74,23 +74,25 @@ class TestRunner:
         assert result.predictor == "fvp"
         assert result.instructions == len(runner.trace("astar")) - 2000
 
-    def test_run_by_factory(self, runner):
-        from repro.core import FVP
-
-        result = runner.run("astar", "skylake", lambda: FVP(vt_entries=96))
+    def test_run_by_override_spec(self, runner):
+        result = runner.run("astar", "skylake", "fvp:vt_entries=96")
         assert result.predictor == "fvp"
+        assert result.instructions == len(runner.trace("astar")) - 2000
 
-    def test_run_by_trace_aware_factory(self, runner):
+    def test_run_by_trace_aware_name(self, runner, monkeypatch):
+        from repro.criticality import oracle
+
         seen = {}
+        real = oracle.oracle_critical_pcs
 
-        def spec(trace, config):
-            from repro.core import FVP
-
+        def spy(trace, config):
             seen["n"] = len(trace)
             seen["core"] = config.name
-            return FVP()
+            return real(trace, config)
 
-        runner.run("astar", "skylake-2x", spec)
+        monkeypatch.setattr(oracle, "oracle_critical_pcs", spy)
+        result = runner.run("astar", "skylake-2x", "fvp-oracle")
+        assert result.predictor == "fvp-oracle"
         assert seen["n"] >= 6000
         assert seen["core"] == "skylake-2x"
 
@@ -147,6 +149,15 @@ class TestFigureDrivers:
 
         bars = figures.figure12(runner, include_oracle=False)
         assert set(bars) == set(figures.FIG12_PREDICTORS)
+
+    def test_figure12_oracle_bar_is_a_cached_spec(self, runner):
+        from repro.experiments import figures
+
+        bars = figures.figure12(runner)
+        assert list(bars) == [*figures.FIG12_PREDICTORS, "fvp-oracle"]
+        suite = runner.suite("fvp-oracle", core="skylake")
+        assert bars["fvp-oracle"] == {"gain": suite.gain,
+                                      "coverage": suite.coverage}
 
     def test_figure13_components(self, runner):
         from repro.experiments import figures

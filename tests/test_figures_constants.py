@@ -57,14 +57,6 @@ class TestSuiteCache:
         second = runner.suite("fvp")
         assert first is second
 
-    def test_factory_suites_not_cached(self):
-        from repro.core import FVP
-
-        runner = Runner(length=3000, warmup=1000, workloads=["astar"])
-        first = runner.suite(lambda: FVP())
-        second = runner.suite(lambda: FVP())
-        assert first is not second
-
     def test_cache_is_per_core(self):
         runner = Runner(length=3000, warmup=1000, workloads=["astar"])
         assert runner.suite("fvp", "skylake") is not \

@@ -624,6 +624,40 @@ class TestDaemon:
         # The daemon survives every rejected request.
         assert client.ping(daemon.socket_path)["event"] == "pong"
 
+    def test_malformed_specs_rejected_on_a_usable_connection(self,
+                                                             daemon):
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        conn.settimeout(5.0)
+        conn.connect(daemon.socket_path)
+        replies = []
+        try:
+            with conn.makefile("rb") as stream:
+                for spec in ("nope", "fvp:epoch=x", "fvp:bogus=1",
+                             "lvp:epoch=1"):
+                    conn.sendall(encode_frame({
+                        "v": PROTOCOL_VERSION, "op": "submit",
+                        "jobs": [job_to_wire(make_job(spec=spec))]}))
+                    replies.append(decode_frame(stream.readline()))
+                conn.sendall(encode_frame({"v": PROTOCOL_VERSION,
+                                           "op": "ping"}))
+                pong = decode_frame(stream.readline())
+        finally:
+            conn.close()
+        assert [reply["kind"] for reply in replies] == \
+            ["ProtocolError"] * 4
+        assert "'fvp:bogus=1'" in replies[2]["error"]
+        assert pong["event"] == "pong"
+        assert daemon.board.summary()["submissions"] == []
+
+    def test_override_and_oracle_specs_are_submittable(self, daemon):
+        jobs = [make_job(spec="fvp:epoch=1000"),
+                make_job(spec="fvp-oracle")]
+        out = client.collect_results(
+            client.submit(daemon.socket_path, jobs))
+        assert out["complete"]["failed"] == 0
+        for job in jobs:
+            assert out["results"][job_key(job)] == wire_result(job)
+
     def test_bad_version_rejected(self, daemon):
         conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         conn.settimeout(5.0)
