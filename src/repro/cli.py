@@ -341,7 +341,7 @@ def _report_failures(runner: Runner) -> int:
 
 def cmd_sweep(args) -> int:
     """Full design-space sweep: every predictor × every core over the
-    workload suite, as one deduplicated campaign.
+    workload suite, as one deduplicated campaign per core.
 
     The result cache is the sweep's only progress record: with the
     cache enabled the sweep prints, on stderr, the exact command that
@@ -360,8 +360,8 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for core in args.cores:
-        for predictor in args.predictors:
-            suite = runner.suite(predictor, core=core)
+        for predictor, suite in runner.suites(args.predictors,
+                                              core).items():
             if suite.runs:
                 rows.append((core, predictor, f"{suite.gain:+.2%}",
                              f"{suite.coverage:.1%}", len(suite)))

@@ -11,10 +11,13 @@ things the plain :class:`~repro.experiments.runner.Runner` loop lacks:
   and 9 all need FVP-on-Skylake; the engine simulates it once).
 * **Fan-out** — :class:`CampaignEngine` runs jobs over a watchdog-
   supervised worker pool (``jobs=N``, default ``os.cpu_count()``).
-  Traces are deterministic, so workers rebuild them locally instead of
-  shipping micro-ops across the pipe.  If the pool itself cannot start
-  (sandboxes without ``fork``), the engine degrades to serial
-  execution rather than aborting the campaign.
+  The campaign orders its jobs workload-major and builds each distinct
+  generated trace once, in the parent, dropping it after its last job
+  has been dispatched.  A forked worker inherits its job's trace
+  through ``fork`` (it is never pickled); a retried attempt, or a
+  worker started any other way, rebuilds it deterministically.  If the
+  pool itself cannot start (sandboxes without ``fork``), the engine
+  degrades to serial execution rather than aborting the campaign.
 * **Fault tolerance** (docs/ROBUSTNESS.md) — every job gets a per-job
   wall-clock ``timeout`` enforced by a watchdog that kills and requeues
   hung workers, bounded ``retries`` with exponential ``backoff`` for
@@ -140,11 +143,12 @@ class Job:
     Jobs compare by value, so a campaign deduplicates naturally when
     used as dict keys.
 
-    The trace input is named, never inline: workers rebuild it from
-    ``workload`` (optionally under a ``seed`` override) or replay it
-    from a v2 trace file referenced by ``trace_file`` — in which case
-    ``length`` is ignored and the file's content hash joins the cache
-    key.
+    The trace input is named, never inline: it is generated from
+    ``workload`` (optionally under a ``seed`` override) and ``length``,
+    or replayed from a v2 trace file referenced by ``trace_file`` — in
+    which case ``length`` is ignored and the file's content hash joins
+    the cache key.  Jobs that generate the same trace share one build
+    per campaign (see :meth:`CampaignEngine.run_campaign`).
     """
 
     workload: str
@@ -323,16 +327,70 @@ def build_predictor(spec: PredictorSpec, trace: Sequence[MicroOp],
     return None if spec is None else make_predictor(spec, trace, config)
 
 
+def _trace_key(job: Job) -> tuple:
+    """What determines the trace ``job`` simulates: its trace file, or
+    the ``(workload, length, seed)`` it is generated from."""
+    if job.trace_file is not None:
+        return (job.trace_file,)
+    return (job.workload, job.length, job.seed)
+
+
+def _generate_trace(job: Job) -> List[MicroOp]:
+    """Build the trace of a job without a ``trace_file``, honouring its
+    ``seed`` override."""
+    profile = get_profile(job.workload)
+    if job.seed is not None:
+        profile = reseeded(profile, job.seed)
+    return build_trace(profile, job.length)
+
+
+class _TraceSupply:
+    """The generated traces of one campaign lane.  Each distinct trace
+    is built once, in this process, when the first of its jobs is
+    dispatched, and dropped when the last of them has been: over jobs
+    in workload-major order at most one trace is alive at a time."""
+
+    def __init__(self, jobs: Sequence[Job]) -> None:
+        self._left: Dict[tuple, int] = {}
+        for job in jobs:
+            if job.trace_file is None:
+                key = _trace_key(job)
+                self._left[key] = self._left.get(key, 0) + 1
+        self._live: Dict[tuple, List[MicroOp]] = {}
+
+    def take(self, job: Job) -> Optional[List[MicroOp]]:
+        """The trace for the first attempt of ``job``, or ``None`` for
+        a ``trace_file`` job, a job not counted at construction, or a
+        trace that cannot be built (an unknown workload, a bad length):
+        the job's own run then builds it and fails into the ledger."""
+        key = _trace_key(job)
+        left = self._left.get(key)
+        if left is None:
+            return None
+        trace = self._live.get(key)
+        if trace is None:
+            try:
+                trace = self._live[key] = _generate_trace(job)
+            except (KeyError, ValueError):
+                del self._left[key]
+                return None
+        if left == 1:
+            del self._left[key], self._live[key]
+        else:
+            self._left[key] = left - 1
+        return trace
+
+
 def execute_job(job: Job, trace: Optional[List[MicroOp]] = None,
                 attempt: int = 1) -> SimResult:
     """Run one job to completion in this process.
 
     The trace comes from (in priority order) the ``trace`` argument
-    (a campaign trace-provider), the job's ``trace_file`` (streamed —
+    (built once by the campaign), the job's ``trace_file`` (streamed —
     mmap-backed bounded-window replay, the path that keeps million-op
-    jobs under a fixed RSS budget), or a local
-    :func:`~repro.trace.builder.build_trace` rebuild honouring the
-    job's ``seed`` override.
+    jobs under a fixed RSS budget), or a local rebuild through
+    :func:`~repro.trace.builder.build_trace` honouring the job's
+    ``seed`` override.
 
     ``attempt`` is the campaign retry counter (1-based); the
     fault-injection harness (docs/ROBUSTNESS.md) uses it to fire
@@ -350,10 +408,7 @@ def execute_job(job: Job, trace: Optional[List[MicroOp]] = None,
             source = open_trace(job.trace_file)
             close_after = True
         else:
-            profile = get_profile(job.workload)
-            if job.seed is not None:
-                profile = reseeded(profile, job.seed)
-            source = build_trace(profile, job.length)
+            source = _generate_trace(job)
     config = core_config(job.core)
     engine = Engine(config, build_predictor(job.spec, source, config))
     try:
@@ -368,20 +423,26 @@ class _PoolUnavailable(Exception):
     limits); the campaign falls back to serial execution."""
 
 
-def _pool_worker(payload: Tuple[str, str, Optional[str], int, int,
-                                Optional[int], Optional[str]],
-                 attempt: int, conn) -> None:
-    """Worker-process entry point: rebuild everything locally and send
-    ``("ok", result, elapsed)`` or ``("err", taxonomy, message)`` back
-    over the pipe.  A crash (or injected ``os._exit``) sends nothing —
-    the parent watchdog classifies that as a ``WorkerCrash``."""
+#: The trace the pool worker being forked simulates.  The parent sets
+#: it just before ``Process.start`` and clears it right after, so a
+#: forked worker inherits the trace without pickling it and the parent
+#: keeps no reference through the ``Process`` object.  A worker started
+#: by any other method sees ``None`` and rebuilds.  One slot suffices
+#: because a process forks from one pool at a time (the daemon runs
+#: its campaigns from one scheduler thread).
+_INHERITED: Optional[List[MicroOp]] = None
+
+
+def _pool_worker(job: Job, attempt: int, conn) -> None:
+    """Worker-process entry point: run ``job`` on the trace inherited
+    through :data:`_INHERITED` (``None`` makes :func:`execute_job`
+    rebuild or replay it here) and send ``("ok", result, elapsed)`` or
+    ``("err", taxonomy, message)`` back over the pipe.  A crash (or
+    injected ``os._exit``) sends nothing — the parent watchdog
+    classifies that as a ``WorkerCrash``."""
     try:
-        (workload, core, spec, length, warmup, seed,
-         trace_file) = payload
         start = time.perf_counter()
-        result = execute_job(Job(workload, core, spec, length, warmup,
-                                 seed, trace_file),
-                             attempt=attempt)
+        result = execute_job(job, _INHERITED, attempt=attempt)
         conn.send(("ok", result, time.perf_counter() - start))
     # Crash-isolation boundary: the worker must classify *anything* and
     # ship it to the parent.  # reprolint: disable=RL004
@@ -799,9 +860,6 @@ class CampaignEngine:
         leaves the ledger on ``self.ledger`` / ``self.failures``.
     """
 
-    #: Watchdog poll period (seconds) while pool jobs are in flight.
-    POLL_INTERVAL = 0.02
-
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  progress: Optional[Callable[[JobEvent], None]] = None,
@@ -834,9 +892,7 @@ class CampaignEngine:
         if self.progress is not None:
             self.progress(event)
 
-    def run_jobs(self, jobs: Sequence[Job],
-                 trace_provider: Optional[Callable[[str], List[MicroOp]]]
-                 = None) -> Dict[Job, SimResult]:
+    def run_jobs(self, jobs: Sequence[Job]) -> Dict[Job, SimResult]:
         """Run every distinct job once; returns ``{job: SimResult}``.
 
         A façade over :meth:`run_campaign` preserving the original
@@ -846,7 +902,7 @@ class CampaignEngine:
         absent from the mapping (see ``self.ledger`` for the full
         accounting).
         """
-        ledger = self.run_campaign(jobs, trace_provider)
+        ledger = self.run_campaign(jobs)
         if ledger.failures and self.strict:
             for failure in ledger.failures.values():
                 if failure.exc is not None:
@@ -857,30 +913,29 @@ class CampaignEngine:
                 ledger)
         return ledger.results
 
-    def run_campaign(self, jobs: Sequence[Job],
-                     trace_provider: Optional[Callable[[str], List[MicroOp]]]
-                     = None) -> CampaignLedger:
+    def run_campaign(self, jobs: Sequence[Job]) -> CampaignLedger:
         """Run a campaign to full accounting; never raises mid-flight.
 
         The campaign pipeline, in order: duplicate jobs collapse to
         one execution; cached results are restored without simulating
-        (when a :class:`ResultCache` is attached); the remainder fan
-        out over ``self.jobs`` watchdog-supervised worker processes
-        (in-process when 1).  Hung workers are killed at ``timeout``
-        and requeued, retryable failures back off exponentially, and a
-        job that exhausts its attempts is quarantined as a
-        :class:`JobFailure`.  Results are bit-identical however a job
-        is executed — serial, parallel, retried, or restored — because
-        traces rebuild deterministically from their seeds.
+        (when a :class:`ResultCache` is attached); the remainder run
+        in workload-major order (stable otherwise) and fan out over
+        ``self.jobs`` watchdog-supervised worker processes (in-process
+        when 1).  Each distinct generated trace is built once, here,
+        and dropped once its last job has been dispatched; a forked
+        worker inherits it, and a retried attempt (or a worker started
+        other than by ``fork``) rebuilds it.  Hung workers are killed
+        at ``timeout`` and requeued, retryable failures back off
+        exponentially, and a job that exhausts its attempts is
+        quarantined as a :class:`JobFailure`.  Results are
+        bit-identical however a job is executed — serial, parallel,
+        retried, or restored — because traces build deterministically
+        from their seeds.
 
         Parameters
         ----------
         jobs:
             The job list; order is irrelevant and duplicates are free.
-        trace_provider:
-            Optional ``workload -> trace`` callable supplying prebuilt
-            traces for the in-process path (the Runner's trace cache);
-            worker processes always rebuild deterministically.
 
         Returns
         -------
@@ -946,6 +1001,12 @@ class CampaignEngine:
                     self._emit(JobEvent(job, "hit", state["done"], total))
                 else:
                     pending.append(job)
+            # Workload-major: the jobs sharing a trace run back to
+            # back, so it is built once and dropped soon after.
+            groups: Dict[tuple, int] = {}
+            for job in pending:
+                groups.setdefault(_trace_key(job), len(groups))
+            pending.sort(key=lambda job: groups[_trace_key(job)])
 
             # 2. Fan the remainder out to worker processes.
             if self.jobs > 1 and len(pending) > 1:
@@ -961,11 +1022,13 @@ class CampaignEngine:
                                if job not in ledger.results
                                and job not in ledger.failures]
 
-            # 3. Whatever is left runs here, with the shared trace
-            #    cache and the same retry/quarantine policy.
+            # 3. Whatever is left runs here, with the same
+            #    retry/quarantine policy.  The trace is passed straight
+            #    through, so no reference outlives the job's run.
+            traces = _TraceSupply(pending)
             for job in pending:
                 self._emit(JobEvent(job, "start", state["done"], total))
-                self._run_serial(job, trace_provider, on_success,
+                self._run_serial(job, traces.take(job), on_success,
                                  on_failure, on_retry)
         finally:
             if self.cache is not None:
@@ -975,13 +1038,13 @@ class CampaignEngine:
         return ledger
 
     # ------------------------------------------------------------------
-    def _run_serial(self, job: Job, trace_provider, on_success,
-                    on_failure, on_retry) -> None:
-        """In-process execution with the retry/quarantine policy (no
-        preemption: hangs cannot be killed on this path)."""
+    def _run_serial(self, job: Job, trace: Optional[List[MicroOp]],
+                    on_success, on_failure, on_retry) -> None:
+        """In-process execution of ``job`` on ``trace`` (``None``: its
+        trace file, or a local build) with the retry/quarantine policy
+        (no preemption: hangs cannot be killed on this path)."""
         attempt = 1
         while True:
-            trace = trace_provider(job.workload) if trace_provider else None
             start = time.perf_counter()
             try:
                 result = execute_job(job, trace, attempt=attempt)
@@ -1016,14 +1079,25 @@ class CampaignEngine:
 
         Each in-flight job is a dedicated process with a result pipe;
         the watchdog loop launches ready work up to the worker budget,
-        collects results, kills processes that blow their deadline
-        (``JobTimeout``), classifies silent deaths (``WorkerCrash``),
-        and requeues retryable failures with exponential backoff.
+        blocks until a result, a worker exit, a deadline or the end of
+        a backoff, collects results, kills processes that blow their
+        deadline (``JobTimeout``), classifies silent deaths
+        (``WorkerCrash``), and requeues retryable failures with
+        exponential backoff.  A first attempt inherits the trace this
+        process built for it; a retry comes after every first attempt,
+        when that trace has been dropped, so its worker rebuilds.
         Raises :class:`_PoolUnavailable` if a worker process cannot be
         started at all.
         """
+        # Imported here, not at module level, to keep it out of the
+        # figure stack's import time.
+        from multiprocessing.connection import wait
+
+        global _INHERITED
         ctx = multiprocessing.get_context()
         workers = min(self.jobs, len(jobs))
+        traces = _TraceSupply(
+            jobs if ctx.get_start_method() == "fork" else ())
         #: (job, attempt, not_before) — ready once monotonic() >= not_before.
         queue: List[Tuple[Job, int, float]] = [(job, 1, 0.0)
                                                for job in jobs]
@@ -1053,26 +1127,41 @@ class CampaignEngine:
                     if ready is None:
                         break
                     job, attempt, _ = queue.pop(ready)
-                    payload = (job.workload, job.core, job.spec,
-                               job.length, job.warmup, job.seed,
-                               job.trace_file)
                     parent_conn, child_conn = ctx.Pipe(duplex=False)
                     proc = ctx.Process(target=_pool_worker,
-                                       args=(payload, attempt, child_conn),
+                                       args=(job, attempt, child_conn),
                                        daemon=True)
+                    _INHERITED = traces.take(job) if attempt == 1 \
+                        else None
                     try:
                         proc.start()
                     except (OSError, ValueError) as exc:
                         parent_conn.close()
                         child_conn.close()
                         raise _PoolUnavailable(str(exc)) from exc
+                    finally:
+                        _INHERITED = None
                     child_conn.close()
                     deadline = None if self.timeout is None \
-                        else now + self.timeout
+                        else time.monotonic() + self.timeout
                     running[job] = [proc, parent_conn, attempt, deadline,
                                     time.perf_counter()]
 
-                progressed = False
+                if not running:
+                    # Nothing in flight: every queued job is backing off.
+                    self._sleep(max(0.0, min(nb for *_, nb in queue)
+                                    - time.monotonic()))
+                    continue
+                wakeups = [entry[3] for entry in running.values()
+                           if entry[3] is not None]
+                if len(running) < workers:
+                    wakeups.extend(nb for *_, nb in queue)
+                wait([entry[1] for entry in running.values()]
+                     + [entry[0].sentinel for entry in running.values()],
+                     max(0.0, min(wakeups) - time.monotonic())
+                     if wakeups else None)
+
+                now = time.monotonic()
                 for job in list(running):
                     proc, conn, attempt, deadline, started = running[job]
                     if conn.poll():
@@ -1083,7 +1172,6 @@ class CampaignEngine:
                         proc.join()
                         conn.close()
                         del running[job]
-                        progressed = True
                         elapsed = time.perf_counter() - started
                         if message is not None and message[0] == "ok":
                             on_success(job, message[1], message[2])
@@ -1102,7 +1190,6 @@ class CampaignEngine:
                         proc.join()
                         conn.close()
                         del running[job]
-                        progressed = True
                         self.stats.crashes += 1
                         settle(job, attempt, "WorkerCrash",
                                f"worker died with exit code "
@@ -1117,14 +1204,11 @@ class CampaignEngine:
                             proc.join()
                         conn.close()
                         del running[job]
-                        progressed = True
                         self.stats.timeouts += 1
                         settle(job, attempt, "JobTimeout",
                                f"exceeded the {self.timeout:g}s per-job "
                                f"timeout and was killed",
                                time.perf_counter() - started)
-                if not progressed and (running or queue):
-                    self._sleep(self.POLL_INTERVAL)
         finally:
             for proc, conn, *_ in running.values():
                 if proc.is_alive():

@@ -142,11 +142,8 @@ FIG10_PREDICTORS = ("mr-8kb", "composite-8kb", "fvp", "mr-1kb",
 
 def _bar_comparison(runner: Runner, core: str,
                     predictors: Sequence[str]) -> Dict[str, Dict[str, float]]:
-    bars: Dict[str, Dict[str, float]] = {}
-    for name in predictors:
-        suite = runner.suite(name, core=core)
-        bars[name] = {"gain": suite.gain, "coverage": suite.coverage}
-    return bars
+    return {name: {"gain": suite.gain, "coverage": suite.coverage}
+            for name, suite in runner.suites(predictors, core).items()}
 
 
 def figure10(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
@@ -198,11 +195,12 @@ def render_figure12(bars: Dict[str, Dict[str, float]]) -> str:
 def figure13(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """component -> per-category gain for FVP's two halves."""
     runner = runner or Runner()
-    register = runner.suite("fvp-reg", core="skylake").category_summary()
-    memory = runner.suite("fvp-mem", core="skylake").category_summary()
+    suites = runner.suites(("fvp-reg", "fvp-mem"), core="skylake")
     return {
-        "register": {cat: stats["gain"] for cat, stats in register.items()},
-        "memory": {cat: stats["gain"] for cat, stats in memory.items()},
+        component: {cat: stats["gain"] for cat, stats
+                    in suites[spec].category_summary().items()}
+        for component, spec in (("register", "fvp-reg"),
+                                ("memory", "fvp-mem"))
     }
 
 

@@ -10,8 +10,10 @@ repeats from the persistent on-disk cache (``use_cache=True``) — see
 
 * :meth:`Runner.run` — one ``(workload, core, predictor)`` simulation.
 * :meth:`Runner.baseline` — memoised no-predictor run.
-* :meth:`Runner.suite` — every workload under one predictor spec,
-  returned as a :class:`~repro.analysis.metrics.SuiteResult`.
+* :meth:`Runner.suites` — every workload under several predictor
+  specs, as one campaign, each returned as a
+  :class:`~repro.analysis.metrics.SuiteResult`; :meth:`Runner.suite`
+  is its one-spec case.
 
 Predictor state is never shared between runs: each job builds a
 fresh predictor from its *spec*, a registry string such as ``"fvp"``,
@@ -105,7 +107,7 @@ def core_config(core: str) -> CoreConfig:
 
 
 class Runner:
-    """Runs experiment campaigns; caches traces and baseline runs.
+    """Runs experiment campaigns; memoises baseline runs and suites.
 
     Parameters
     ----------
@@ -175,6 +177,7 @@ class Runner:
             cache=ResultCache(cache_dir) if use_cache else None,
             progress=progress,
             timeout=timeout, retries=retries, strict=strict)
+        #: Traces handed out by :meth:`trace`; campaigns never read it.
         self._traces: Dict[str, Union[TraceSource, List[MicroOp]]] = {}
         self._baselines: Dict[Tuple[str, str], SimResult] = {}
         self._suites: Dict[Tuple[str, str], SuiteResult] = {}
@@ -184,7 +187,9 @@ class Runner:
         """The trace this runner simulates for ``workload``: an
         mmap-backed :class:`~repro.trace.io.FileSource` when replaying
         a trace file, otherwise a (memoised) generated list honouring
-        the runner's ``seed`` override."""
+        the runner's ``seed`` override.  For callers that drive the
+        engine themselves (``repro profile --trace-json``); campaigns
+        build their own traces and drop them when done."""
         if workload not in self._traces:
             if self.trace_file is not None:
                 self._traces[workload] = open_trace(self.trace_file)
@@ -202,7 +207,7 @@ class Runner:
                    self.seed, self.trace_file)
 
     def _run_jobs(self, jobs: Sequence[Job]) -> Dict[Job, SimResult]:
-        results = self.engine.run_jobs(jobs, trace_provider=self.trace)
+        results = self.engine.run_jobs(jobs)
         # Keep the in-process baseline memo warm whatever path ran.
         for job, result in results.items():
             if job.spec is None:
@@ -240,40 +245,43 @@ class Runner:
         return WorkloadRun(workload, get_profile(workload).category,
                            baseline=baseline, result=result)
 
-    def suite(self, predictor: str, core: str = "skylake",
-              progress: Optional[Callable[[str], None]] = None
-              ) -> SuiteResult:
-        """Run every workload under one predictor spec, as a single
-        deduplicated campaign (baselines included, so they parallelise
-        too).  Suites are memoised per spec and core, so figure drivers
-        sharing a configuration (e.g. Figures 6 and 8 both need
-        FVP-on-Skylake) reuse runs.  ``progress`` is called with each
-        workload name as its predictor job completes."""
-        cache_key = (predictor, core)
-        if cache_key in self._suites:
-            return self._suites[cache_key]
+    def suite(self, predictor: str,
+              core: str = "skylake") -> SuiteResult:
+        """Every workload under one predictor spec: the one-spec case
+        of :meth:`suites`."""
+        return self.suites([predictor], core)[predictor]
+
+    def suites(self, specs: Sequence[str],
+               core: str = "skylake") -> Dict[str, SuiteResult]:
+        """Run every workload under each predictor spec in ``specs`` as
+        a single deduplicated campaign (missing baselines included, so
+        they parallelise too); returns ``{spec: SuiteResult}``.  Suites
+        are memoised per spec and core, so figure drivers sharing a
+        configuration (e.g. Figures 6 and 8 both need FVP-on-Skylake)
+        reuse runs.  A workload the (non-strict) campaign quarantined
+        is an explicit gap of its suite, which is then not memoised."""
+        out = {spec: self._suites[(spec, core)] for spec in specs
+               if (spec, core) in self._suites}
+        missing = [spec for spec in dict.fromkeys(specs) if spec not in out]
+        if not missing:
+            return out
         jobs: List[Job] = []
         for workload in self.workloads:
-            jobs.append(self.job(workload, core, None))
-            jobs.append(self.job(workload, core, predictor))
-        baseline_missing = [job for job in jobs if job.spec is None and
-                            (job.workload, job.core) not in self._baselines]
-        predictor_jobs = [job for job in jobs if job.spec is not None]
-        results = self._run_jobs(baseline_missing + predictor_jobs)
-        runs = []
-        gaps = []
-        for workload in self.workloads:
-            if progress is not None:
-                progress(workload)
-            baseline = self._baselines.get((workload, core))
-            result = results.get(self.job(workload, core, predictor))
-            if baseline is None or result is None:
-                # Non-strict campaign quarantined this workload; report
-                # it as an explicit gap instead of a KeyError.
-                gaps.append(workload)
-                continue
-            runs.append(self.pair(workload, baseline, result))
-        suite = SuiteResult(runs, gaps=gaps)
-        if not gaps:
-            self._suites[cache_key] = suite
-        return suite
+            if (workload, core) not in self._baselines:
+                jobs.append(self.job(workload, core, None))
+            jobs.extend(self.job(workload, core, spec) for spec in missing)
+        results = self._run_jobs(jobs)
+        for spec in missing:
+            runs = []
+            gaps = []
+            for workload in self.workloads:
+                baseline = self._baselines.get((workload, core))
+                result = results.get(self.job(workload, core, spec))
+                if baseline is None or result is None:
+                    gaps.append(workload)
+                    continue
+                runs.append(self.pair(workload, baseline, result))
+            out[spec] = SuiteResult(runs, gaps=gaps)
+            if not gaps:
+                self._suites[(spec, core)] = out[spec]
+        return {spec: out[spec] for spec in specs}

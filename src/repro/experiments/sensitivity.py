@@ -8,7 +8,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.analysis.metrics import SuiteResult
 from repro.experiments.runner import Runner
+from repro.predictors import fvp_defaults
+
+
+def _gain_and_coverage(suites: Dict[str, SuiteResult]
+                       ) -> Dict[str, Dict[str, float]]:
+    return {name: {"gain": suite.gain, "coverage": suite.coverage}
+            for name, suite in suites.items()}
+
+
+def _fvp_point(key: str, value: int) -> str:
+    """The spec of FVP with one parameter set to ``value``: plain
+    ``fvp`` at FVP's own value, which is not an override."""
+    return "fvp" if value == fvp_defaults()[key] else f"fvp:{key}={value}"
 
 
 def all_instruction_study(runner: Optional[Runner] = None
@@ -20,11 +34,7 @@ def all_instruction_study(runner: Optional[Runner] = None
     small tables.
     """
     runner = runner or Runner()
-    out = {}
-    for name in ("fvp", "fvp-all"):
-        suite = runner.suite(name, core="skylake")
-        out[name] = {"gain": suite.gain, "coverage": suite.coverage}
-    return out
+    return _gain_and_coverage(runner.suites(("fvp", "fvp-all"), "skylake"))
 
 
 def branch_chain_study(runner: Optional[Runner] = None
@@ -36,11 +46,7 @@ def branch_chain_study(runner: Optional[Runner] = None
     cannot predict, the Value Table cannot either.
     """
     runner = runner or Runner()
-    out = {}
-    for name in ("fvp", "fvp-br"):
-        suite = runner.suite(name, core="skylake")
-        out[name] = {"gain": suite.gain, "coverage": suite.coverage}
-    return out
+    return _gain_and_coverage(runner.suites(("fvp", "fvp-br"), "skylake"))
 
 
 def epoch_sweep(runner: Optional[Runner] = None,
@@ -49,13 +55,12 @@ def epoch_sweep(runner: Optional[Runner] = None,
                 ) -> Dict[int, float]:
     """§VI-C1: Criticality Epoch sweep.  Paper: small epochs give the
     CIT too little time to learn, very large (or no, epoch=0) epochs
-    leave stale roots after phase changes; 400k is the sweet spot."""
+    leave stale roots after phase changes; 400k is the sweet spot.
+    FVP's own epoch runs as plain ``fvp``."""
     runner = runner or Runner()
-    out = {}
-    for epoch in epochs:
-        out[epoch] = runner.suite(f"fvp:epoch={epoch}",
-                                  core="skylake").gain
-    return out
+    specs = {epoch: _fvp_point("epoch", epoch) for epoch in epochs}
+    suites = runner.suites(list(specs.values()), "skylake")
+    return {epoch: suites[spec].gain for epoch, spec in specs.items()}
 
 
 def table_size_sweep(runner: Optional[Runner] = None
@@ -73,22 +78,19 @@ def table_size_sweep(runner: Optional[Runner] = None
         "CIT8": "fvp:cit_size=8",
         "CIT16": "fvp:cit_size=16",
     }
-    out = {}
-    for label, spec in configs.items():
-        suite = runner.suite(spec, core="skylake")
-        out[label] = {"gain": suite.gain, "coverage": suite.coverage}
-    return out
+    suites = _gain_and_coverage(
+        runner.suites(list(configs.values()), "skylake"))
+    return {label: suites[spec] for label, spec in configs.items()}
 
 
 def lt_size_sweep(runner: Optional[Runner] = None,
                   sizes: Sequence[int] = (1, 2, 4, 8)) -> Dict[int, float]:
-    """Extension ablation: Learning Table depth (the paper fixes 2)."""
+    """Extension ablation: Learning Table depth (the paper fixes 2).
+    FVP's own depth runs as plain ``fvp``."""
     runner = runner or Runner()
-    out = {}
-    for size in sizes:
-        out[size] = runner.suite(f"fvp:lt_size={size}",
-                                 core="skylake").gain
-    return out
+    specs = {size: _fvp_point("lt_size", size) for size in sizes}
+    suites = runner.suites(list(specs.values()), "skylake")
+    return {size: suites[spec].gain for size, spec in specs.items()}
 
 
 def combined_mr_composite_study(runner: Optional[Runner] = None
@@ -99,12 +101,9 @@ def combined_mr_composite_study(runner: Optional[Runner] = None
     poorly; FVP at the same storage stays ahead.
     """
     runner = runner or Runner()
-    out = {}
-    for name in ("fvp", "composite-1kb", "mr+composite-1kb",
-                 "mr+composite-8kb"):
-        suite = runner.suite(name, core="skylake")
-        out[name] = {"gain": suite.gain, "coverage": suite.coverage}
-    return out
+    return _gain_and_coverage(runner.suites(
+        ("fvp", "composite-1kb", "mr+composite-1kb", "mr+composite-8kb"),
+        "skylake"))
 
 
 def stride_addition_study(runner: Optional[Runner] = None
@@ -115,11 +114,8 @@ def stride_addition_study(runner: Optional[Runner] = None
     helps only some workloads.
     """
     runner = runner or Runner()
-    out = {}
-    for name in ("fvp", "fvp+stride"):
-        suite = runner.suite(name, core="skylake")
-        out[name] = {"gain": suite.gain, "coverage": suite.coverage}
-    return out
+    return _gain_and_coverage(runner.suites(("fvp", "fvp+stride"),
+                                            "skylake"))
 
 
 def power_study(runner: Optional[Runner] = None,
@@ -136,9 +132,8 @@ def power_study(runner: Optional[Runner] = None,
 
     runner = runner or Runner()
     reports = {}
-    for name in predictors:
+    for name, runs in runner.suites(predictors, "skylake").items():
         storage_bits = make_predictor(name).storage_bits()
-        runs = runner.suite(name, core="skylake")
         total = None
         for run in runs:
             report = predictor_energy(run.result, storage_bits)
@@ -161,8 +156,5 @@ def store_chain_study(runner: Optional[Runner] = None
     """Extension ablation (§III-A): also accelerating the producer
     store's dependence chain after a confident memory renaming."""
     runner = runner or Runner()
-    return {
-        "fvp": runner.suite("fvp", core="skylake").gain,
-        "fvp+store-chains": runner.suite("fvp+store-chains",
-                                         core="skylake").gain,
-    }
+    suites = runner.suites(("fvp", "fvp+store-chains"), "skylake")
+    return {name: suite.gain for name, suite in suites.items()}

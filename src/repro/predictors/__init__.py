@@ -9,6 +9,7 @@ the sensitivity studies.
 from __future__ import annotations
 
 import functools
+import inspect
 from typing import Dict, Tuple
 
 from repro.errors import ConfigError
@@ -79,6 +80,16 @@ def _name_set() -> frozenset:
     return frozenset(predictor_names())
 
 
+@functools.lru_cache(maxsize=None)
+def fvp_defaults() -> Dict[str, int]:
+    """FVP's own value of each :data:`FVP_OVERRIDES` parameter, read
+    from the signature of :class:`~repro.core.fvp.FVP`."""
+    from repro.core.fvp import FVP
+
+    parameters = inspect.signature(FVP).parameters
+    return {key: parameters[key].default for key in FVP_OVERRIDES}
+
+
 def parse_spec(spec: str) -> Tuple[str, Dict[str, int]]:
     """Validate a predictor spec; returns ``(name, overrides)``.
 
@@ -88,7 +99,9 @@ def parse_spec(spec: str) -> Tuple[str, Dict[str, int]]:
     ``"fvp:vt_entries=96,vf_entries=128"``.  Overrides are listed in
     that order, so one configuration has one spec and one cache key.
     ``epoch`` may be 0 (no Criticality Epoch); every table size must
-    be positive.  Raises
+    be positive.  An override equal to FVP's own value
+    (:func:`fvp_defaults`) is refused: that configuration is plain
+    ``fvp``, and one spec keeps it one cache key.  Raises
     :class:`~repro.errors.ConfigError` for anything else.  A plain
     name costs one set lookup."""
     if not isinstance(spec, str):
@@ -120,6 +133,10 @@ def parse_spec(spec: str) -> Tuple[str, Dict[str, int]]:
         if not text.isdigit() or int(text) < lowest:
             raise ConfigError(f"predictor spec {spec!r}: {key} must be "
                               f"an integer >= {lowest}")
+        if int(text) == fvp_defaults()[key]:
+            raise ConfigError(f"predictor spec {spec!r}: {key}={text} is "
+                              "FVP's default; leave it out (FVP's own "
+                              "configuration is plain 'fvp')")
         overrides[key] = int(text)
     return base, overrides
 
@@ -153,6 +170,7 @@ def make_predictor(spec: str, trace=None, config=None) -> ValuePredictor:
 __all__ = [
     "FVP_OVERRIDES",
     "ORACLE_SPEC",
+    "fvp_defaults",
     "make_predictor",
     "parse_spec",
     "predictor_names",

@@ -211,6 +211,11 @@ class TestEves:
                     "fvp:vf_entries=128,vt_entries=96", 5):
             with pytest.raises(ConfigError):
                 parse_spec(bad)
+        # FVP's own value is not an override: that spec is plain fvp.
+        for default in ("fvp:epoch=400000", "fvp:lt_size=2",
+                        "fvp:vt_entries=96,vf_entries=40"):
+            with pytest.raises(ConfigError, match="plain 'fvp'"):
+                parse_spec(default)
         # The oracle needs the job's trace and core.
         with pytest.raises(ConfigError, match="trace"):
             make_predictor("fvp-oracle")

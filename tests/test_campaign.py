@@ -3,12 +3,14 @@ parallel fan-out, and the redesigned Runner/SuiteResult surface."""
 
 import os
 import pickle
+import weakref
 
 import pytest
 
 import repro
 from repro.analysis.metrics import SuiteResult
 from repro.errors import ConfigError
+from repro.experiments import campaign
 from repro.experiments.campaign import (
     CampaignEngine,
     Job,
@@ -320,6 +322,113 @@ class TestParallelExecution:
         assert clone == result
         assert clone.ipc == result.ipc
 
+
+# ----------------------------------------------------------------------
+# Trace provisioning: one build per trace per campaign, in the parent.
+# ----------------------------------------------------------------------
+class _Tracked(list):
+    """A trace list that can be weak-referenced."""
+
+
+def spy_builds(monkeypatch, log=None):
+    """Wrap the campaign's ``build_trace``.  Returns ``(refs, alive)``:
+    a weak reference to every trace built in this process, and how many
+    earlier ones were still alive at each build.  With ``log``, every
+    build in any process (forked workers included) appends ``<pid>
+    <workload>`` to that file."""
+    real = campaign.build_trace
+    refs, alive = [], []
+
+    def spy(profile, length):
+        if log is not None:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {profile.name}\n")
+        alive.append(sum(ref() is not None for ref in refs))
+        trace = _Tracked(real(profile, length))
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(campaign, "build_trace", spy)
+    return refs, alive
+
+
+class TestTraceProvisioning:
+    SPECS = (None, "fvp", "lvp")
+
+    def test_pool_builds_each_trace_once_in_the_parent(self, tmp_path,
+                                                        monkeypatch):
+        jobs = [Job(w, "skylake", spec, LENGTH, WARMUP)
+                for spec in self.SPECS for w in ("astar", "hadoop")]
+        serial = CampaignEngine(jobs=1).run_jobs(jobs)
+        log = tmp_path / "builds"
+        spy_builds(monkeypatch, log)
+        engine = CampaignEngine(jobs=2)
+        assert engine.run_jobs(jobs) == serial
+        assert engine.stats.fallbacks == 0
+        assert sorted(log.read_text().splitlines()) == \
+            [f"{os.getpid()} astar", f"{os.getpid()} hadoop"]
+
+    def test_crashed_attempt_rebuilds_in_the_worker(self, tmp_path,
+                                                    monkeypatch):
+        from repro.testing import faults
+
+        jobs = [Job("astar", "skylake", spec, LENGTH, WARMUP)
+                for spec in self.SPECS]
+        clean = CampaignEngine(jobs=1).run_jobs(jobs)
+        log = tmp_path / "builds"
+        spy_builds(monkeypatch, log)
+        engine = CampaignEngine(jobs=2, backoff=0.0)
+        plan = [faults.FaultSpec("crash", match="astar/skylake/fvp",
+                                 times=1)]
+        with faults.installed(plan):
+            assert engine.run_jobs(jobs) == clean
+        assert (engine.stats.crashes, engine.stats.retries) == (1, 1)
+        pids = [line.split()[0] for line in log.read_text().splitlines()]
+        assert pids.count(str(os.getpid())) == 1
+        assert len(pids) == 2   # the retry's worker built its own
+
+    def test_figure10_is_one_campaign(self, monkeypatch):
+        from repro.experiments import figures
+
+        calls = []
+        real = CampaignEngine.run_campaign
+
+        def counted(engine, jobs):
+            calls.append(len(jobs))
+            return real(engine, jobs)
+
+        monkeypatch.setattr(CampaignEngine, "run_campaign", counted)
+        runner = Runner(length=LENGTH, warmup=WARMUP, workloads=["astar"])
+        figures.figure10(runner)
+        assert calls == [1 + len(figures.FIG10_PREDICTORS)]
+
+    def test_serial_lane_keeps_at_most_one_trace(self, monkeypatch):
+        refs, alive = spy_builds(monkeypatch)
+        runner = Runner(length=LENGTH, warmup=WARMUP, workloads=WORKLOADS)
+        runner.suites(["fvp", "lvp"])
+        assert alive == [0] * len(WORKLOADS)
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unbuildable_trace_fails_only_its_job(self, jobs):
+        good = Job("astar", "skylake", None, LENGTH, WARMUP)
+        bad = [Job("no-such-workload", "skylake", spec, LENGTH, WARMUP)
+               for spec in (None, "lvp")]
+        engine = CampaignEngine(jobs=jobs, strict=False)
+        assert set(engine.run_jobs([good] + bad)) == {good}
+        assert set(engine.ledger.failures) == set(bad)
+
+    def test_runner_trace_keeps_its_memo(self):
+        runner = Runner(length=LENGTH, warmup=WARMUP, workloads=["astar"])
+        assert runner.trace("astar") is runner.trace("astar")
+
+    def test_pool_waits_instead_of_sleeping(self):
+        jobs = [Job(w, "skylake", None, LENGTH, WARMUP) for w in WORKLOADS]
+        engine = CampaignEngine(jobs=2)
+        engine._sleep = lambda seconds: pytest.fail(
+            f"slept {seconds}s with jobs in flight")
+        assert len(engine.run_jobs(jobs)) == len(jobs)
+        assert engine.stats.fallbacks == 0
 
 # ----------------------------------------------------------------------
 # Predictor lifecycle.

@@ -261,7 +261,8 @@ class TestSharedTraceShapeFlags:
         ["sweep"],
     ])
     @pytest.mark.parametrize("spec", [
-        "nope", "fvp:epoch=x", "fvp:bogus=1", "lvp:epoch=1"])
+        "nope", "fvp:epoch=x", "fvp:bogus=1", "lvp:epoch=1",
+        "fvp:epoch=400000"])
     def test_malformed_spec_fails_before_any_job(self, capsys, command,
                                                  spec):
         assert main(command + [spec, "--length", "3000", "--warmup",

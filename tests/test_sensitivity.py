@@ -28,6 +28,21 @@ class TestStudies:
         assert set(data) == {1000, 0}
         assert all(isinstance(v, float) for v in data.values())
 
+    def test_default_epoch_is_figure6_fvp(self, tmp_path):
+        from repro.experiments.figures import figure6
+
+        events = []
+        runner = Runner(length=8000, warmup=3000,
+                        workloads=["perlbench", "hadoop"], use_cache=True,
+                        cache_dir=str(tmp_path), progress=events.append)
+        figure6(runner)
+        data = sensitivity.epoch_sweep(runner)
+        assert list(data) == [25_000, 100_000, 400_000, 1_600_000, 0]
+        assert data[400_000] == runner.suite("fvp").gain
+        simulated = [event.job.workload for event in events
+                     if event.status == "done" and event.job.spec == "fvp"]
+        assert sorted(simulated) == ["hadoop", "perlbench"]
+
     def test_table_size_sweep_keys(self, runner):
         data = sensitivity.table_size_sweep(runner)
         assert "default (VT48/VF40/CIT32)" in data

@@ -633,7 +633,7 @@ class TestDaemon:
         try:
             with conn.makefile("rb") as stream:
                 for spec in ("nope", "fvp:epoch=x", "fvp:bogus=1",
-                             "lvp:epoch=1"):
+                             "lvp:epoch=1", "fvp:epoch=400000"):
                     conn.sendall(encode_frame({
                         "v": PROTOCOL_VERSION, "op": "submit",
                         "jobs": [job_to_wire(make_job(spec=spec))]}))
@@ -644,8 +644,9 @@ class TestDaemon:
         finally:
             conn.close()
         assert [reply["kind"] for reply in replies] == \
-            ["ProtocolError"] * 4
+            ["ProtocolError"] * 5
         assert "'fvp:bogus=1'" in replies[2]["error"]
+        assert "plain 'fvp'" in replies[4]["error"]
         assert pong["event"] == "pong"
         assert daemon.board.summary()["submissions"] == []
 
