@@ -5,9 +5,10 @@ evaluation.  One session-scoped :class:`~repro.experiments.Runner`
 drives the campaign engine (:mod:`repro.experiments.campaign`): jobs
 are deduplicated, fanned out over worker processes, and — when the
 cache is enabled — served from ``.repro-cache/`` so a re-run of an
-unchanged figure never simulates.  The in-process suite memo still
-lets figures share work (Figures 6, 8 and 10 all need FVP-on-Skylake,
-for example).
+unchanged figure never simulates.  The Runner's in-process job →
+result memo still lets figures share work (Figures 6, 8 and 10 all
+need FVP-on-Skylake, for example): a job it has run is never
+resubmitted.
 
 Scale knobs (environment variables):
 

@@ -69,6 +69,7 @@ from repro.experiments.campaign import (
     cache_root,
     parse_size,
 )
+from repro.experiments.report import FIGURES as REPORT_FIGURES
 from repro.experiments.runner import (
     Runner,
     core_names,
@@ -105,7 +106,8 @@ def _trace_shape_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _add_scale_args(parser: argparse.ArgumentParser) -> None:
+def _add_core_arg(parser: argparse.ArgumentParser) -> None:
+    """``--core`` (single-workload commands) and the campaign flags."""
     parser.add_argument("--core", choices=core_names(),
                         default="skylake")
     _add_campaign_args(parser)
@@ -156,21 +158,14 @@ def _progress(event: JobEvent) -> None:
 
 
 def _runner(args, workloads: Optional[List[str]] = None) -> Runner:
-    trace_file = getattr(args, "trace_file", None)
-    seed = getattr(args, "seed", None)
-    if trace_file is not None:
-        # The whole file is replayed: its header supplies the length,
-        # so --length is ignored on this path.
-        return Runner(warmup=args.warmup, workloads=workloads,
-                      jobs=args.jobs, use_cache=not args.no_cache,
-                      cache_dir=args.cache_dir, progress=_progress,
-                      timeout=args.timeout, retries=args.retries,
-                      seed=seed, trace_file=trace_file)
-    return Runner(length=args.length, warmup=_warmup(args),
-                  workloads=workloads, jobs=args.jobs,
+    # A trace file is replayed whole: its header supplies the length,
+    # so --length is ignored on that path.
+    return Runner(length=None if args.trace_file else args.length,
+                  warmup=args.warmup, workloads=workloads, jobs=args.jobs,
                   use_cache=not args.no_cache, cache_dir=args.cache_dir,
                   progress=_progress, timeout=args.timeout,
-                  retries=args.retries, seed=seed)
+                  retries=args.retries, seed=args.seed,
+                  trace_file=args.trace_file)
 
 
 def _reject_trace_file(args, command: str) -> bool:
@@ -213,7 +208,7 @@ def cmd_list(args) -> int:
 def cmd_run(args) -> int:
     """Simulate one (workload, core, predictor) job."""
     runner = _runner(args, workloads=[args.workload])
-    run = runner.workload_run(args.workload, args.core, args.predictor)
+    run, = runner.suite(args.predictor, args.core)
     print(run.result.summary())
     print(f"speedup over baseline: {run.gain:+.2%}")
     return 0
@@ -222,8 +217,8 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     """Rank predictors against the baseline on one workload."""
     runner = _runner(args, workloads=[args.workload])
-    runs = [runner.workload_run(args.workload, args.core, name)
-            for name in args.predictors]
+    suites = runner.suites(args.predictors, args.core)
+    runs = [suites[name][0] for name in args.predictors]
     print(f"{args.workload} on {args.core}: baseline IPC "
           f"{runs[0].baseline.ipc:.3f}")
     print(f"{'predictor':<16} {'speedup':>9} {'coverage':>9} "
@@ -260,9 +255,10 @@ def cmd_profile(args) -> int:
 
     runner = _runner(args, workloads=[args.workload])
     against_spec = None if args.against == "baseline" else args.against
-    result = runner.run(args.workload, args.core, args.predictor)
-    against = runner.run(args.workload, args.core, against_spec)
-    run = runner.pair(args.workload, against, result)
+    job, against = (runner.job(args.workload, args.core, spec)
+                    for spec in (args.predictor, against_spec))
+    results = runner.results([job, against])
+    run = runner.pair(args.workload, results[against], results[job])
     print(format_cpi_breakdown(run.result, run.baseline))
     print(f"IPC {run.result.ipc:.3f} vs {run.baseline.predictor} "
           f"{run.baseline.ipc:.3f} ({run.gain:+.2%})")
@@ -311,17 +307,7 @@ def cmd_figure(args) -> int:
         return 2
     if _reject_trace_file(args, "figure"):
         return 2
-    runner = figures.default_runner(length=args.length,
-                                    warmup=_warmup(args),
-                                    per_category=args.per_category,
-                                    jobs=args.jobs,
-                                    use_cache=not args.no_cache,
-                                    cache_dir=args.cache_dir,
-                                    progress=_progress,
-                                    timeout=args.timeout,
-                                    retries=args.retries,
-                                    strict=False,
-                                    seed=args.seed)
+    runner = _default_runner_for(args, strict=False)
     print(renderer(driver(runner)))
     return _report_failures(runner)
 
@@ -341,7 +327,7 @@ def _report_failures(runner: Runner) -> int:
 
 def cmd_sweep(args) -> int:
     """Full design-space sweep: every predictor × every core over the
-    workload suite, as one deduplicated campaign per core.
+    workload suite, as one deduplicated campaign.
 
     The result cache is the sweep's only progress record: with the
     cache enabled the sweep prints, on stderr, the exact command that
@@ -358,6 +344,8 @@ def cmd_sweep(args) -> int:
         print("resume with: " + shlex.join(_sweep_command(args)),
               file=sys.stderr)
 
+    runner.results(runner.plan([(predictor, core) for core in args.cores
+                                for predictor in args.predictors]))
     rows = []
     for core in args.cores:
         for predictor, suite in runner.suites(args.predictors,
@@ -402,7 +390,7 @@ def _default_runner_for(args, strict: bool = True) -> Runner:
                           jobs=args.jobs, use_cache=not args.no_cache,
                           cache_dir=args.cache_dir, progress=_progress,
                           timeout=args.timeout, retries=args.retries,
-                          strict=strict, seed=getattr(args, "seed", None))
+                          strict=strict, seed=args.seed)
 
 
 def cmd_storage(_args) -> int:
@@ -974,14 +962,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="simulate one workload")
     p_run.add_argument("workload")
     p_run.add_argument("--predictor", default="fvp")
-    _add_scale_args(p_run)
+    _add_core_arg(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", parents=[shape],
                            help="compare predictors")
     p_cmp.add_argument("workload")
     p_cmp.add_argument("predictors", nargs="+")
-    _add_scale_args(p_cmp)
+    _add_core_arg(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_prof = sub.add_parser(
@@ -1000,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="event ring-buffer capacity (keeps the "
                              "newest N events)")
-    _add_scale_args(p_prof)
+    _add_core_arg(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
     p_fig = sub.add_parser("figure", parents=[shape],
@@ -1008,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("number", type=_figure_number,
                        choices=range(6, 14), metavar="{6..13|fig06..fig13}")
     p_fig.add_argument("--per-category", type=int, default=None)
-    _add_scale_args(p_fig)
+    _add_campaign_args(p_fig)
     p_fig.set_defaults(func=cmd_figure)
 
     p_sweep = sub.add_parser(
@@ -1021,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--per-category", type=int, default=None)
     p_sweep.add_argument("--per-workload", action="store_true",
                          help="also print per-workload tables")
-    _add_scale_args(p_sweep)
+    _add_campaign_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_storage = sub.add_parser("storage", help="print Table I")
@@ -1031,11 +1019,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write a full reproduction report")
     p_report.add_argument("--output", default="report.md")
     p_report.add_argument("--figures", type=int, nargs="+",
-                          default=[6, 7, 10, 12])
+                          choices=REPORT_FIGURES, default=[6, 7, 10, 12])
     p_report.add_argument("--per-category", type=int, default=None)
     p_report.add_argument("--oracle", action="store_true",
                           help="include the (slow) DDG-oracle bar")
-    _add_scale_args(p_report)
+    _add_campaign_args(p_report)
     p_report.set_defaults(func=cmd_report)
 
     p_trace = sub.add_parser(

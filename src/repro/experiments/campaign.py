@@ -58,6 +58,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -189,7 +190,7 @@ class JobFailure:
     """Ledger record for a job that was quarantined after exhausting
     its attempts.  ``error`` is the taxonomy label
     (:func:`repro.errors.taxonomy_name`); ``exc`` keeps the original
-    exception when the failure happened in-process."""
+    exception when it was raised in-process or pickled back (below)."""
 
     job: Job
     error: str
@@ -433,13 +434,26 @@ class _PoolUnavailable(Exception):
 _INHERITED: Optional[List[MicroOp]] = None
 
 
+def _portable(exc: BaseException) -> Optional[Exception]:
+    """``exc`` when it is an :class:`Exception` that survives a pickle
+    round trip, for a pool worker to send back: the parent re-raises
+    it as the serial lane would."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    # Whatever stops the round trip, the exception cannot cross the
+    # pipe.  # reprolint: disable=RL004
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return None
+    return exc if isinstance(exc, Exception) else None
+
+
 def _pool_worker(job: Job, attempt: int, conn) -> None:
     """Worker-process entry point: run ``job`` on the trace inherited
     through :data:`_INHERITED` (``None`` makes :func:`execute_job`
     rebuild or replay it here) and send ``("ok", result, elapsed)`` or
-    ``("err", taxonomy, message)`` back over the pipe.  A crash (or
-    injected ``os._exit``) sends nothing — the parent watchdog
-    classifies that as a ``WorkerCrash``."""
+    ``("err", taxonomy, message, _portable(exc))`` back over the pipe.
+    A crash (or injected ``os._exit``) sends nothing — the parent
+    watchdog classifies that as a ``WorkerCrash``."""
     try:
         start = time.perf_counter()
         result = execute_job(job, _INHERITED, attempt=attempt)
@@ -449,7 +463,7 @@ def _pool_worker(job: Job, attempt: int, conn) -> None:
     except BaseException as exc:  # noqa: BLE001 - ships taxonomy to parent
         try:
             conn.send(("err", taxonomy_name(exc),
-                       f"{type(exc).__name__}: {exc}"))
+                       f"{type(exc).__name__}: {exc}", _portable(exc)))
         except (OSError, ValueError):  # pragma: no cover - parent gone
             pass
     finally:
@@ -1177,7 +1191,7 @@ class CampaignEngine:
                             on_success(job, message[1], message[2])
                         elif message is not None:
                             settle(job, attempt, message[1], message[2],
-                                   elapsed)
+                                   elapsed, exc=message[3])
                         else:
                             self.stats.crashes += 1
                             settle(job, attempt, "WorkerCrash",

@@ -1,22 +1,24 @@
 """Drivers for every figure in the paper's evaluation (§VI).
 
-Each ``figureN`` function runs the experiment and returns plain data;
-``render`` helpers turn that into the rows/series the paper's figure
-shows.  ``PAPER_*`` constants record the paper's reported numbers so
+Each ``figureN`` function runs its figure's :data:`CELLS` as one
+campaign and returns plain data; ``render`` helpers turn that into the
+rows/series the paper's figure shows.  A command rendering several
+figures first runs the union of their cells (:func:`figure_cells`).
+``PAPER_*`` constants record the paper's reported numbers so
 benchmarks and EXPERIMENTS.md can print paper-vs-measured side by
 side.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.metrics import SuiteResult
 from repro.analysis.reporting import (
     format_bar_comparison,
     format_category_summary,
     format_series,
 )
-from repro.experiments.campaign import JobEvent
 from repro.experiments.runner import Runner, core_config
 from repro.trace.workloads import CATALOGUE
 
@@ -65,19 +67,60 @@ PAPER_FIG13 = {
 }
 
 
+FIG10_PREDICTORS = ("mr-8kb", "composite-8kb", "fvp", "mr-1kb",
+                    "composite-1kb")
+FIG12_PREDICTORS = ("fvp-l1-miss-only", "fvp-l1-miss", "fvp")
+
+#: The ``(predictor spec, core)`` cells each figure reads, in the
+#: order its driver reads them.
+CELLS: Dict[int, List[Tuple[str, str]]] = {
+    6: [("fvp", "skylake")],
+    7: [("fvp", "skylake-2x")],
+    8: [("fvp", "skylake")],
+    9: [("fvp", "skylake"), ("fvp", "skylake-2x")],
+    10: [(spec, "skylake") for spec in FIG10_PREDICTORS],
+    11: [(spec, "skylake-2x") for spec in FIG10_PREDICTORS],
+    12: [(spec, "skylake") for spec in FIG12_PREDICTORS + ("fvp-oracle",)],
+    13: [("fvp-reg", "skylake"), ("fvp-mem", "skylake")],
+}
+
+
+def figure_cells(numbers: Sequence[int], include_oracle: bool = True
+                 ) -> List[Tuple[str, str]]:
+    """The union of the cells of figures ``numbers``, in order; without
+    ``include_oracle``, Figure 12's DDG-oracle cell is left out."""
+    return [cell for cell in dict.fromkeys(
+        cell for number in numbers for cell in CELLS[number])
+        if include_oracle or cell[0] != "fvp-oracle"]
+
+
+def _read(runner: Optional[Runner], cells: List[Tuple[str, str]]
+          ) -> List[SuiteResult]:
+    """The suites of ``cells``, in order, run as one campaign."""
+    runner = runner or Runner()
+    runner.results(runner.plan(cells))
+    return [runner.suite(*cell) for cell in cells]
+
+
+def bars(runner: Optional[Runner], cells: List[Tuple[str, str]]
+         ) -> Dict[str, Dict[str, float]]:
+    """``{spec: {"gain", "coverage"}}`` of one core's ``cells``, run as
+    one campaign: the bars of a prior-art or sensitivity comparison."""
+    return {spec: {"gain": suite.gain, "coverage": suite.coverage}
+            for (spec, _), suite in zip(cells, _read(runner, cells))}
+
+
 # ----------------------------------------------------------------------
 # Figures 6/7: FVP per-category gain and coverage.
 # ----------------------------------------------------------------------
 def figure6(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """FVP on the Skylake baseline (Figure 6)."""
-    runner = runner or Runner()
-    return runner.suite("fvp", core="skylake").category_summary()
+    return _read(runner, CELLS[6])[0].category_summary()
 
 
 def figure7(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """FVP on the Skylake-2X baseline (Figure 7)."""
-    runner = runner or Runner()
-    return runner.suite("fvp", core="skylake-2x").category_summary()
+    return _read(runner, CELLS[7])[0].category_summary()
 
 
 def render_figure6(summary: Dict[str, Dict[str, float]]) -> str:
@@ -95,10 +138,9 @@ def render_figure7(summary: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 def figure8(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """workload -> {speedup, coverage} for FVP on Skylake."""
-    runner = runner or Runner()
     return {row["workload"]: {"speedup": row["speedup"],
                               "coverage": row["coverage"]}
-            for row in runner.suite("fvp", core="skylake").to_rows()}
+            for row in _read(runner, CELLS[8])[0].to_rows()}
 
 
 def render_figure8(data: Dict[str, Dict[str, float]]) -> str:
@@ -116,9 +158,7 @@ def render_figure8(data: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 def figure9(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """workload -> {skylake, skylake_2x} FVP speedups."""
-    runner = runner or Runner()
-    sky = runner.suite("fvp", "skylake")
-    sky2 = runner.suite("fvp", "skylake-2x")
+    sky, sky2 = _read(runner, CELLS[9])
     return {a["workload"]: {"skylake": a["speedup"], "skylake_2x": b["speedup"]}
             for a, b in zip(sky.to_rows(), sky2.to_rows())}
 
@@ -136,26 +176,14 @@ def render_figure9(data: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 # Figures 10/11: prior-art comparison at 8 KB and 1 KB.
 # ----------------------------------------------------------------------
-FIG10_PREDICTORS = ("mr-8kb", "composite-8kb", "fvp", "mr-1kb",
-                    "composite-1kb")
-
-
-def _bar_comparison(runner: Runner, core: str,
-                    predictors: Sequence[str]) -> Dict[str, Dict[str, float]]:
-    return {name: {"gain": suite.gain, "coverage": suite.coverage}
-            for name, suite in runner.suites(predictors, core).items()}
-
-
 def figure10(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """MR / Composite / FVP on Skylake (Figure 10)."""
-    runner = runner or Runner()
-    return _bar_comparison(runner, "skylake", FIG10_PREDICTORS)
+    return bars(runner, CELLS[10])
 
 
 def figure11(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """Same comparison on Skylake-2X (Figure 11)."""
-    runner = runner or Runner()
-    return _bar_comparison(runner, "skylake-2x", FIG10_PREDICTORS)
+    return bars(runner, CELLS[11])
 
 
 def render_figure10(bars: Dict[str, Dict[str, float]]) -> str:
@@ -171,17 +199,12 @@ def render_figure11(bars: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 # Figure 12: criticality-detection quality.
 # ----------------------------------------------------------------------
-FIG12_PREDICTORS = ("fvp-l1-miss-only", "fvp-l1-miss", "fvp")
-
-
 def figure12(runner: Optional[Runner] = None,
              include_oracle: bool = True) -> Dict[str, Dict[str, float]]:
     """Criticality heuristics vs the DDG oracle (Figure 12).  Each
     ``fvp-oracle`` job takes its critical roots from a DDG analysis of
     its own trace and core."""
-    runner = runner or Runner()
-    oracle = ("fvp-oracle",) if include_oracle else ()
-    return _bar_comparison(runner, "skylake", FIG12_PREDICTORS + oracle)
+    return bars(runner, figure_cells([12], include_oracle))
 
 
 def render_figure12(bars: Dict[str, Dict[str, float]]) -> str:
@@ -194,13 +217,11 @@ def render_figure12(bars: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 def figure13(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
     """component -> per-category gain for FVP's two halves."""
-    runner = runner or Runner()
-    suites = runner.suites(("fvp-reg", "fvp-mem"), core="skylake")
+    suites = _read(runner, CELLS[13])
     return {
         component: {cat: stats["gain"] for cat, stats
-                    in suites[spec].category_summary().items()}
-        for component, spec in (("register", "fvp-reg"),
-                                ("memory", "fvp-mem"))
+                    in suite.category_summary().items()}
+        for component, suite in zip(("register", "memory"), suites)
     }
 
 
@@ -217,25 +238,13 @@ def render_figure13(data: Dict[str, Dict[str, float]]) -> str:
 
 
 # ----------------------------------------------------------------------
-def default_runner(*,
-                   length: Optional[int] = None,
-                   warmup: Optional[int] = None,
-                   per_category: Optional[int] = None,
-                   jobs: int = 1, use_cache: bool = False,
-                   cache_dir: Optional[str] = None,
-                   progress: Optional[Callable[[JobEvent], None]] = None,
-                   timeout: Optional[float] = None, retries: int = 2,
-                   strict: bool = True,
-                   seed: Optional[int] = None) -> Runner:
+def default_runner(*, per_category: Optional[int] = None,
+                   **kwargs: Any) -> Runner:
     """Runner over the full 60-workload suite, optionally subsampled to
-    ``per_category`` workloads per category (benchmark scaling).
-    ``jobs``/``use_cache`` configure the campaign engine and
-    ``timeout``/``retries``/``strict`` its fault tolerance (see
-    :class:`repro.experiments.Runner`); with ``strict=False`` a figure
-    rendered from a partial campaign carries explicit gap
-    annotations instead of aborting.  ``seed`` reseeds every generated
-    trace (run-to-run variation studies).  Everything is
-    keyword-only."""
+    ``per_category`` workloads per category (benchmark scaling).  Every
+    other keyword goes to :class:`repro.experiments.Runner`; with
+    ``strict=False`` a figure rendered from a partial campaign carries
+    explicit gap annotations instead of aborting."""
     workloads: Optional[List[str]] = None
     if per_category is not None:
         seen: Dict[str, int] = {}
@@ -244,10 +253,7 @@ def default_runner(*,
             if seen.get(profile.category, 0) < per_category:
                 workloads.append(name)
                 seen[profile.category] = seen.get(profile.category, 0) + 1
-    return Runner(length=length, warmup=warmup, workloads=workloads,
-                  jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-                  progress=progress, timeout=timeout, retries=retries,
-                  strict=strict, seed=seed)
+    return Runner(workloads=workloads, **kwargs)
 
 
 __all__ = [
@@ -257,6 +263,7 @@ __all__ = [
     "render_figure10", "render_figure11", "render_figure12",
     "render_figure13",
     "default_runner", "core_config",
+    "CELLS", "bars", "figure_cells",
     "PAPER_FIG6", "PAPER_FIG7", "PAPER_FIG10", "PAPER_FIG11",
     "PAPER_FIG12", "PAPER_FIG13",
 ]

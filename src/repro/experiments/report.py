@@ -13,15 +13,17 @@ from typing import List, Optional, Sequence
 from repro.experiments import figures, storage
 from repro.experiments.runner import Runner
 
-#: (figure number, paper-values constant or None)
-_FIGURES = (
-    (6, figures.PAPER_FIG6),
-    (7, figures.PAPER_FIG7),
-    (10, figures.PAPER_FIG10),
-    (11, figures.PAPER_FIG11),
-    (12, figures.PAPER_FIG12),
-    (13, None),
-)
+#: figure number -> paper-values constant or None
+_PAPER = {
+    6: figures.PAPER_FIG6,
+    7: figures.PAPER_FIG7,
+    10: figures.PAPER_FIG10,
+    11: figures.PAPER_FIG11,
+    12: figures.PAPER_FIG12,
+    13: None,
+}
+#: The figure numbers a report can render, in its order.
+FIGURES = tuple(_PAPER)
 
 
 def _paper_vs_measured(paper, measured) -> List[str]:
@@ -44,9 +46,12 @@ def generate_report(runner: Optional[Runner] = None,
                     include_oracle: bool = False) -> str:
     """Run the requested figures and return a markdown report.
 
-    ``include_oracle`` adds the DDG-oracle bar to Figure 12 (slow).
+    The figures' cells run first, as one campaign.  ``include_oracle``
+    adds the DDG-oracle bar to Figure 12 (slow).
     """
     runner = runner or figures.default_runner()
+    numbers = [number for number in FIGURES if number in figure_numbers]
+    runner.results(runner.plan(figures.figure_cells(numbers, include_oracle)))
     sections = ["# Reproduction report",
                 "",
                 f"Workloads: {len(runner.workloads)}; trace length "
@@ -57,9 +62,8 @@ def generate_report(runner: Optional[Runner] = None,
                 "```",
                 storage.format_table1(),
                 "```"]
-    for number, paper in _FIGURES:
-        if number not in figure_numbers:
-            continue
+    for number in numbers:
+        paper = _PAPER[number]
         driver = getattr(figures, f"figure{number}")
         renderer = getattr(figures, f"render_figure{number}")
         if number == 12:

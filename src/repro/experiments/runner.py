@@ -1,19 +1,20 @@
 """Experiment runner: workloads × cores × predictors, on the campaign
 engine.
 
-The :class:`Runner` is the front door for experiments.  Since the
-campaign redesign it is a thin façade over
-:class:`repro.experiments.campaign.CampaignEngine`, which deduplicates
-jobs, fans them out over worker processes (``jobs=N``), and serves
-repeats from the persistent on-disk cache (``use_cache=True``) — see
-``docs/CAMPAIGNS.md``.  The public surface is unchanged:
+The :class:`Runner` is the front door for experiments: a thin façade
+over :class:`repro.experiments.campaign.CampaignEngine`, which
+deduplicates jobs, fans them out over worker processes (``jobs=N``),
+and serves repeats from the persistent on-disk cache
+(``use_cache=True``) — see ``docs/CAMPAIGNS.md``.  It keeps every
+result in one job → :class:`~repro.pipeline.results.SimResult` memo:
 
-* :meth:`Runner.run` — one ``(workload, core, predictor)`` simulation.
-* :meth:`Runner.baseline` — memoised no-predictor run.
-* :meth:`Runner.suites` — every workload under several predictor
-  specs, as one campaign, each returned as a
-  :class:`~repro.analysis.metrics.SuiteResult`; :meth:`Runner.suite`
-  is its one-spec case.
+* :meth:`Runner.plan` — the jobs of ``(spec, core)`` cells over the
+  runner's workloads, each core's baseline included.
+* :meth:`Runner.results` — runs, as one campaign, the jobs this runner
+  has not run yet; a job already run is never resubmitted.
+* :meth:`Runner.run`, :meth:`Runner.suite`, :meth:`Runner.suites` —
+  reads over that memo, so after a command has run the union of its
+  cells, every read is free.
 
 Predictor state is never shared between runs: each job builds a
 fresh predictor from its *spec*, a registry string such as ``"fvp"``,
@@ -107,7 +108,7 @@ def core_config(core: str) -> CoreConfig:
 
 
 class Runner:
-    """Runs experiment campaigns; memoises baseline runs and suites.
+    """Runs experiment campaigns; memoises every result by job.
 
     Parameters
     ----------
@@ -179,8 +180,8 @@ class Runner:
             timeout=timeout, retries=retries, strict=strict)
         #: Traces handed out by :meth:`trace`; campaigns never read it.
         self._traces: Dict[str, Union[TraceSource, List[MicroOp]]] = {}
-        self._baselines: Dict[Tuple[str, str], SimResult] = {}
-        self._suites: Dict[Tuple[str, str], SuiteResult] = {}
+        #: Every result this runner's campaigns produced, by job.
+        self._results: Dict[Job, SimResult] = {}
 
     # ------------------------------------------------------------------
     def trace(self, workload: str) -> Union[TraceSource, List[MicroOp]]:
@@ -206,30 +207,37 @@ class Runner:
         return Job(workload, core, predictor, self.length, self.warmup,
                    self.seed, self.trace_file)
 
-    def _run_jobs(self, jobs: Sequence[Job]) -> Dict[Job, SimResult]:
-        results = self.engine.run_jobs(jobs)
-        # Keep the in-process baseline memo warm whatever path ran.
-        for job, result in results.items():
-            if job.spec is None:
-                self._baselines.setdefault((job.workload, job.core), result)
-        return results
+    def plan(self, cells: Sequence[Tuple[PredictorSpec, str]]
+             ) -> List[Job]:
+        """The jobs of the ``(spec, core)`` cells over this runner's
+        workloads, workload-major, each core's baseline first."""
+        specs: Dict[str, List[PredictorSpec]] = {}
+        for spec, core in cells:
+            specs.setdefault(core, [None]).append(spec)
+        return [self.job(workload, core, spec)
+                for workload in self.workloads
+                for core, core_specs in specs.items()
+                for spec in core_specs]
+
+    def results(self, jobs: Sequence[Job]) -> Dict[Job, SimResult]:
+        """``{job: SimResult}`` for ``jobs``.  The ones this runner has
+        not run yet run first, as one campaign; a job already run is
+        never resubmitted.  A job the (non-strict) campaign quarantined
+        is absent from the mapping and is not retried."""
+        failed = self.engine.failures
+        todo = [job for job in dict.fromkeys(jobs)
+                if job not in self._results and job not in failed]
+        if todo:
+            self._results.update(self.engine.run_jobs(todo))
+        return {job: self._results[job] for job in jobs
+                if job in self._results}
 
     # ------------------------------------------------------------------
-    def baseline(self, workload: str, core: str = "skylake") -> SimResult:
-        key = (workload, core)
-        if key not in self._baselines:
-            self._baselines[key] = self.run(workload, core, None)
-        return self._baselines[key]
-
     def run(self, workload: str, core: str = "skylake",
             predictor: PredictorSpec = None) -> SimResult:
+        """One ``(workload, core, predictor)`` simulation."""
         job = self.job(workload, core, predictor)
-        return self._run_jobs([job])[job]
-
-    def workload_run(self, workload: str, core: str,
-                     predictor: PredictorSpec) -> WorkloadRun:
-        return self.pair(workload, self.baseline(workload, core),
-                         self.run(workload, core, predictor))
+        return self.results([job])[job]
 
     def pair(self, workload: str, baseline: SimResult,
              result: SimResult) -> WorkloadRun:
@@ -253,35 +261,21 @@ class Runner:
 
     def suites(self, specs: Sequence[str],
                core: str = "skylake") -> Dict[str, SuiteResult]:
-        """Run every workload under each predictor spec in ``specs`` as
-        a single deduplicated campaign (missing baselines included, so
-        they parallelise too); returns ``{spec: SuiteResult}``.  Suites
-        are memoised per spec and core, so figure drivers sharing a
-        configuration (e.g. Figures 6 and 8 both need FVP-on-Skylake)
-        reuse runs.  A workload the (non-strict) campaign quarantined
-        is an explicit gap of its suite, which is then not memoised."""
-        out = {spec: self._suites[(spec, core)] for spec in specs
-               if (spec, core) in self._suites}
-        missing = [spec for spec in dict.fromkeys(specs) if spec not in out]
-        if not missing:
-            return out
-        jobs: List[Job] = []
-        for workload in self.workloads:
-            if (workload, core) not in self._baselines:
-                jobs.append(self.job(workload, core, None))
-            jobs.extend(self.job(workload, core, spec) for spec in missing)
-        results = self._run_jobs(jobs)
-        for spec in missing:
+        """Every workload under each predictor spec in ``specs``, the
+        baselines included, as one campaign (see :meth:`results`);
+        returns ``{spec: SuiteResult}``.  A workload the (non-strict)
+        campaign quarantined is an explicit gap of its suite."""
+        results = self.results(self.plan([(spec, core) for spec in specs]))
+        out = {}
+        for spec in specs:
             runs = []
             gaps = []
             for workload in self.workloads:
-                baseline = self._baselines.get((workload, core))
+                baseline = results.get(self.job(workload, core, None))
                 result = results.get(self.job(workload, core, spec))
                 if baseline is None or result is None:
                     gaps.append(workload)
                     continue
                 runs.append(self.pair(workload, baseline, result))
             out[spec] = SuiteResult(runs, gaps=gaps)
-            if not gaps:
-                self._suites[(spec, core)] = out[spec]
-        return {spec: out[spec] for spec in specs}
+        return out

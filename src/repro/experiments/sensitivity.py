@@ -6,17 +6,16 @@ the corresponding benchmarks print paper-vs-measured.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import SuiteResult
+from repro.experiments.figures import bars
 from repro.experiments.runner import Runner
 from repro.predictors import fvp_defaults
 
 
-def _gain_and_coverage(suites: Dict[str, SuiteResult]
-                       ) -> Dict[str, Dict[str, float]]:
-    return {name: {"gain": suite.gain, "coverage": suite.coverage}
-            for name, suite in suites.items()}
+def _skylake(*specs: str) -> List[Tuple[str, str]]:
+    """The Skylake cells of ``specs``."""
+    return [(spec, "skylake") for spec in specs]
 
 
 def _fvp_point(key: str, value: int) -> str:
@@ -33,8 +32,7 @@ def all_instruction_study(runner: Optional[Runner] = None
     slightly *degrades* performance through conflict misses in the
     small tables.
     """
-    runner = runner or Runner()
-    return _gain_and_coverage(runner.suites(("fvp", "fvp-all"), "skylake"))
+    return bars(runner, _skylake("fvp", "fvp-all"))
 
 
 def branch_chain_study(runner: Optional[Runner] = None
@@ -45,8 +43,7 @@ def branch_chain_study(runner: Optional[Runner] = None
     prediction shares the branch predictor's history, so what TAGE
     cannot predict, the Value Table cannot either.
     """
-    runner = runner or Runner()
-    return _gain_and_coverage(runner.suites(("fvp", "fvp-br"), "skylake"))
+    return bars(runner, _skylake("fvp", "fvp-br"))
 
 
 def epoch_sweep(runner: Optional[Runner] = None,
@@ -70,7 +67,6 @@ def table_size_sweep(runner: Optional[Runner] = None
     Paper: growing VT 48→96 and VF 40→128 adds only ~1%; growing
     further adds nothing visible; CIT 8→16 is worth ~0.15%.
     """
-    runner = runner or Runner()
     configs = {
         "default (VT48/VF40/CIT32)": "fvp",
         "VT96/VF128": "fvp:vt_entries=96,vf_entries=128",
@@ -78,8 +74,7 @@ def table_size_sweep(runner: Optional[Runner] = None
         "CIT8": "fvp:cit_size=8",
         "CIT16": "fvp:cit_size=16",
     }
-    suites = _gain_and_coverage(
-        runner.suites(list(configs.values()), "skylake"))
+    suites = bars(runner, _skylake(*configs.values()))
     return {label: suites[spec] for label, spec in configs.items()}
 
 
@@ -100,10 +95,8 @@ def combined_mr_composite_study(runner: Optional[Runner] = None
     Paper: at small (1 KB) budgets the fusion thrashes and performs
     poorly; FVP at the same storage stays ahead.
     """
-    runner = runner or Runner()
-    return _gain_and_coverage(runner.suites(
-        ("fvp", "composite-1kb", "mr+composite-1kb", "mr+composite-8kb"),
-        "skylake"))
+    return bars(runner, _skylake("fvp", "composite-1kb", "mr+composite-1kb",
+                                 "mr+composite-8kb"))
 
 
 def stride_addition_study(runner: Optional[Runner] = None
@@ -113,9 +106,7 @@ def stride_addition_study(runner: Optional[Runner] = None
     Paper: the stride predictor gives a very small overall gain and
     helps only some workloads.
     """
-    runner = runner or Runner()
-    return _gain_and_coverage(runner.suites(("fvp", "fvp+stride"),
-                                            "skylake"))
+    return bars(runner, _skylake("fvp", "fvp+stride"))
 
 
 def power_study(runner: Optional[Runner] = None,

@@ -64,3 +64,19 @@ TRACE_SHAPES = {
     "vector-friendly": dict(branch_frac=0.10, load_frac=0.30,
                             store_frac=0.10, addr_pool_size=1 << 20),
 }
+
+
+def spy_campaigns(monkeypatch):
+    """Record the jobs of every ``CampaignEngine.run_campaign`` call from
+    now on; returns the list the calls are appended to."""
+    from repro.experiments.campaign import CampaignEngine
+
+    calls = []
+    real = CampaignEngine.run_campaign
+
+    def spy(engine, jobs):
+        calls.append(list(jobs))
+        return real(engine, jobs)
+
+    monkeypatch.setattr(CampaignEngine, "run_campaign", spy)
+    return calls

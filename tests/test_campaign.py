@@ -330,6 +330,13 @@ class _Tracked(list):
     """A trace list that can be weak-referenced."""
 
 
+class _TwoArgs(Exception):
+    """Pickles, but loading calls ``__init__`` with the message only."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
 def spy_builds(monkeypatch, log=None):
     """Wrap the campaign's ``build_trace``.  Returns ``(refs, alive)``:
     a weak reference to every trace built in this process, and how many
@@ -418,6 +425,23 @@ class TestTraceProvisioning:
         assert set(engine.run_jobs([good] + bad)) == {good}
         assert set(engine.ledger.failures) == set(bad)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_campaign_reraises_the_jobs_own_error(self, jobs):
+        # Two jobs, so --jobs 2 raises the ConfigError in pool workers.
+        bad = [Job("astar", "no-such-core", spec, LENGTH, WARMUP)
+               for spec in (None, "lvp")]
+        engine = CampaignEngine(jobs=jobs)
+        with pytest.raises(ConfigError, match="unknown core"):
+            engine.run_jobs(bad)
+        assert all(isinstance(failure.exc, ConfigError)
+                   for failure in engine.ledger.failures.values())
+
+    def test_only_picklable_exceptions_cross_the_pipe(self):
+        error = ConfigError("bad")
+        assert campaign._portable(error) is error
+        assert campaign._portable(_TwoArgs(1, 2)) is None  # fails to load
+        assert campaign._portable(KeyboardInterrupt()) is None
+
     def test_runner_trace_keeps_its_memo(self):
         runner = Runner(length=LENGTH, warmup=WARMUP, workloads=["astar"])
         assert runner.trace("astar") is runner.trace("astar")
@@ -469,7 +493,7 @@ class TestDefaultWarmup:
         runner = Runner(length=2000, warmup=1999, workloads=["mcf"])
         with pytest.raises(ConfigError, match="mcf: warmup 1999 leaves "
                                               "a measured region of 0"):
-            runner.workload_run("mcf", "skylake", "fvp")
+            runner.suite("fvp")
 
     def test_length_env_read_when_used(self, monkeypatch):
         monkeypatch.setenv("REPRO_LENGTH", "5000")

@@ -6,6 +6,8 @@ import shlex
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import campaign
+from tests.helpers import spy_campaigns
 
 
 class TestParser:
@@ -34,6 +36,37 @@ class TestParser:
         assert args.no_cache is True
         args = build_parser().parse_args(["run", "astar"])
         assert args.jobs is None and args.no_cache is False
+
+    @pytest.mark.parametrize("command", [["figure", "6"], ["report"]])
+    def test_core_only_where_it_is_read(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--core", "skylake-2x"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --core" in capsys.readouterr().err
+        for single in (["run", "astar"], ["compare", "astar", "fvp"],
+                       ["profile", "astar"]):
+            args = build_parser().parse_args(single + ["--core",
+                                                       "skylake-2x"])
+            assert args.core == "skylake-2x"
+
+    def test_sweep_reads_core_as_cores(self):
+        # Without a --core of its own, argparse takes --core as the
+        # unambiguous prefix of --cores: the sweep runs that core.
+        args = build_parser().parse_args(
+            ["sweep", "fvp", "--core", "skylake-2x"])
+        assert args.cores == ["skylake-2x"]
+        assert not hasattr(args, "core")
+
+    @pytest.mark.parametrize("number", ["5", "8", "9", "14"])
+    def test_report_takes_only_the_figures_it_renders(self, number,
+                                                      capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["report", "--figures", "6", number])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["report", "--figures", "6", "7", "10", "11", "12", "13"])
+        assert args.figures == [6, 7, 10, 11, 12, 13]
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep", "fvp", "lvp"])
@@ -111,6 +144,39 @@ class TestCommands:
                      "--jobs", "1", "--no-cache", "--per-workload"])
         assert code == 0
         assert "geomean" in capsys.readouterr().out
+
+
+class TestOneCampaignPerCommand:
+    """Each simulating command runs its slice of the evaluation grid
+    as one campaign, which builds each distinct trace once."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", [
+        ["run", "astar"],
+        ["compare", "astar", "lvp", "fvp", "mr-8kb"],
+        ["profile", "astar"],
+        ["figure", "9", "--per-category", "1"],
+        ["sweep", "fvp", "mr-8kb", "--cores", "skylake", "skylake-2x",
+         "--per-category", "1"],
+        ["report", "--per-category", "1", "--output", os.devnull],
+    ])
+    def test_one_campaign_one_build_per_workload(self, command, jobs,
+                                                 monkeypatch, capsys):
+        builds = []
+        real = campaign.build_trace
+
+        def spy(profile, length):
+            builds.append(profile.name)
+            return real(profile, length)
+
+        monkeypatch.setattr(campaign, "build_trace", spy)
+        campaigns = spy_campaigns(monkeypatch)
+        assert main(command + ["--length", "3000", "--warmup", "800",
+                               "--no-cache", "--jobs", jobs]) == 0
+        capsys.readouterr()
+        assert len(campaigns) == 1
+        assert sorted(builds) == sorted(
+            {job.workload for job in campaigns[0]})
 
 
 class TestCacheCommand:

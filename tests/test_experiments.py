@@ -7,6 +7,7 @@ import pytest
 from repro.experiments import storage
 from repro.experiments.figures import default_runner
 from repro.experiments.runner import Runner, core_config
+from tests.helpers import spy_campaigns
 
 
 class TestStorageTable1:
@@ -66,8 +67,11 @@ class TestRunner:
     def test_traces_cached(self, runner):
         assert runner.trace("astar") is runner.trace("astar")
 
-    def test_baseline_cached(self, runner):
-        assert runner.baseline("astar") is runner.baseline("astar")
+    def test_baseline_cached(self, runner, monkeypatch):
+        runner.run("astar")
+        campaigns = spy_campaigns(monkeypatch)
+        runner.run("astar")
+        assert campaigns == []
 
     def test_run_by_name(self, runner):
         result = runner.run("astar", "skylake", "fvp")
@@ -101,8 +105,9 @@ class TestRunner:
         assert [r.workload for r in runs] == ["astar", "hadoop"]
         assert all(r.speedup == pytest.approx(1.0) for r in runs)
 
-    def test_workload_run_carries_category(self, runner):
-        run = runner.workload_run("hadoop", "skylake", "fvp")
+    def test_suite_run_carries_category(self, runner):
+        run = runner.suite("fvp")[1]
+        assert run.workload == "hadoop"
         assert run.category == "Server"
 
     def test_bad_warmup_rejected(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.runner import Runner
+from tests.helpers import spy_campaigns
 
 
 class TestPaperConstants:
@@ -51,13 +52,18 @@ class TestPaperConstants:
 
 
 class TestSuiteCache:
-    def test_named_suites_cached(self):
+    def test_named_suites_cached(self, monkeypatch):
         runner = Runner(length=3000, warmup=1000, workloads=["astar"])
         first = runner.suite("fvp")
+        campaigns = spy_campaigns(monkeypatch)
         second = runner.suite("fvp")
-        assert first is second
+        assert campaigns == []
+        assert second[0].result is first[0].result
 
-    def test_cache_is_per_core(self):
+    def test_cache_is_per_core(self, monkeypatch):
         runner = Runner(length=3000, warmup=1000, workloads=["astar"])
-        assert runner.suite("fvp", "skylake") is not \
-            runner.suite("fvp", "skylake-2x")
+        runner.suite("fvp", "skylake")
+        campaigns = spy_campaigns(monkeypatch)
+        runner.suite("fvp", "skylake-2x")
+        assert [{job.core for job in jobs} for jobs in campaigns] == \
+            [{"skylake-2x"}]

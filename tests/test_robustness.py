@@ -135,12 +135,14 @@ class TestMaxCycles:
         assert snapshot["cycle"] > 10
         assert 0 <= snapshot["op_index"] < len(trace)
 
+    # --jobs 2 raises the error in pool workers, --jobs 1 in-process.
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("text", ["-5", "abc"])
     def test_bad_env_budget_is_a_usage_error(self, monkeypatch, capsys,
-                                             text):
+                                             text, jobs):
         monkeypatch.setenv("REPRO_MAX_CYCLES", text)
         assert main(["run", "astar", "--length", "3000", "--warmup",
-                     "800", "--no-cache"]) == 2
+                     "800", "--no-cache", "--jobs", jobs]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1] == (

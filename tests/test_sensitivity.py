@@ -76,7 +76,7 @@ class TestStudies:
 
 class TestResultMetrics:
     def test_mpki_properties(self, runner):
-        result = runner.baseline("perlbench")
+        result = runner.run("perlbench")
         assert result.branch_mpki >= 0
         assert result.llc_mpki >= 0
         assert result.branch_mpki == pytest.approx(
