@@ -6,8 +6,6 @@ from repro.analysis.metrics import (
     category_summary,
     geomean,
     mean,
-    overall_coverage,
-    overall_gain,
     shape_check,
 )
 from repro.analysis.power import (
@@ -31,8 +29,6 @@ __all__ = [
     "category_summary",
     "geomean",
     "mean",
-    "overall_gain",
-    "overall_coverage",
     "shape_check",
     "EnergyReport",
     "predictor_energy",

@@ -159,21 +159,11 @@ def category_summary(runs: Sequence[WorkloadRun]) -> Dict[str, Dict[str, float]]
     return summary
 
 
-def overall_gain(runs: Sequence[WorkloadRun]) -> float:
-    return geomean(r.speedup for r in runs) - 1.0
-
-
-def overall_coverage(runs: Sequence[WorkloadRun]) -> float:
-    return mean(r.coverage for r in runs)
-
-
-def shape_check(measured: Mapping[str, float], paper: Mapping[str, float],
-                tolerance: float = 0.5) -> Dict[str, bool]:
+def shape_check(measured: Mapping[str, float],
+                paper: Mapping[str, float]) -> Dict[str, bool]:
     """Compare measured vs paper values *by shape*: same sign and the
     same ordering of magnitudes.  Returns per-key pass/fail for the
-    ordering against every other key.  ``tolerance`` is unused for
-    ordering but kept for callers that also gate magnitudes."""
-    del tolerance
+    ordering against every other key."""
     keys = [k for k in paper if k in measured]
     outcome: Dict[str, bool] = {}
     for key in keys:

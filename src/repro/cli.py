@@ -12,9 +12,8 @@ Commands
 ``sweep``     — predictors × cores over the workload suite
 ``storage``   — print Table I
 ``report``    — write a full reproduction report
-``cache``     — inspect, clear, prune, or evict the persistent result
-                cache (the shared cache tier; ``evict`` applies a
-                size budget, oldest-written entries first)
+``cache``     — inspect, clear, or prune (by age) the persistent
+                result cache
 ``doctor``    — environment self-check (exit 1 when the host cannot
                 run campaigns reliably) plus cache-tier hygiene:
                 quarantine files, dead service sockets, WAL debris and
@@ -67,7 +66,6 @@ from repro.experiments.campaign import (
     JobEvent,
     ResultCache,
     cache_root,
-    parse_size,
 )
 from repro.experiments.report import FIGURES as REPORT_FIGURES
 from repro.experiments.runner import (
@@ -415,7 +413,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """Inspect, clear, prune, or budget-evict the result cache."""
+    """Inspect, clear, or prune the result cache."""
     cache = ResultCache(args.cache_dir)
     if args.action == "clear":
         removed = cache.clear()
@@ -430,32 +428,13 @@ def cmd_cache(args) -> int:
         print(f"pruned {removed} cached result(s) older than "
               f"{args.older_than:.0f}s from {cache.root}")
         return 0
-    if args.action == "evict":
-        if args.budget is None and not cache.budget_bytes:
-            print("cache evict requires --budget (e.g. 256M) or "
-                  "REPRO_CACHE_BUDGET", file=sys.stderr)
-            return 2
-        try:
-            budget = parse_size(args.budget) if args.budget else None
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        removed = cache.enforce_budget(budget)
-        cache.flush_stats(0)
-        print(f"evicted {removed} entr(y/ies) from {cache.root} "
-              f"(budget {budget or cache.budget_bytes} bytes, "
-              f"now {cache.size_bytes()} bytes)")
-        return 0
     stats = cache.load_stats()
     entries = cache.entries()
     last = stats["last_run"]
     print(f"cache directory: {cache.root}")
     print(f"entries: {len(entries)} ({cache.size_bytes() / 1024:.1f} KiB)")
-    if cache.budget_bytes:
-        print(f"eviction budget: {cache.budget_bytes} bytes")
     print(f"cumulative: {stats['hits']} hits, {stats['misses']} misses, "
-          f"{stats['simulated']} simulations executed, "
-          f"{stats['evicted']} evicted")
+          f"{stats['simulated']} simulations executed")
     print(f"last run: {last['hits']} hits, {last['misses']} misses, "
           f"{last['simulated']} simulations executed")
     bad = cache.quarantined_entries()
@@ -527,9 +506,7 @@ def cmd_serve(args) -> int:
     cache = None
     try:
         if not args.no_cache:
-            budget = parse_size(args.cache_budget) \
-                if args.cache_budget else None
-            cache = ResultCache(args.cache_dir, budget_bytes=budget)
+            cache = ResultCache(args.cache_dir)
         daemon = ServiceDaemon(path, cache=cache, jobs=args.jobs,
                                timeout=args.timeout,
                                retries=args.retries,
@@ -597,7 +574,6 @@ def cmd_submit(args) -> int:
     path = _service_socket(args)
     try:
         stream = service_client.submit(path, jobs,
-                                       priority=args.priority,
                                        watch=not args.no_watch)
         if args.no_watch:
             for frame in stream:
@@ -682,12 +658,12 @@ def cmd_jobs(args) -> int:
           + ", ".join(f"{records[state]} {state}"
                       for state in ("pending", "running", "done",
                                     "failed")))
-    rows = [(sub["id"], sub["priority"], sub["total"], sub["done"],
+    rows = [(sub["id"], sub["total"], sub["done"],
              sub["failed"], "complete" if sub["complete"] else "open")
             for sub in summary["submissions"]]
     if rows:
-        print(format_table(("submission", "priority", "jobs", "done",
-                            "failed", "state"), rows))
+        print(format_table(("submission", "jobs", "done", "failed",
+                            "state"), rows))
     if stats is not None:
         print("telemetry (service.* / cache.*):")
         flat = dict(_flatten_stat_payload(stats["tree"]))
@@ -1049,17 +1025,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tinspect.set_defaults(func=cmd_trace_inspect)
 
     p_cache = sub.add_parser(
-        "cache", help="inspect, clear, prune, or evict the result cache")
-    p_cache.add_argument("action",
-                         choices=("stats", "clear", "prune", "evict"))
+        "cache", help="inspect, clear, or prune the result cache")
+    p_cache.add_argument("action", choices=("stats", "clear", "prune"))
     p_cache.add_argument("--older-than", type=_parse_age, default=None,
                          metavar="AGE",
                          help="prune entries older than AGE "
                               "(e.g. 3600, 30m, 12h, 7d)")
-    p_cache.add_argument("--budget", default=None, metavar="SIZE",
-                         help="evict the oldest-written entries until "
-                              "the cache fits SIZE (e.g. 268435456, "
-                              "256M, 1G)")
     p_cache.add_argument("--cache-dir", default=None, metavar="DIR")
     p_cache.set_defaults(func=cmd_cache)
 
@@ -1080,9 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="unix socket path (default: "
                               "$REPRO_SERVICE_SOCKET or "
                               "<cache-dir>/service.sock)")
-    p_serve.add_argument("--cache-budget", default=None, metavar="SIZE",
-                         help="cache-tier eviction budget (e.g. 256M; "
-                              "default: $REPRO_CACHE_BUDGET)")
     p_serve.add_argument("--stop", action="store_true",
                          help="ask the running daemon to drain and "
                               "exit")
@@ -1104,9 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload names (see `repro list`)")
     p_submit.add_argument("--cores", nargs="+", default=["skylake"],
                           choices=core_names())
-    p_submit.add_argument("--priority", type=int, default=0,
-                          help="queue priority (higher runs first; "
-                               "default: 0)")
     p_submit.add_argument("--no-watch", action="store_true",
                           help="enqueue and detach (follow later "
                                "with `repro watch`)")
@@ -1137,9 +1102,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="simulator-aware static analysis (the rules listed "
                      "by --list-rules; docs/LINTING.md)")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
-                        default=["src/repro", "tools"],
+                        default=["src/repro", "tools", "benchmarks"],
                         help="files/directories to lint "
-                             "(default: src/repro tools)")
+                             "(default: src/repro tools benchmarks)")
     p_lint.add_argument("--select", metavar="RLxxx[,RLyyy]", default=None,
                         help="comma-separated rule codes to run "
                              "(default: all)")

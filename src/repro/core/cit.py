@@ -25,7 +25,7 @@ class CriticalInstructionTable:
     """Direct-mapped criticality learner."""
 
     __slots__ = ("entries", "size", "conf_max", "util_max", "epoch",
-                 "_last_reset", "recordings", "evictions", "epoch_resets")
+                 "_last_reset", "recordings", "epoch_resets")
 
     def __init__(self, size: int = 32, conf_max: int = 3, util_max: int = 3,
                  epoch: int = DEFAULT_EPOCH) -> None:
@@ -39,7 +39,6 @@ class CriticalInstructionTable:
         self.entries = [None] * size
         self._last_reset = 0
         self.recordings = 0
-        self.evictions = 0
         self.epoch_resets = 0
 
     def _index_tag(self, pc: int):
@@ -64,7 +63,6 @@ class CriticalInstructionTable:
         entry[2] -= 1
         if entry[2] <= 0:
             self.entries[index] = [tag, 1, 1]
-            self.evictions += 1
 
     def is_critical(self, pc: int) -> bool:
         """True when ``pc`` is a confident critical root."""

@@ -2,10 +2,11 @@
 
 The simulator's behaviour can be steered by a small set of environment
 variables (scale knobs, debug paths, guardrails, fault injection).
-Every variable the package reads **must** be declared here — the
-``RL006`` reprolint rule (docs/LINTING.md) statically cross-checks
-each ``os.environ`` read of a ``REPRO_*`` name in ``src/repro``
-against this registry, and ``repro doctor`` prints the registry with
+Every variable the package or its benchmark suite reads **must** be
+declared here — the ``RL006`` reprolint rule (docs/LINTING.md)
+statically cross-checks each ``os.environ`` read of a ``REPRO_*``
+name in ``src/repro``, ``tools`` and ``benchmarks`` against this
+registry, and ``repro doctor`` prints the registry with
 the live values so a misspelled override is visible instead of
 silently ignored.
 
@@ -46,10 +47,6 @@ REGISTRY: Dict[str, EnvVar] = {
         EnvVar("REPRO_CACHE_DIR",
                "result-cache directory for campaigns",
                ".repro-cache", "repro.experiments.campaign"),
-        EnvVar("REPRO_CACHE_BUDGET",
-               "cache-tier eviction budget (bytes; K/M/G suffixes)",
-               "0 (unbounded, no eviction)",
-               "repro.experiments.campaign"),
         EnvVar("REPRO_SERVICE_SOCKET",
                "unix socket path of the campaign service daemon",
                ".repro-cache/service.sock", "repro.service.protocol"),
@@ -73,6 +70,16 @@ REGISTRY: Dict[str, EnvVar] = {
         EnvVar("REPRO_FAULTS",
                "JSON fault-injection plan for the testing harness",
                "unset (no faults)", "repro.testing.faults"),
+        EnvVar("REPRO_JOBS",
+               "campaign worker processes for the benchmark suite",
+               "all cores (1 = serial in-process)",
+               "benchmarks.conftest"),
+        EnvVar("REPRO_CACHE",
+               "1 enables the result cache for the benchmark suite",
+               "off", "benchmarks.conftest"),
+        EnvVar("REPRO_PER_CATEGORY",
+               "limit the benchmark suite's workloads per category",
+               "all 60 workloads", "benchmarks.conftest"),
     )
 }
 

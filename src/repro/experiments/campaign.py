@@ -108,26 +108,6 @@ def cache_root(cache_dir: Optional[str] = None) -> str:
                                        DEFAULT_CACHE_DIR)
 
 
-#: Size-suffix multipliers accepted by :func:`parse_size`.
-_SIZE_SUFFIXES = {"": 1, "k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-
-
-def parse_size(text: str) -> int:
-    """Parse a byte-size string: a plain integer with an optional
-    ``K``/``M``/``G`` suffix (binary multiples, case-insensitive,
-    trailing ``b`` tolerated) — ``"256M"`` → 268435456."""
-    cleaned = text.strip().lower()
-    if cleaned.endswith("b"):
-        cleaned = cleaned[:-1]
-    suffix = cleaned[-1:] if cleaned[-1:] in ("k", "m", "g") else ""
-    digits = cleaned[:-1] if suffix else cleaned
-    try:
-        value = int(digits)
-    except ValueError:
-        raise ConfigError(f"unparseable size: {text!r} "
-                          "(want e.g. 1048576, 256M, 1G)") from None
-    return value * _SIZE_SUFFIXES[suffix]
-
 #: Taxonomy labels the engine retries (mirrors
 #: :data:`repro.errors.RETRYABLE` for failures crossing a process
 #: boundary, where only the label survives).
@@ -491,16 +471,8 @@ class ResultCache:
     it, later ones fall back to read-only caching (``read_only=True``)
     — they still *read* hits but leave all writing to the lock holder.
 
-    As a shared cache *tier* (docs/SERVICE.md) the store can carry an
-    eviction budget: ``budget_bytes`` (default from
-    ``REPRO_CACHE_BUDGET``, CLI ``--cache-budget``) bounds the total
-    size of *current* entries; :meth:`enforce_budget` evicts the
-    oldest-written entries (by file mtime) until the budget holds.  A
-    :meth:`get` never touches mtime, so a cache hit does not protect
-    an entry: the order is oldest written first, not least recently
-    used.
-    Quarantined ``*.bad`` files are never evicted — they are a crash
-    ledger, not reclaimable storage.
+    The cache grows until :meth:`prune` deletes the entries written
+    more than a given age ago, or :meth:`clear` empties it.
     """
 
     STATS_FILE = "stats.json"
@@ -512,24 +484,13 @@ class ResultCache:
     #: swept by :meth:`clear` and :meth:`prune`.
     LEGACY_SUFFIX = ".pkl"
 
-    def __init__(self, root: Optional[str] = None,
-                 budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         self.root = cache_root(root)
-        if budget_bytes is None:
-            raw = os.environ.get("REPRO_CACHE_BUDGET", "")
-            budget_bytes = parse_size(raw) if raw else 0
-        if budget_bytes < 0:
-            raise ConfigError(
-                f"cache budget must be >= 0, got {budget_bytes}")
-        #: Eviction budget in bytes over current entries (0 = none).
-        self.budget_bytes = budget_bytes
         self.hits = 0
         self.misses = 0
         self.stores = 0
         #: Corrupt entries renamed to ``*.bad`` by this instance.
         self.quarantined = 0
-        #: Entries removed by :meth:`enforce_budget` in this instance.
-        self.evicted = 0
         #: Writes skipped because the cache is in read-only fallback.
         self.skipped_writes = 0
         #: Whether this instance lost the advisory-lock race and runs
@@ -538,7 +499,7 @@ class ResultCache:
         self._lock_handle = None
         self._flushed: Dict[str, int] = {"hits": 0, "misses": 0,
                                          "simulated": 0,
-                                         "quarantined": 0, "evicted": 0}
+                                         "quarantined": 0}
 
     # -- storage -------------------------------------------------------
     def path(self, key: str) -> str:
@@ -601,8 +562,6 @@ class ResultCache:
             handle.write(payload)
         os.replace(tmp, final)  # atomic: concurrent campaigns never
         self.stores += 1        # observe a half-written entry
-        if self.budget_bytes:
-            self.enforce_budget()
 
     # -- advisory locking ----------------------------------------------
     def _lock_path(self) -> str:
@@ -708,58 +667,14 @@ class ResultCache:
         if older_than < 0:
             raise ValueError(f"older_than must be >= 0, got {older_than}")
         cutoff = (time.time() if now is None else now) - older_than
-        return self._remove_oldest(
-            self._entry_files(), lambda mtime, _total: mtime >= cutoff)
-
-    def enforce_budget(self,
-                       budget_bytes: Optional[int] = None) -> int:
-        """Evict the oldest-written current entries until their total
-        size fits ``budget_bytes`` (default: the instance budget);
-        returns the number evicted.
-
-        Eviction goes by file mtime, oldest first, and touches *only*
-        current ``*.json`` results — quarantined ``*.bad`` files,
-        legacy pickles and ``stats.json`` are never candidates, so a
-        crashed campaign's forensic ledger survives any budget.  A
-        no-op when the effective budget is 0 (unbounded) or the cache
-        is in read-only fallback."""
-        budget = self.budget_bytes if budget_bytes is None \
-            else budget_bytes
-        if budget <= 0 or self.read_only:
-            return 0
-        removed = self._remove_oldest(
-            [self.path(key) for key in self.entries()],
-            lambda _mtime, total: total <= budget)
-        self.evicted += removed
-        return removed
-
-    @staticmethod
-    def _remove_oldest(paths: List[str],
-                       done: Callable[[float, int], bool]) -> int:
-        """Delete ``paths`` oldest mtime first until ``done(mtime,
-        total)`` holds, where ``mtime`` is the next candidate's and
-        ``total`` the bytes of ``paths`` still on disk; returns the
-        number removed.  The one eviction scan behind :meth:`prune`
-        and :meth:`enforce_budget`."""
-        aged: List[Tuple[float, int, str]] = []
-        for path in paths:
-            try:
-                info = os.stat(path)
-            except OSError:
-                continue
-            aged.append((info.st_mtime, info.st_size, path))
-        aged.sort()
-        total = sum(size for _mtime, size, _path in aged)
         removed = 0
-        for mtime, size, path in aged:
-            if done(mtime, total):
-                break
+        for path in self._entry_files():
             try:
-                os.remove(path)
+                if os.path.getmtime(path) < cutoff:
+                    os.remove(path)
+                    removed += 1
             except OSError:
-                continue
-            total -= size
-            removed += 1
+                pass
         return removed
 
     # -- persistent counters -------------------------------------------
@@ -779,7 +694,6 @@ class ResultCache:
         stats.setdefault("misses", 0)
         stats.setdefault("simulated", 0)
         stats.setdefault("quarantined", 0)
-        stats.setdefault("evicted", 0)
         stats.setdefault("last_run", {"hits": 0, "misses": 0,
                                       "simulated": 0})
         return stats
@@ -792,13 +706,11 @@ class ResultCache:
         command = one instance).  Skipped in read-only fallback."""
         current = {"hits": self.hits, "misses": self.misses,
                    "simulated": self._flushed["simulated"] + simulated,
-                   "quarantined": self.quarantined,
-                   "evicted": self.evicted}
+                   "quarantined": self.quarantined}
         if self.read_only:
             return
         stats = self.load_stats()
-        for field_name in ("hits", "misses", "simulated",
-                           "quarantined", "evicted"):
+        for field_name in ("hits", "misses", "simulated", "quarantined"):
             stats[field_name] += current[field_name] - \
                 self._flushed[field_name]
         stats["last_run"] = {key: current[key]

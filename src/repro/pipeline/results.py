@@ -140,27 +140,6 @@ class SimResult:
                 f"acc={self.accuracy:6.2%} "
                 f"brMiss={self.branch_mispredicts} vpFlush={self.vp_flushes}")
 
-    def as_dict(self) -> dict:
-        """Flat dict for tabulation/serialization."""
-        return {
-            "workload": self.workload,
-            "core": self.core,
-            "predictor": self.predictor,
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "ipc": self.ipc,
-            "coverage": self.coverage,
-            "accuracy": self.accuracy,
-            "loads": self.loads,
-            "stores": self.stores,
-            "branches": self.branches,
-            "predicted_loads": self.predicted_loads,
-            "vp_flushes": self.vp_flushes,
-            "branch_mispredicts": self.branch_mispredicts,
-            "mem_violations": self.mem_violations,
-            "level_counts": dict(self.level_counts),
-        }
-
     # -- full round-trip serialization ---------------------------------
     def to_dict(self) -> dict:
         """Complete JSON-serialisable representation; inverse of

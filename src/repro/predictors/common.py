@@ -76,13 +76,6 @@ class TaggedTable:
         self.rows: List[List[ValueEntry]] = [
             [ValueEntry() for _ in range(ways)] for _ in range(self.sets)]
 
-    def _set_of(self, key: int) -> int:
-        return ((key * 0x9E3779B1) & 0xFFFFFFFF) % self.sets
-
-    def _tag_of(self, key: int) -> int:
-        mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
-        return (mixed >> 12) & self._tag_mask
-
     def lookup(self, key: int) -> Optional[ValueEntry]:
         """Matching entry or None; no allocation, no state change."""
         mixed = (key * 0x9E3779B1) & 0xFFFFFFFF

@@ -2,8 +2,8 @@
 
 ``repro serve`` (docs/SERVICE.md) promotes the campaign engine from a
 CLI batch tool to a multi-client backend: a daemon listens on a unix
-socket, accepts sweep submissions as JSON frames, queues them by
-priority, executes them through one
+socket, accepts sweep submissions as JSON frames, queues them in
+arrival order, executes them through one
 :class:`~repro.experiments.campaign.CampaignEngine` backed by the
 shared :class:`~repro.experiments.campaign.ResultCache` tier, and
 streams per-job progress back to any number of subscribed clients.

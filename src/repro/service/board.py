@@ -17,20 +17,20 @@ connection thread and the scheduler under one lock:
   a client that connects late (or reconnects) sees exactly the same
   event sequence as one that watched from the start — no races, no
   gaps.
-* **Queue** — a priority heap of batches (higher ``priority`` first,
-  FIFO within a priority).  Only *new* records enter the queue; the
-  scheduler drains it one batch at a time through the campaign
-  engine.
+* **Queue** — batches in submission order (FIFO by sequence
+  number).  Only *new* records enter the queue; the scheduler drains
+  it one batch at a time through the campaign engine.
 
 Durability (PR 9, docs/SERVICE.md §Durability): when constructed with
 a :class:`~repro.service.wal.WriteAheadLog`, every submission and
 engine event is appended to the log *before* the in-memory mutation
 (log-then-apply), and :meth:`restore` rebuilds the whole board —
-records, journals, queue order, priorities — by replaying the log
+records, journals, queue order — by replaying the log
 through the very same apply paths.  Result payloads are never logged;
 :meth:`restore` rehydrates them from the result cache by job key, and
 any terminal record whose cached result has vanished is downgraded to
-pending and requeued, so the dedup contract survives eviction too.
+pending and requeued, so the dedup contract survives a pruned or
+cleared cache too.
 A completed record holds its result as wire text, encoded once when
 the record turns ``hit``/``done`` (live or on restore); every journal
 frame that carries the result shares that one string.
@@ -42,11 +42,11 @@ state, nothing logged) with :class:`~repro.errors.ServiceOverloaded`.
 
 from __future__ import annotations
 
-import heapq
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import ConfigError, ServiceOverloaded
 from repro.experiments.campaign import Job, JobEvent, RawJSON, job_key
@@ -83,7 +83,6 @@ class Submission:
 
     sid: str
     keys: List[str]
-    priority: int
     counts: Dict[str, int]
     events: List[Dict[str, Any]] = field(default_factory=list)
     done: int = 0
@@ -159,7 +158,7 @@ class JobBoard:
         self._cond = threading.Condition(self._lock)
         self.records: Dict[str, JobRecord] = {}
         self.submissions: Dict[str, Submission] = {}
-        self._queue: List[Tuple[int, int, str, List[str]]] = []
+        self._queue: Deque[Tuple[int, str, List[str]]] = deque()
         self._seq = 0
         self._closed = False
         self.wal = wal
@@ -173,8 +172,7 @@ class JobBoard:
             self.wal.append(record)
 
     # -- submission ----------------------------------------------------
-    def submit(self, jobs: Sequence[Job],
-               priority: int = 0) -> Submission:
+    def submit(self, jobs: Sequence[Job]) -> Submission:
         """Register a submission; returns its :class:`Submission`.
 
         Incoming duplicates collapse first (a sweep that lists a job
@@ -212,16 +210,14 @@ class JobBoard:
                         f"{self.max_pending}; back off and resubmit")
             self._seq += 1
             sid = f"S{self._seq:04d}"
-            self._log({"t": "submit", "sid": sid, "priority": priority,
+            self._log({"t": "submit", "sid": sid,
                        "jobs": [job_to_wire(job) for _, job in ordered]})
-            submission = self._apply_submit(ordered, priority, sid,
-                                            self._seq)
+            submission = self._apply_submit(ordered, sid, self._seq)
             self._cond.notify_all()
             return submission
 
     def _apply_submit(self, ordered: Sequence[Tuple[str, Job]],
-                      priority: int, sid: str,
-                      seq: int) -> Submission:
+                      sid: str, seq: int) -> Submission:
         """Dedup/subscribe/queue one submission (lock held) — the
         single apply path shared by live ``submit`` and WAL replay."""
         counts = {"new": 0, "deduped_inflight": 0,
@@ -244,13 +240,12 @@ class JobBoard:
                 served.append(record)
         submission = Submission(sid=sid,
                                 keys=[key for key, _ in ordered],
-                                priority=priority, counts=counts)
+                                counts=counts)
         self.submissions[sid] = submission
         for record in served:
             self._journal(submission, record, "hit", None, None)
         if run_keys:
-            heapq.heappush(self._queue,
-                           (-priority, seq, sid, run_keys))
+            self._queue.append((seq, sid, run_keys))
         self._finish_if_drained(submission)
         return submission
 
@@ -261,7 +256,7 @@ class JobBoard:
         with self._cond:
             while True:
                 while self._queue:
-                    _, _, _, keys = heapq.heappop(self._queue)
+                    _, _, keys = self._queue.popleft()
                     batch = [self.records[key].job for key in keys
                              if key in self.records
                              and self.records[key].state == "pending"]
@@ -378,7 +373,6 @@ class JobBoard:
             for sid in sorted(self.submissions):
                 sub = self.submissions[sid]
                 out.append({"t": "sub", "sid": sid,
-                            "priority": sub.priority,
                             "keys": list(sub.keys),
                             "counts": dict(sub.counts),
                             "done": sub.done, "hits": sub.hits,
@@ -389,9 +383,9 @@ class JobBoard:
                                        for frame in sub.events]})
             if self._queue:
                 out.append({"t": "queue",
-                            "entries": [[pri, seq, sid, list(keys)]
-                                        for pri, seq, sid, keys
-                                        in sorted(self._queue)]})
+                            "entries": [[seq, sid, list(keys)]
+                                        for seq, sid, keys
+                                        in self._queue]})
             return out
 
     def restore(self, records: Sequence[Dict[str, Any]],
@@ -433,12 +427,7 @@ class JobBoard:
                         if self._restore_submission(record):
                             stats["submissions"] += 1
                     elif kind == "queue":
-                        for pri, seq, sid, keys in record.get(
-                                "entries", []):
-                            heapq.heappush(
-                                self._queue,
-                                (int(pri), int(seq), str(sid),
-                                 [str(key) for key in keys]))
+                        self._restore_queue(record.get("entries", []))
                     # unknown record types: skip (forward compat)
             finally:
                 self._replaying = False
@@ -461,8 +450,7 @@ class JobBoard:
                 ordered.append((key, job))
         seq = _sid_seq(sid)
         self._seq = max(self._seq, seq)
-        self._apply_submit(ordered, int(record.get("priority", 0)),
-                           sid, seq)
+        self._apply_submit(ordered, sid, seq)
         return True
 
     def _restore_event(self, record: Dict[str, Any],
@@ -479,7 +467,7 @@ class JobBoard:
             payload = load_result(key)
             if payload is None:
                 # The cached result this terminal event relied on is
-                # gone (evicted/corrupt): pretend the job never
+                # gone (pruned/corrupt): pretend the job never
                 # finished — it stays pending and gets requeued, and
                 # its subscribers' journals stay open until the rerun.
                 job_record.state = "pending"
@@ -518,7 +506,6 @@ class JobBoard:
             return False
         submission = Submission(
             sid=sid, keys=[str(key) for key in record.get("keys", [])],
-            priority=int(record.get("priority", 0)),
             counts=dict(record.get("counts", {})),
             done=int(record.get("done", 0)),
             hits=int(record.get("hits", 0)),
@@ -538,11 +525,21 @@ class JobBoard:
         self._seq = max(self._seq, _sid_seq(sid))
         return True
 
+    def _restore_queue(self, entries: Sequence[Sequence[Any]]) -> None:
+        """Replay one snapshot ``queue`` record (lock held).  Logs
+        written while the queue had priorities lead each entry with
+        one and list entries highest priority first; the trailing
+        ``seq, sid, keys`` and a sort by ``seq`` make them FIFO."""
+        for entry in sorted(entries, key=lambda entry: int(entry[-3])):
+            seq, sid, keys = entry[-3:]
+            self._queue.append((int(seq), str(sid),
+                                [str(key) for key in keys]))
+
     def _requeue_incomplete(self) -> int:
         """Reset running records to pending and requeue every
         unqueued pending record in one deterministic batch (lock
         held); returns the requeued count."""
-        queued = {key for _, _, _, keys in self._queue for key in keys}
+        queued = {key for _, _, keys in self._queue for key in keys}
         missing: List[str] = []
         for key in sorted(self.records):
             record = self.records[key]
@@ -551,15 +548,8 @@ class JobBoard:
             if record.state == "pending" and key not in queued:
                 missing.append(key)
         if missing:
-            priority = 0
-            for key in missing:
-                for sid in self.records[key].subscribers:
-                    submission = self.submissions.get(sid)
-                    if submission is not None:
-                        priority = max(priority, submission.priority)
             self._seq += 1
-            heapq.heappush(self._queue,
-                           (-priority, self._seq, "recovery", missing))
+            self._queue.append((self._seq, "recovery", missing))
         return len(missing)
 
     # -- watcher side --------------------------------------------------
@@ -603,7 +593,6 @@ class JobBoard:
                 states[record.state] += 1
             rows = [{"id": sub.sid, "total": sub.total,
                      "done": sub.done, "failed": sub.failed,
-                     "priority": sub.priority,
                      "complete": sub.complete}
                     for sub in self.submissions.values()]
             return {"queued_batches": len(self._queue),

@@ -177,8 +177,7 @@ def shutdown(path: str,
                       timeout)
 
 
-def submit(path: str, jobs: Sequence[Job], priority: int = 0,
-           watch: bool = True,
+def submit(path: str, jobs: Sequence[Job], watch: bool = True,
            timeout: Optional[float] = None,
            reconnect: int = DEFAULT_RECONNECT,
            backoff: float = DEFAULT_BACKOFF
@@ -198,7 +197,7 @@ def submit(path: str, jobs: Sequence[Job], priority: int = 0,
     caller's decision, not the transport's."""
     request = {"v": PROTOCOL_VERSION, "op": "submit",
                "jobs": [job_to_wire(job) for job in jobs],
-               "priority": priority, "watch": watch}
+               "watch": watch}
     sid: Optional[str] = None
     cursor = 0
     conn = _connect(path, timeout)

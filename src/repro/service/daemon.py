@@ -9,8 +9,8 @@ One process, three kinds of thread:
   (:mod:`repro.service.protocol`), mutate the
   :class:`~repro.service.board.JobBoard`, and stream journal events
   back to watching clients;
-* the **scheduler thread** drains the board's priority queue one
-  batch at a time through a single non-strict
+* the **scheduler thread** drains the board's FIFO queue one batch
+  at a time through a single non-strict
   :class:`~repro.experiments.campaign.CampaignEngine` — so every
   fault-tolerance behaviour of batch campaigns (watchdog pool,
   retries, quarantine, cache locking per batch) carries over to the
@@ -112,7 +112,7 @@ class ServiceDaemon:
 
     Parameters mirror the campaign flags: ``jobs`` is the worker-pool
     width, ``timeout``/``retries`` the per-job fault policy, and
-    ``cache`` the shared :class:`ResultCache` tier (budget included).
+    ``cache`` the shared :class:`ResultCache` tier.
 
     Locking (docs/SERVICE.md §Locking): ``_stats_lock`` guards the
     request/submission counters and scheduler-liveness fields,
@@ -422,14 +422,11 @@ class ServiceDaemon:
                        conn: socket.socket) -> None:
         """Validate, enqueue, acknowledge, and (optionally) stream."""
         jobs = self._parse_jobs(frame)
-        priority = frame.get("priority", 0)
-        if not isinstance(priority, int):
-            raise ProtocolError("'priority' must be an int")
         if self.board.closed:
             raise ServiceError("daemon is shutting down")
         self._bump("submissions")
         try:
-            submission = self.board.submit(jobs, priority)
+            submission = self.board.submit(jobs)
         except ServiceOverloaded:
             self._bump("rejected")
             raise
@@ -600,8 +597,6 @@ class ServiceDaemon:
                      cache.misses if cache else 0)
         tier.counter("stores", "results persisted",
                      cache.stores if cache else 0)
-        tier.counter("evictions", "entries evicted by the budget",
-                     cache.evicted if cache else 0)
         tier.counter("quarantined", "corrupt entries quarantined",
                      cache.quarantined if cache else 0)
         tier.counter("entries", "current entries on disk",

@@ -5,7 +5,7 @@ structure; this module makes it durable (docs/SERVICE.md §Durability).
 Every state change — a submission accepted, a job started, completed,
 or failed — is appended to an append-only, fsync'd log *before* the
 in-memory mutation, so a daemon killed at any instant can rebuild the
-board on restart: queue order, priorities, in-flight records, and the
+board on restart: queue order, in-flight records, and the
 event journals watchers replay from their cursors.
 
 Format
@@ -24,7 +24,7 @@ re-run, so a lost suffix costs wall-clock, never correctness.
 
 Record types (the ``"t"`` field):
 
-``submit``  incremental: one accepted submission (sid, priority, wire jobs)
+``submit``  incremental: one accepted submission (sid, wire jobs)
 ``event``   incremental: one engine event applied to a record (key,
             status, elapsed, error) — result payloads are *not* logged;
             recovery rehydrates them from the result cache by key

@@ -123,7 +123,6 @@ SERVICE_SCHEMA: Dict[str, str] = {
     "cache.hits": "counter",
     "cache.misses": "counter",
     "cache.stores": "counter",
-    "cache.evictions": "counter",
     "cache.quarantined": "counter",
     "cache.entries": "counter",
     "cache.size-bytes": "counter",

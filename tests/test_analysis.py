@@ -15,10 +15,9 @@ from repro.analysis import (
     format_table,
     geomean,
     mean,
-    overall_coverage,
-    overall_gain,
     shape_check,
 )
+from repro.analysis.metrics import SuiteResult
 from repro.pipeline.results import SimResult
 
 
@@ -74,11 +73,11 @@ class TestWorkloadRun:
         assert summary["Geomean"]["coverage"] == pytest.approx(0.3,
                                                                abs=0.01)
 
-    def test_overall_helpers(self):
-        runs = [make_run("a", "ISPEC06", 1, 1.21),
-                make_run("b", "Server", 1, 1.0)]
-        assert overall_gain(runs) == pytest.approx(0.1, abs=0.01)
-        assert overall_coverage(runs) == pytest.approx(0.2, abs=0.01)
+    def test_suite_aggregates(self):
+        suite = SuiteResult([make_run("a", "ISPEC06", 1, 1.21),
+                             make_run("b", "Server", 1, 1.0)])
+        assert suite.gain == pytest.approx(0.1, abs=0.01)
+        assert suite.coverage == pytest.approx(0.2, abs=0.01)
 
 
 class TestShapeCheck:

@@ -220,6 +220,19 @@ class TestCacheCommand:
                      "--cache-dir", cache_dir]) == 0
         assert "pruned 2" in capsys.readouterr().out
 
+    def test_stats_report_lines(self, tmp_path, capsys):
+        # Directory, inventory, the two counter lines and, only when
+        # something was quarantined, a quarantine line.
+        cache_dir = str(tmp_path / "cache")
+        main(["run", "astar", "--length", "3000", "--warmup", "800",
+              "--cache-dir", cache_dir])
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        heads = [line.split(":")[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert heads == ["cache directory", "entries", "cumulative",
+                         "last run"]
+
     def test_prune_requires_age(self, tmp_path, capsys):
         assert main(["cache", "prune",
                      "--cache-dir", str(tmp_path)]) == 2

@@ -77,20 +77,16 @@ class TestFlagsAndEnvVars:
             assert name in text, f"{name} is registered but undocumented"
 
     def test_every_documented_env_var_is_consumed(self):
-        # A REPRO_* name in the docs must be either in the envreg
-        # registry (read by src/repro — RL006 guarantees the read) or
-        # read by the pytest bench harness under benchmarks/, which
-        # sits outside the linted tree.
+        # A REPRO_* name in the docs must be in the envreg registry;
+        # RL006, run over src/repro, tools and benchmarks, guarantees
+        # each registered name is read.
         from repro.envreg import REGISTRY
 
-        bench_text = "\n".join(
-            path.read_text(encoding="utf-8")
-            for path in (REPO / "benchmarks").glob("*.py"))
         for name in sorted(set(re.findall(r"\bREPRO_[A-Z_]+\b",
                                           all_docs_text()))):
-            assert name in REGISTRY or name in bench_text, (
-                f"{name} is documented but neither registered in "
-                f"repro.envreg nor read by the pytest bench harness")
+            assert name in REGISTRY, (
+                f"{name} is documented but not registered in "
+                "repro.envreg")
 
     def test_every_documented_flag_exists(self):
         # Every ``repro <cmd> ... --flag`` in README.md, CONTRIBUTING.md
@@ -153,7 +149,9 @@ class TestFlagsAndEnvVars:
         # tests/oracle.py is the model's spec now.  Every predictor spec
         # is a registry string, so the callable-spec label, the reuse
         # claim and ValuePredictor.reset are gone, and the worker pool
-        # is the watchdog pool, one process and pipe per job.
+        # is the watchdog pool, one process and pipe per job.  The
+        # result cache has no size budget and the service queue no
+        # priorities: both served a multi-tenant tier nothing used.
         pages = [REPO / name for name in (
             "README.md", "CONTRIBUTING.md", ".github/workflows/ci.yml",
             ".claude/skills/verify/SKILL.md")]
@@ -165,7 +163,9 @@ class TestFlagsAndEnvVars:
                           "perf harness", "_time_trace_reference",
                           "REPRO_ENGINE_BACKEND=reference",
                           "<callable>", "_claimed_by_job",
-                          "ValuePredictor.reset", "ProcessPoolExecutor"):
+                          "ValuePredictor.reset", "ProcessPoolExecutor",
+                          "REPRO_CACHE_BUDGET", "--cache-budget",
+                          "enforce_budget", "--priority"):
                 assert stale not in text, (page, stale)
 
 

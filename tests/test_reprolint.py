@@ -754,8 +754,39 @@ def test_rl006_reverse_flags_dead_registry_entry():
 # ----------------------------------------------------------------------
 def test_shipped_tree_is_lint_clean():
     findings = lint_paths([str(REPO / "src" / "repro"),
-                           str(REPO / "tools")])
+                           str(REPO / "tools"),
+                           str(REPO / "benchmarks")])
     assert findings == [], "\n".join(f.format() for f in findings)
+
+
+def test_lint_default_paths_cover_benchmarks():
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(["lint"])
+    assert args.paths == ["src/repro", "tools", "benchmarks"]
+
+
+def test_benchmark_knobs_are_dead_entries_without_benchmarks():
+    # The benchmark suite's knobs are read only in benchmarks/, so a
+    # run that leaves that tree out sees their registry entries as
+    # dead: RL006 needs it among the default paths.
+    findings = lint_paths([str(REPO / "src" / "repro"),
+                           str(REPO / "tools")], select=["RL006"])
+    assert sorted(f.message.split()[2] for f in findings) == \
+        ["REPRO_CACHE", "REPRO_JOBS", "REPRO_PER_CATEGORY"]
+    assert all("nothing in the scanned tree reads it" in f.message
+               for f in findings)
+
+
+@pytest.mark.parametrize("name", ["REPRO_JOBS", "REPRO_CACHE",
+                                  "REPRO_PER_CATEGORY"])
+def test_benchmark_suite_knob_is_registered(name):
+    from repro import envreg
+
+    assert envreg.REGISTRY[name].consumer == "benchmarks.conftest"
+    conftest = (REPO / "benchmarks" / "conftest.py").read_text()
+    assert f'os.environ.get("{name}"' in conftest
+    assert envreg.undeclared({name: "1"}) == []
 
 
 # ----------------------------------------------------------------------

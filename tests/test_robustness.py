@@ -268,6 +268,32 @@ class TestDoctor:
         assert "all checks passed" in out
         assert "deterministic simulation" in out
 
+    def test_doctor_accepts_the_benchmark_suite_knobs(self, capsys,
+                                                      monkeypatch):
+        # README's benchmark recipe sets these for benchmarks/conftest.py.
+        for name, value in (("REPRO_JOBS", "8"), ("REPRO_CACHE", "1"),
+                            ("REPRO_PER_CATEGORY", "1")):
+            monkeypatch.setenv(name, value)
+        assert main(["doctor"]) == 0
+        err = capsys.readouterr().err
+        assert "unregistered" not in err
+        assert "check(s) failed" not in err
+
+    def test_doctor_flags_the_retired_cache_budget(self, capsys,
+                                                   monkeypatch):
+        # A shell that still exports the deleted size budget is told
+        # the variable does nothing.
+        monkeypatch.setenv("REPRO_CACHE_BUDGET", "64k")
+        assert main(["doctor"]) == 1
+        captured = capsys.readouterr()
+        assert "unregistered REPRO_* override(s): REPRO_CACHE_BUDGET" \
+            in captured.err
+        listed = [line.split() for line in captured.out.splitlines()
+                  if "REPRO_CACHE_BUDGET" in line]
+        assert listed == [["REPRO_CACHE_BUDGET", "SET", "BUT", "NOT",
+                           "REGISTERED", "(typo?", "see",
+                           "src/repro/envreg.py)"]]
+
     def test_doctor_reports_failures_nonzero(self, capsys, monkeypatch):
         import repro.cli as cli
 

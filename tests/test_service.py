@@ -1,6 +1,6 @@
 """Tests for the campaign service: wire protocol, job board, daemon
-round-trips, concurrent clients, crash/restart cache consistency, the
-cache-tier eviction budget, and the doctor hygiene checks."""
+round-trips, concurrent clients, crash/restart cache consistency, state
+written by earlier versions, and the doctor hygiene checks."""
 
 import json
 import os
@@ -26,7 +26,6 @@ from repro.experiments.campaign import (
     ResultCache,
     execute_job,
     job_key,
-    parse_size,
 )
 from repro.service import client
 from repro.service import wal as wal_mod
@@ -138,24 +137,6 @@ class TestProtocol:
         assert socket_path(str(tmp_path)) == "/pinned.sock"
 
 
-class TestParseSize:
-    @pytest.mark.parametrize("text,expected", [
-        ("0", 0),
-        ("4096", 4096),
-        ("64k", 64 * 1024),
-        ("64KB", 64 * 1024),
-        ("256M", 256 * 1024 ** 2),
-        ("2g", 2 * 1024 ** 3),
-    ])
-    def test_accepts(self, text, expected):
-        assert parse_size(text) == expected
-
-    @pytest.mark.parametrize("text", ["", "lots", "12q", "1.5G"])
-    def test_rejects(self, text):
-        with pytest.raises(ConfigError):
-            parse_size(text)
-
-
 # ----------------------------------------------------------------------
 # Job board: dedup, journals, queue.
 # ----------------------------------------------------------------------
@@ -237,14 +218,25 @@ class TestJobBoard:
         with pytest.raises(KeyError):
             JobBoard().events_since("S9999", 0)
 
-    def test_priority_orders_batches(self):
+    def test_batches_run_in_submission_order(self):
         board = JobBoard()
-        low = make_job(workload="astar")
-        high = make_job(workload="mcf")
-        board.submit([low], priority=0)
-        board.submit([high], priority=5)
-        assert board.next_batch() == [high]
-        assert board.next_batch() == [low]
+        first = make_job(workload="astar")
+        second = make_job(workload="mcf")
+        board.submit([first])
+        board.submit([second])
+        assert board.next_batch() == [first]
+        assert board.next_batch() == [second]
+
+    def test_later_submission_queues_only_its_new_jobs(self):
+        board = JobBoard()
+        astar, mcf, milc = (make_job(workload=w)
+                            for w in ("astar", "mcf", "milc"))
+        board.submit([astar, mcf])
+        board.submit([mcf, milc])  # mcf joins the first batch
+        board.submit([astar])      # nothing new: no batch at all
+        assert board.summary()["queued_batches"] == 2
+        assert board.next_batch() == [astar, mcf]
+        assert board.next_batch() == [milc]
 
     def test_next_batch_returns_none_after_close(self):
         board = JobBoard()
@@ -260,6 +252,7 @@ class TestJobBoard:
         assert summary["queued_batches"] == 1
         row = summary["submissions"][0]
         assert row["total"] == 1 and not row["complete"]
+        assert set(row) == {"id", "total", "done", "failed", "complete"}
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +297,7 @@ class TestBoardDurability:
         log = self._wal(tmp_path)
         board = JobBoard(wal=log)
         a, b = make_job(workload="astar"), make_job(workload="mcf")
-        sub1 = board.submit([a, b], priority=2)
+        sub1 = board.submit([a, b])
         board.on_event(JobEvent(a, "start", 1, 2, None, None))
         board.on_event(JobEvent(a, "done", 1, 2, 0.4, None),
                        result={"cycles": 11})
@@ -338,7 +331,7 @@ class TestBoardDurability:
         log.close()
         records, _ = wal_mod.replay_segments(str(tmp_path / "wal"))
         fresh = JobBoard()
-        fresh.restore(records, lambda key: None)  # cache evicted
+        fresh.restore(records, lambda key: None)  # cache pruned
         # The terminal event could not be honoured: the job is pending
         # again and its submission stays open until the rerun.
         assert fresh.records[job_key(job)].state == "pending"
@@ -372,7 +365,7 @@ class TestBoardDurability:
     def test_snapshot_restore_roundtrip(self):
         board = JobBoard()
         job = make_job()
-        sub = board.submit([job], priority=4)
+        sub = board.submit([job])
         board.on_event(JobEvent(job, "done", 1, 1, 0.2, None),
                        result={"cycles": 7})
         snapshot = board.snapshot_records()
@@ -403,6 +396,49 @@ class TestBoardDurability:
         assert fresh.records[job_key(job)].state == "pending"
         assert fresh.next_batch() == [job]
 
+    def test_logged_submit_is_sid_and_jobs(self, tmp_path):
+        log = self._wal(tmp_path)
+        board = JobBoard(wal=log)
+        job = make_job()
+        board.submit([job, job])
+        log.close()
+        records, _ = wal_mod.replay_segments(str(tmp_path / "wal"))
+        submits = [r for r in records if r.get("t") == "submit"]
+        assert submits == [{"t": "submit", "sid": "S0001",
+                            "jobs": [job_to_wire(job)]}]
+
+    def test_snapshot_queue_restores_in_submission_order(self):
+        board = JobBoard()
+        jobs = [make_job(workload=w) for w in ("milc", "astar", "mcf")]
+        for job in jobs:
+            board.submit([job])
+        snapshot = board.snapshot_records()
+        assert all("priority" not in record for record in snapshot)
+        queue = [r for r in snapshot if r.get("t") == "queue"]
+        assert queue == [{"t": "queue", "entries": [
+            [seq, f"S{seq:04d}", [job_key(job)]]
+            for seq, job in enumerate(jobs, start=1)]}]
+        fresh = JobBoard()
+        assert fresh.restore(snapshot, lambda key: None)["requeued"] == 0
+        assert [fresh.next_batch() for _ in jobs] == [[job] for job in jobs]
+
+    def test_recovery_batch_queues_behind_restored_batches(self):
+        # A claimed job that never finished is requeued after every
+        # batch that was still waiting when the snapshot was taken.
+        board = JobBoard()
+        claimed, waiting = make_job(workload="astar"), make_job(
+            workload="mcf")
+        board.submit([claimed])
+        assert board.next_batch() == [claimed]
+        board.on_event(JobEvent(claimed, "start", 1, 1, None, None))
+        board.submit([waiting])
+        fresh = JobBoard()
+        stats = fresh.restore(board.snapshot_records(), lambda key: None)
+        assert stats["requeued"] == 1
+        assert fresh.records[job_key(claimed)].state == "pending"
+        assert fresh.next_batch() == [waiting]
+        assert fresh.next_batch() == [claimed]
+
     def test_restore_accepts_logs_with_a_backend_field(self):
         # Logs written while jobs carried a ``backend`` field store it
         # in both incremental submits and snapshot records; a daemon
@@ -415,8 +451,7 @@ class TestBoardDurability:
             {"t": "rec", "key": job_key(done), "job": old_wire[0],
              "state": "done", "from_cache": False, "error": None,
              "subscribers": ["S0001"]},
-            {"t": "submit", "sid": "S0002", "priority": 0,
-             "jobs": [old_wire[1]]},
+            {"t": "submit", "sid": "S0002", "jobs": [old_wire[1]]},
         ]
         board = JobBoard()
         stats = board.restore(records, {job_key(done): {"cycles": 3}}.get)
@@ -426,6 +461,45 @@ class TestBoardDurability:
             == {"cycles": 3}
         assert board.records[job_key(queued)].job == queued
         assert board.next_batch() == [queued]
+
+    def test_restore_accepts_logs_with_priorities(self):
+        # Logs written while the queue had priorities carry one in
+        # submit and ``sub`` records and lead each ``queue`` entry with
+        # its negation, highest priority first.  A daemon must still
+        # start over such a log, and runs its batches in submission
+        # order.
+        astar, mcf, milc, hadoop = (make_job(workload=w) for w in
+                                    ("astar", "mcf", "milc", "hadoop"))
+        records = [{"t": "seq", "value": 3}]
+        for sid, job in (("S0001", astar), ("S0002", mcf),
+                         ("S0003", milc)):
+            records.append({"t": "rec", "key": job_key(job),
+                            "job": job_to_wire(job), "state": "pending",
+                            "from_cache": False, "error": None,
+                            "subscribers": [sid]})
+        for sid, job, priority in (("S0001", astar, 0),
+                                   ("S0002", mcf, 5),
+                                   ("S0003", milc, 2)):
+            records.append({"t": "sub", "sid": sid, "priority": priority,
+                            "keys": [job_key(job)],
+                            "counts": {"new": 1, "deduped_inflight": 0,
+                                       "deduped_cached": 0},
+                            "done": 0, "hits": 0, "simulated": 0,
+                            "failed": 0, "complete": False,
+                            "frames": []})
+        records.append({"t": "queue", "entries": [
+            [-5, 2, "S0002", [job_key(mcf)]],
+            [-2, 3, "S0003", [job_key(milc)]],
+            [0, 1, "S0001", [job_key(astar)]]]})
+        records.append({"t": "submit", "sid": "S0004", "priority": 9,
+                        "jobs": [job_to_wire(hadoop)]})
+        board = JobBoard()
+        stats = board.restore(records, lambda key: None)
+        assert stats["submissions"] == 4 and stats["requeued"] == 0
+        assert [board.next_batch() for _ in range(4)] == \
+            [[astar], [mcf], [milc], [hadoop]]
+        assert all("priority" not in row
+                   for row in board.summary()["submissions"])
 
     def test_restore_skips_unknown_record_types(self):
         board = JobBoard()
@@ -590,6 +664,19 @@ class TestDaemon:
         assert summary["event"] == "jobs"
         assert summary["records"]["done"] >= 1
 
+    def test_jobs_command_table(self, daemon, capsys):
+        from repro.cli import main
+
+        client.collect_results(client.submit(
+            daemon.socket_path, [make_job(spec=None)]))
+        capsys.readouterr()
+        assert main(["jobs", "--socket", daemon.socket_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("queued batches: 0; records: ")
+        assert lines[2].split() == ["submission", "jobs", "done",
+                                    "failed", "state"]
+        assert "S0001" in lines[-1] and lines[-1].endswith("complete")
+
     def test_stats_tree_matches_service_schema(self, daemon):
         client.collect_results(client.submit(
             daemon.socket_path, [make_job(spec=None)]))
@@ -658,6 +745,27 @@ class TestDaemon:
         assert out["complete"]["failed"] == 0
         for job in jobs:
             assert out["results"][job_key(job)] == wire_result(job)
+
+    def test_submit_frame_with_a_priority_is_accepted(self, daemon):
+        # Clients built while the queue had priorities send one with
+        # every submission; the daemon ignores it.
+        job = make_job(spec=None, workload="mcf")
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        conn.settimeout(30.0)
+        conn.connect(daemon.socket_path)
+        try:
+            with conn.makefile("rb") as stream:
+                conn.sendall(encode_frame({
+                    "v": PROTOCOL_VERSION, "op": "submit",
+                    "jobs": [job_to_wire(job)], "priority": 3,
+                    "watch": True}))
+                frames = [decode_frame(stream.readline())]
+                while frames[-1].get("event") != "complete":
+                    frames.append(decode_frame(stream.readline()))
+        finally:
+            conn.close()
+        assert frames[0]["event"] == "accepted"
+        assert frames[-1]["failed"] == 0 and frames[-1]["simulated"] == 1
 
     def test_bad_version_rejected(self, daemon):
         conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -853,7 +961,6 @@ def _spawn(argv, tmp_path, **kwargs):
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     env.pop("REPRO_SERVICE_SOCKET", None)
     env.pop("REPRO_CACHE_DIR", None)
-    env.pop("REPRO_CACHE_BUDGET", None)
     return subprocess.Popen(
         [sys.executable, "-m", "repro"] + argv,
         cwd=str(tmp_path), env=env,
@@ -1015,139 +1122,45 @@ def _stop_daemon(proc, sock):
 
 
 # ----------------------------------------------------------------------
-# Cache tier: eviction budget.
+# Cache tier: stats written by earlier versions.
 # ----------------------------------------------------------------------
-def _fill_cache(cache, count):
-    """Store ``count`` distinct real results with increasing mtimes."""
-    keys = []
-    for index, workload in enumerate(
-            ["astar", "mcf", "milc", "hadoop"][:count]):
-        job = make_job(workload=workload, spec=None, length=2000,
-                       warmup=500)
-        key = job_key(job)
-        cache.put(key, execute_job(job))
-        # Deterministic write order without sleeping between stores.
-        # A budgeted cache may already have evicted the entry.
-        age = (count - index) * 100.0
-        stamp = time.time() - age
-        try:
-            os.utime(cache.path(key), (stamp, stamp))
-        except FileNotFoundError:
-            pass
-        keys.append(key)
-    return keys
+class TestCacheStatsCompat:
+    #: ``stats.json`` as written while the cache had a size budget: it
+    #: carries an ``evicted`` counter.
+    OLD_STATS = {"hits": 4, "misses": 2, "simulated": 2,
+                 "quarantined": 1, "evicted": 3,
+                 "last_run": {"hits": 2, "misses": 0, "simulated": 0}}
 
+    def _write(self, root):
+        os.makedirs(root, exist_ok=True)
+        with open(os.path.join(root, ResultCache.STATS_FILE), "w",
+                  encoding="utf-8") as handle:
+            json.dump(self.OLD_STATS, handle, indent=1)
 
-class TestCacheEviction:
-    def test_evicts_oldest_first(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        keys = _fill_cache(cache, 3)
-        sizes = {key: os.path.getsize(cache.path(key)) for key in keys}
-        # A budget that fits everything except the oldest entry.
-        removed = cache.enforce_budget(sum(sizes.values())
-                                       - sizes[keys[0]])
-        assert removed == 1
-        assert cache.evicted == 1
-        survivors = set(cache.entries())
-        assert keys[0] not in survivors  # oldest mtime went first
-        assert set(keys[1:]) <= survivors
-
-    def test_get_hit_does_not_protect_oldest(self, tmp_path):
-        # Eviction is oldest-written first, not least recently used: a
-        # get() never touches mtime, so a hit does not save an entry.
-        cache = ResultCache(str(tmp_path))
-        keys = _fill_cache(cache, 3)
-        sizes = {key: os.path.getsize(cache.path(key)) for key in keys}
-        mtime = os.path.getmtime(cache.path(keys[0]))
-        assert cache.get(keys[0]) is not None
-        assert os.path.getmtime(cache.path(keys[0])) == mtime
-        assert cache.enforce_budget(sum(sizes.values())
-                                    - sizes[keys[0]]) == 1
-        assert keys[0] not in cache.entries()
-
-    def test_budget_never_touches_quarantine_or_stats(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        _fill_cache(cache, 2)
-        cache.flush_stats(2)
-        bad = os.path.join(str(tmp_path), "feedface.json.bad")
-        with open(bad, "w", encoding="utf-8") as fh:
-            fh.write("{torn")
-        cache.enforce_budget(1)  # evict everything evictable
-        assert cache.entries() == []
-        assert os.path.exists(bad)
-        assert os.path.exists(os.path.join(str(tmp_path), "stats.json"))
-
-    def test_put_enforces_instance_budget(self, tmp_path):
-        probe = ResultCache(str(tmp_path))
-        keys = _fill_cache(probe, 1)
-        entry_size = os.path.getsize(probe.path(keys[0]))
-        probe.clear()
-
-        cache = ResultCache(str(tmp_path), budget_bytes=entry_size * 2)
-        _fill_cache(cache, 3)
-        assert len(cache.entries()) <= 2
-        assert cache.evicted >= 1
-
-    def test_env_budget_and_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BUDGET", "64k")
-        assert ResultCache(str(tmp_path)).budget_bytes == 64 * 1024
-        monkeypatch.delenv("REPRO_CACHE_BUDGET")
-        with pytest.raises(ConfigError):
-            ResultCache(str(tmp_path), budget_bytes=-1)
-
-    def test_zero_budget_is_unbounded(self, tmp_path):
-        cache = ResultCache(str(tmp_path), budget_bytes=0)
-        _fill_cache(cache, 2)
-        assert cache.enforce_budget() == 0
-        assert len(cache.entries()) == 2
-
-    def test_evicted_counter_persists(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        _fill_cache(cache, 2)
-        cache.enforce_budget(1)
+    def test_load_and_flush_over_old_stats(self, tmp_path):
+        root = str(tmp_path / "cache")
+        self._write(root)
+        cache = ResultCache(root)
+        stats = cache.load_stats()
+        assert (stats["hits"], stats["misses"], stats["simulated"],
+                stats["quarantined"]) == (4, 2, 2, 1)
+        cache.hits = 1
         cache.flush_stats(0)
-        assert ResultCache(str(tmp_path)).load_stats()["evicted"] == 2
+        stats = ResultCache(root).load_stats()
+        assert stats["hits"] == 5
+        assert stats["last_run"] == {"hits": 1, "misses": 0,
+                                     "simulated": 0}
 
-
-class TestCacheCLI:
-    def test_cache_stats_reports_budget_and_evictions(self, tmp_path,
-                                                      capsys,
-                                                      monkeypatch):
+    def test_cache_stats_reads_old_stats(self, tmp_path, capsys):
         from repro.cli import main
 
-        cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
-        _fill_cache(cache, 2)
-        cache.enforce_budget(1)
-        cache.flush_stats(2)
-        monkeypatch.setenv("REPRO_CACHE_BUDGET", "64k")
-        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        root = str(tmp_path / "cache")
+        self._write(root)
+        assert main(["cache", "stats", "--cache-dir", root]) == 0
         out = capsys.readouterr().out
-        assert "2 evicted" in out
-        assert "eviction budget: 65536 bytes" in out
-
-    def test_cache_evict_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cache_dir = str(tmp_path / "cache")
-        _fill_cache(ResultCache(cache_dir), 2)
-        assert main(["cache", "evict", "--budget", "1",
-                     "--cache-dir", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "evicted 2" in out
-        assert ResultCache(cache_dir).entries() == []
-
-    def test_cache_evict_requires_budget(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["cache", "evict",
-                     "--cache-dir", str(tmp_path)]) == 2
-
-    def test_cache_evict_rejects_bad_budget(self, tmp_path):
-        from repro.cli import main
-
-        assert main(["cache", "evict", "--budget", "lots",
-                     "--cache-dir", str(tmp_path)]) == 2
+        assert "cumulative: 4 hits, 2 misses, 2 simulations executed" \
+            in out
+        assert "last run: 2 hits, 0 misses" in out
 
 
 # ----------------------------------------------------------------------
@@ -1324,10 +1337,8 @@ class TestServiceParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--socket", "/tmp/x.sock", "--cache-budget",
-             "256M", "--jobs", "4"])
+            ["serve", "--socket", "/tmp/x.sock", "--jobs", "4"])
         assert args.socket == "/tmp/x.sock"
-        assert args.cache_budget == "256M"
         assert args.jobs == 4
         assert build_parser().parse_args(["serve", "--stop"]).stop
 
@@ -1344,11 +1355,21 @@ class TestServiceParser:
 
         args = build_parser().parse_args(
             ["submit", "fvp", "baseline", "--workloads", "astar",
-             "mcf", "--priority", "3", "--no-watch"])
+             "mcf", "--no-watch"])
         assert args.predictors == ["fvp", "baseline"]
         assert args.workloads == ["astar", "mcf"]
-        assert args.priority == 3
         assert args.no_watch
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--cache-budget", "256M"],
+        ["submit", "fvp", "--workloads", "astar", "--priority", "3"],
+        ["cache", "evict"],
+    ])
+    def test_retired_knobs_rejected(self, argv):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_submit_requires_workloads(self):
         from repro.cli import build_parser

@@ -42,7 +42,7 @@ def _spawn(argv, tmp_path, extra_env=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     for name in ("REPRO_SERVICE_SOCKET", "REPRO_CACHE_DIR",
-                 "REPRO_CACHE_BUDGET", faults.FAULTS_ENV):
+                 faults.FAULTS_ENV):
         env.pop(name, None)
     env.update(extra_env or {})
     return subprocess.Popen(

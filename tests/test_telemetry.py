@@ -431,6 +431,53 @@ class TestCachePrune:
         assert cache.prune(0) == 1
         assert cache.entries() == []
 
+    def test_hit_does_not_refresh_age(self, tmp_path):
+        # Prune goes by write time: a get() never touches mtime, so a
+        # cache hit does not save an old entry.
+        import os
+
+        cache = ResultCache(str(tmp_path))
+        old = self.put_entry(cache, "a" * 8)
+        os.utime(old, (1000, 1000))
+        assert cache.get("a" * 8) is not None
+        assert os.path.getmtime(old) == 1000
+        assert cache.prune(3600) == 1
+
+    def test_prune_cutoff_removes_oldest_first(self, tmp_path):
+        import os
+
+        cache = ResultCache(str(tmp_path))
+        paths = [self.put_entry(cache, c * 8) for c in "abc"]
+        for age, path in zip((300, 200, 100), paths):
+            os.utime(path, (10_000 - age, 10_000 - age))
+        assert cache.prune(250, now=10_000) == 1
+        assert cache.entries() == ["b" * 8, "c" * 8]
+        assert cache.prune(150, now=10_000) == 1
+        assert cache.entries() == ["c" * 8]
+
+    def test_prune_ages_out_quarantine_but_keeps_stats(self, tmp_path):
+        import os
+
+        cache = ResultCache(str(tmp_path))
+        cache.flush_stats(simulated=0)
+        bad = tmp_path / ("d" * 8 + cache.SUFFIX + cache.BAD_SUFFIX)
+        bad.write_text("{torn")
+        stats = tmp_path / cache.STATS_FILE
+        for path in (bad, stats):
+            os.utime(path, (1000, 1000))
+        assert cache.prune(3600) == 1
+        assert not bad.exists() and stats.exists()
+
+    def test_put_never_removes_another_entry(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        keys = [f"{index:08x}" for index in range(12)]
+        for key in keys:
+            self.put_entry(cache, key)
+        assert cache.entries() == keys
+        cache.flush_stats(simulated=12)
+        assert set(cache.load_stats()) == {
+            "hits", "misses", "simulated", "quarantined", "last_run"}
+
     def test_prune_sweeps_legacy_pickles(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         legacy = tmp_path / ("c" * 8 + ".pkl")

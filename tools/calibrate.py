@@ -2,7 +2,7 @@
 prints category summaries + figure-10 aggregates vs paper targets."""
 import sys, time
 from repro.experiments.runner import Runner
-from repro.analysis.metrics import category_summary, overall_gain, overall_coverage
+from repro.analysis.metrics import category_summary
 
 SUBSET = {
     'FSPEC06': ['bwaves', 'milc', 'povray', 'wrf', 'namd'],
