@@ -6,7 +6,6 @@ from repro.analysis.metrics import (
     category_summary,
     geomean,
     mean,
-    shape_check,
 )
 from repro.analysis.power import (
     EnergyReport,
@@ -29,7 +28,6 @@ __all__ = [
     "category_summary",
     "geomean",
     "mean",
-    "shape_check",
     "EnergyReport",
     "predictor_energy",
     "compare_energy",

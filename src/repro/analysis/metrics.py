@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence as SequenceABC
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.pipeline.results import SimResult
 
@@ -158,23 +158,3 @@ def category_summary(runs: Sequence[WorkloadRun]) -> Dict[str, Dict[str, float]]
     }
     return summary
 
-
-def shape_check(measured: Mapping[str, float],
-                paper: Mapping[str, float]) -> Dict[str, bool]:
-    """Compare measured vs paper values *by shape*: same sign and the
-    same ordering of magnitudes.  Returns per-key pass/fail for the
-    ordering against every other key."""
-    keys = [k for k in paper if k in measured]
-    outcome: Dict[str, bool] = {}
-    for key in keys:
-        ok = True
-        for other in keys:
-            if other == key:
-                continue
-            paper_order = paper[key] - paper[other]
-            measured_order = measured[key] - measured[other]
-            if paper_order * measured_order < 0 and \
-                    abs(paper_order) > 1e-9:
-                ok = False
-        outcome[key] = ok
-    return outcome

@@ -132,9 +132,10 @@ class FVP(ValuePredictor):
         self._vt_sets = self.vt.sets
         self._lt_slots = self.lt._slots
         assoc = self.mr.assoc
-        self._mr_rows = assoc.rows
+        self._mr_tags = assoc.tag
+        self._mr_values = assoc.value
+        self._mr_confs = assoc.conf
         self._mr_sets = assoc.sets
-        self._mr_tag_mask = assoc._tag_mask
         self._mr_conf = self.mr.conf_threshold
         self._value_file = self.mr._value_file
 
@@ -142,7 +143,7 @@ class FVP(ValuePredictor):
     # The two per-op hooks.  Both inline their table probes, so an op
     # costs at most one CIT, one Value Table and one Memory Renaming
     # probe per hook.  The Value Table and the MR Store/Load cache hash
-    # a key the same way (ValueTable.lookup, TaggedTable.lookup):
+    # a key the same way (ValueTable.lookup, TaggedTable.find):
     # ``mixed = key * 0x9E3779B1 mod 2**32`` selects the set
     # (``mixed % sets``) and the tag (``mixed >> 12``, 11 bits).  The
     # CIT is direct-mapped on the PC (CriticalInstructionTable.record).
@@ -161,17 +162,20 @@ class FVP(ValuePredictor):
         # 1. Memory Renaming (§IV-D).  A store with a confident
         # association publishes its SQID and data into the Value File
         # for its partner load; loads check MR before the Value Table.
-        assoc = None
+        mr_slot = -1
         if self.use_mr and (is_load or is_store):
-            tag = (mixed >> 12) & self._mr_tag_mask
-            for way in self._mr_rows[mixed % self._mr_sets]:
-                if way.tag == tag:
-                    assoc = way
-                    break
-            if assoc is not None and assoc.confidence >= self._mr_conf:
+            tag = (mixed >> 12) & 0x7FF
+            tags = self._mr_tags
+            mr_slot = (mixed % self._mr_sets) << 1
+            if tags[mr_slot] != tag:
+                mr_slot += 1
+                if tags[mr_slot] != tag:
+                    mr_slot = -1
+            if mr_slot >= 0 and self._mr_confs[mr_slot] >= self._mr_conf:
                 value_file = self._value_file
                 if is_store:
-                    load_pc = assoc.value  # partner PC in the value field
+                    # The partner PC is in the value field.
+                    load_pc = self._mr_values[mr_slot]
                     if len(value_file) >= self.mr.vf_entries \
                             and load_pc not in value_file:
                         value_file.pop(next(iter(value_file)))
@@ -237,12 +241,12 @@ class FVP(ValuePredictor):
         # The op is targeted but LV-unpredictable.  Loads get their
         # second chances first: memory renaming, then context.
         if is_load:
-            if assoc is not None:
+            if mr_slot >= 0:
                 # A memory dependence is known (or forming): rely on MR
                 # rather than predicting the address chain.
                 if self.accelerate_store_chains \
-                        and assoc.confidence >= self._mr_conf:
-                    self.lt.insert(assoc.value)  # the store's PC
+                        and self._mr_confs[mr_slot] >= self._mr_conf:
+                    self.lt.insert(self._mr_values[mr_slot])  # store's PC
                 return None
             if lv.cv_marked and lv.cv_fail < CV_FAIL_MAX:
                 return None  # context prediction still has a chance
@@ -378,7 +382,7 @@ class FVP(ValuePredictor):
             return
         if self.use_vt:
             lv_entry = self.vt.lookup(load_pc)
-            already_known = self.mr.assoc.lookup(load_pc) is not None
+            already_known = self.mr.assoc.find(load_pc) >= 0
             if not already_known and (
                     lv_entry is None or lv_entry.predictable):
                 return

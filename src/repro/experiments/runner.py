@@ -177,7 +177,8 @@ class Runner:
             jobs=jobs,
             cache=ResultCache(cache_dir) if use_cache else None,
             progress=progress,
-            timeout=timeout, retries=retries, strict=strict)
+            timeout=timeout, retries=retries, strict=strict,
+            preload_vector_backend=True)
         #: Traces handed out by :meth:`trace`; campaigns never read it.
         self._traces: Dict[str, Union[TraceSource, List[MicroOp]]] = {}
         #: Every result this runner's campaigns produced, by job.

@@ -16,11 +16,7 @@ from repro.errors import ConfigError
 from repro.pipeline.vp_interface import NoPredictor, ValuePredictor
 from repro.predictors.combined import MrCompositePredictor
 from repro.predictors.composite import CompositePredictor
-from repro.predictors.dlvp import (
-    ContextAddressPredictor,
-    DlvpPredictor,
-    StrideAddressPredictor,
-)
+from repro.predictors.dlvp import DlvpPredictor
 from repro.predictors.eves import EvesPredictor
 from repro.predictors.fcm import FcmPredictor
 from repro.predictors.lvp import LastValuePredictor
@@ -182,8 +178,6 @@ __all__ = [
     "VtagePredictor",
     "EvesPredictor",
     "DlvpPredictor",
-    "StrideAddressPredictor",
-    "ContextAddressPredictor",
     "CompositePredictor",
     "MrCompositePredictor",
     "MemoryRenaming",

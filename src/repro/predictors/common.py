@@ -1,15 +1,21 @@
 """Shared predictor infrastructure.
 
-All table-based value predictors in this repo are built from the same
-parts: set-associative tagged tables with utility-based replacement,
-saturating/probabilistic confidence counters, and history folding.
+All table-based prior-art value predictors in this repo are built from
+the same parts: two-way set-associative tagged tables with utility-based
+replacement, saturating/probabilistic confidence counters, and history
+folding.
 Centralising them keeps each predictor file about its *policy*.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
+
 from repro.errors import ConfigError
+
+#: Every tagged table keeps 11-bit partial tags (the entry-bit budgets
+#: of the predictor modules count 11 tag bits).
+TAG_MASK = 0x7FF
 
 
 class XorShift:
@@ -33,103 +39,94 @@ class XorShift:
         return (x % den) < num
 
 
-class ValueEntry:
-    """One tagged value-table entry."""
-
-    __slots__ = ("tag", "value", "confidence", "useful", "extra")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.value = 0
-        self.confidence = 0
-        self.useful = 0
-        self.extra = 0  # predictor-specific (stride, no-predict, ...)
-
-    def reset(self, tag: int, value: int = 0) -> None:
-        self.tag = tag
-        self.value = value
-        self.confidence = 0
-        self.useful = 0
-        self.extra = 0
-
-
 class TaggedTable:
-    """Set-associative tagged table with utility replacement.
+    """Two-way set-associative tagged table with utility replacement.
 
-    ``entries = sets * ways``.  Replacement picks an invalid way, else
-    the way with the lowest ``useful`` counter (decrementing on
-    contention, like the paper's utility scheme).
+    The table is stored as one list per entry field (``tag``, ``value``,
+    ``conf``, ``useful`` and ``extra``, a predictor-specific field such
+    as a stride), indexed by *slot* ``2 * set + way``.  A slot whose tag
+    is -1 is free.  A table of several ``banks`` (VTAGE's tagged
+    components) keeps bank ``b`` in slots ``b * entries`` to
+    ``(b + 1) * entries - 1``, so one walk covers every bank.
+
+    A key hashes to ``mixed = key * 0x9E3779B1 mod 2**32``: ``mixed %
+    sets`` selects the set and ``(mixed >> 12) & 0x7FF`` is the 11-bit
+    tag.  The predictors' per-op hooks inline :meth:`find`'s probe.
     """
 
-    __slots__ = ("sets", "ways", "tag_bits", "rows", "_tag_mask")
+    __slots__ = ("entries", "sets", "banks", "tag", "value", "conf",
+                 "useful", "extra")
 
-    def __init__(self, entries: int, ways: int = 2,
-                 tag_bits: int = 11) -> None:
-        if entries <= 0 or ways <= 0 or entries % ways:
+    def __init__(self, entries: int, banks: int = 1) -> None:
+        if entries <= 0 or entries % 2 or banks <= 0:
             raise ConfigError(
-                f"entries ({entries}) must be a positive multiple of "
-                f"ways ({ways})")
-        self.sets = entries // ways
-        self.ways = ways
-        self.tag_bits = tag_bits
-        self._tag_mask = (1 << tag_bits) - 1
-        self.rows: List[List[ValueEntry]] = [
-            [ValueEntry() for _ in range(ways)] for _ in range(self.sets)]
+                f"entries ({entries}) must be a positive multiple of the "
+                f"2 ways, and banks ({banks}) positive")
+        self.entries = entries
+        self.sets = entries // 2
+        self.banks = banks
+        size = entries * banks
+        self.tag: List[int] = [-1] * size
+        self.value: List[int] = [0] * size
+        self.conf: List[int] = [0] * size
+        self.useful: List[int] = [0] * size
+        self.extra: List[int] = [0] * size
 
-    def lookup(self, key: int) -> Optional[ValueEntry]:
-        """Matching entry or None; no allocation, no state change."""
+    def find(self, key: int, bank: int = 0) -> int:
+        """Slot holding ``key``'s tag in ``bank``, or -1; no state
+        change."""
         mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
-        tag = (mixed >> 12) & self._tag_mask
-        for entry in self.rows[mixed % self.sets]:
-            if entry.tag == tag:
-                return entry
-        return None
+        tag = (mixed >> 12) & TAG_MASK
+        slot = bank * self.entries + ((mixed % self.sets) << 1)
+        tags = self.tag
+        if tags[slot] == tag:
+            return slot
+        if tags[slot + 1] == tag:
+            return slot + 1
+        return -1
 
-    def allocate(self, key: int, value: int = 0) -> Optional[ValueEntry]:
-        """Install ``key``; returns the entry, or None when every way in
-        the set still has utility (contention decays their utility —
-        the caller retries on a later event)."""
+    def allocate(self, key: int, value: int = 0, bank: int = 0) -> int:
+        """Install ``key`` with ``value`` (confidence, utility and extra
+        zeroed) and return its slot; a key already present keeps its
+        entry.  The victim is a free way (way 0 first), else the way
+        with the lower ``useful`` counter (way 0 on a tie) when that
+        counter is 0.  When both ways still have utility, both counters
+        decay and -1 is returned: the caller retries on a later event."""
         mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
-        row = self.rows[mixed % self.sets]
-        tag = (mixed >> 12) & self._tag_mask
-        for entry in row:
-            if entry.tag == tag:
-                return entry
-        victim = None
-        for entry in row:
-            if entry.tag == -1:
-                victim = entry
-                break
-        if victim is None:
-            lowest = row[0]
-            for entry in row:
-                if entry.useful < lowest.useful:
-                    lowest = entry
-            if lowest.useful > 0:
-                for entry in row:
-                    if entry.useful > 0:
-                        entry.useful -= 1
-                return None
-            victim = lowest
-        victim.reset(tag, value)
-        return victim
-
-    def entries(self):
-        """Iterate all entries (tests and resets)."""
-        for row in self.rows:
-            yield from row
-
-    def clear(self) -> None:
-        for entry in self.entries():
-            entry.tag = -1
-            entry.value = 0
-            entry.confidence = 0
-            entry.useful = 0
-            entry.extra = 0
+        tag = (mixed >> 12) & TAG_MASK
+        slot = bank * self.entries + ((mixed % self.sets) << 1)
+        tags = self.tag
+        if tags[slot] == tag:
+            return slot
+        if tags[slot + 1] == tag:
+            return slot + 1
+        if tags[slot] != -1:
+            if tags[slot + 1] == -1:
+                slot += 1
+            else:
+                useful = self.useful
+                low = useful[slot]
+                other = useful[slot + 1]
+                if other < low:
+                    if other > 0:
+                        useful[slot] = low - 1
+                        useful[slot + 1] = other - 1
+                        return -1
+                    slot += 1
+                elif low > 0:
+                    useful[slot] = low - 1
+                    useful[slot + 1] = other - 1
+                    return -1
+        tags[slot] = tag
+        self.value[slot] = value
+        self.conf[slot] = 0
+        self.useful[slot] = 0
+        self.extra[slot] = 0
+        return slot
 
     @property
     def capacity(self) -> int:
-        return self.sets * self.ways
+        return self.entries * self.banks
 
 
 def fold(bits: int, width: int) -> int:
@@ -140,10 +137,3 @@ def fold(bits: int, width: int) -> int:
         out ^= bits & mask
         bits >>= width
     return out
-
-
-def mix_pc_history(pc: int, history: int, history_bits: int,
-                   width: int = 30) -> int:
-    """Standard (PC, folded history) hash used as a table key."""
-    h = fold(history & ((1 << history_bits) - 1), width)
-    return (pc ^ (pc >> 13) ^ (h * 2654435761)) & ((1 << width) - 1)

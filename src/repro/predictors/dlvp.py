@@ -23,7 +23,7 @@ from typing import Optional
 from repro.isa import opcodes
 from repro.isa.instruction import MicroOp
 from repro.pipeline.vp_interface import EngineContext, Prediction, ValuePredictor
-from repro.predictors.common import TaggedTable, mix_pc_history
+from repro.predictors.common import TaggedTable
 
 ADDR_MASK = (1 << 48) - 1
 _POISON = 0xD1B7_BAD0_DEAD_BEEF
@@ -32,86 +32,21 @@ _POISON = 0xD1B7_BAD0_DEAD_BEEF
 SAP_ENTRY_BITS = 11 + 48 + 16 + 3 + 2
 #: CAP entry: tag(11) + addr(48) + conf(3) + useful(2)
 CAP_ENTRY_BITS = 11 + 48 + 3 + 2
-
-
-class StrideAddressPredictor:
-    """SAP: per-PC address stride learning."""
-
-    def __init__(self, entries: int = 128, conf_threshold: int = 4) -> None:
-        self.table = TaggedTable(entries, ways=2)
-        self.conf_threshold = conf_threshold
-
-    def predict(self, pc: int) -> Optional[int]:
-        entry = self.table.lookup(pc)
-        if entry is not None and entry.confidence >= self.conf_threshold:
-            return (entry.value + entry.extra) & ADDR_MASK
-        return None
-
-    def train(self, pc: int, addr: int) -> None:
-        entry = self.table.lookup(pc)
-        if entry is None:
-            entry = self.table.allocate(pc, addr)
-            if entry is not None:
-                entry.value = addr
-            return
-        stride = (addr - entry.value) & ADDR_MASK
-        if stride == entry.extra and stride != 0:
-            entry.confidence = min(entry.confidence + 1, 7)
-            entry.useful = min(entry.useful + 1, 3)
-        elif stride == 0 and entry.extra == 0:
-            entry.confidence = min(entry.confidence + 1, 7)
-            entry.useful = min(entry.useful + 1, 3)
-        else:
-            entry.extra = stride
-            entry.confidence = 0
-        entry.value = addr
-
-    def storage_bits(self) -> int:
-        return self.table.capacity * SAP_ENTRY_BITS
-
-
-class ContextAddressPredictor:
-    """CAP: (PC ⊕ folded branch history) → address."""
-
-    def __init__(self, entries: int = 128, history_bits: int = 16,
-                 conf_threshold: int = 4) -> None:
-        self.table = TaggedTable(entries, ways=2)
-        self.history_bits = history_bits
-        self.conf_threshold = conf_threshold
-
-    def _key(self, pc: int, history: int) -> int:
-        return mix_pc_history(pc, history, self.history_bits)
-
-    def predict(self, pc: int, history: int) -> Optional[int]:
-        entry = self.table.lookup(self._key(pc, history))
-        if entry is not None and entry.confidence >= self.conf_threshold:
-            return entry.value
-        return None
-
-    def train(self, pc: int, history: int, addr: int) -> None:
-        key = self._key(pc, history)
-        entry = self.table.lookup(key)
-        if entry is None:
-            entry = self.table.allocate(key, addr)
-            if entry is not None:
-                entry.value = addr
-            return
-        if entry.value == addr:
-            entry.confidence = min(entry.confidence + 1, 7)
-            entry.useful = min(entry.useful + 1, 3)
-        else:
-            entry.value = addr
-            entry.confidence = 0
-
-    def storage_bits(self) -> int:
-        return self.table.capacity * CAP_ENTRY_BITS
+#: Confidence each address predictor needs before it predicts.
+SAP_CONF_THRESHOLD = 4
+CAP_CONF_THRESHOLD = 4
+#: Branch outcomes hashed into a CAP key.
+CAP_HISTORY_MASK = (1 << 16) - 1
 
 
 class DlvpPredictor(ValuePredictor):
     """DLVP = SAP + CAP feeding early cache reads.
 
-    ``conflict_filter`` enables the Composite paper's per-PC filter that
-    stops predicting loads observed to conflict with in-flight stores.
+    SAP (the Stride Address Predictor) learns a per-PC address stride;
+    CAP (the Context Address Predictor) maps the PC hashed with the
+    last 16 branch outcomes to an address.  ``conflict_filter`` enables
+    the Composite paper's per-PC filter that stops predicting loads
+    observed to conflict with in-flight stores.
     """
 
     name = "dlvp"
@@ -119,25 +54,60 @@ class DlvpPredictor(ValuePredictor):
 
     def __init__(self, sap_entries: int = 128, cap_entries: int = 128,
                  conflict_filter: bool = False) -> None:
-        self.sap = StrideAddressPredictor(sap_entries)
-        self.cap = ContextAddressPredictor(cap_entries)
+        self.sap = TaggedTable(sap_entries)
+        self.cap = TaggedTable(cap_entries)
         self.conflict_filter = conflict_filter
         self._conflicts = {}  # pc -> 2-bit saturating conflict counter
         self.early_reads = 0
         self.conflicting = 0
+        # What _probe found for the op it last probed, until that op's
+        # train_execute consumes it.
+        self._probed: Optional[tuple] = None
+
+    def _probe(self, uop: MicroOp, ctx: EngineContext) -> tuple:
+        """Look up the load in SAP and CAP.  Returns and keeps ``(uop,
+        seq, history, SAP slot, CAP key, CAP slot)`` (a slot is -1 on
+        a miss) for the same op's ``train_execute``."""
+        pc = uop.pc
+        history = ctx.history
+        # The PC hashed with 16 branch outcomes (folding them to 30 bits
+        # is the identity).
+        key = (pc ^ (pc >> 13)
+               ^ ((history & CAP_HISTORY_MASK) * 2654435761)) & 0x3FFFFFFF
+        # TaggedTable.find, inlined for both tables.
+        mixed = (pc * 0x9E3779B1) & 0xFFFFFFFF
+        tag = (mixed >> 12) & 0x7FF
+        sap_slot = (mixed % self.sap.sets) << 1
+        tags = self.sap.tag
+        if tags[sap_slot] != tag:
+            sap_slot = sap_slot + 1 if tags[sap_slot + 1] == tag else -1
+        mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
+        tag = (mixed >> 12) & 0x7FF
+        cap_slot = (mixed % self.cap.sets) << 1
+        tags = self.cap.tag
+        if tags[cap_slot] != tag:
+            cap_slot = cap_slot + 1 if tags[cap_slot + 1] == tag else -1
+        probed = (uop, ctx.seq, history, sap_slot, key, cap_slot)
+        self._probed = probed
+        return probed
 
     def predict(self, uop: MicroOp, ctx: EngineContext) -> Optional[Prediction]:
         if uop.op != opcodes.LOAD:
             return None
         if self.conflict_filter and self._conflicts.get(uop.pc, 0) >= 2:
             return None
-        predicted_addr = self.sap.predict(uop.pc)
-        source = "sap"
-        if predicted_addr is None:
-            predicted_addr = self.cap.predict(uop.pc, ctx.history)
+        probed = self._probe(uop, ctx)
+        slot = probed[3]
+        sap = self.sap
+        if slot >= 0 and sap.conf[slot] >= SAP_CONF_THRESHOLD:
+            predicted_addr = (sap.value[slot] + sap.extra[slot]) & ADDR_MASK
+            source = "sap"
+        else:
+            slot = probed[5]
+            if slot < 0 or self.cap.conf[slot] < CAP_CONF_THRESHOLD:
+                return None
+            predicted_addr = self.cap.value[slot]
             source = "cap"
-        if predicted_addr is None:
-            return None
         # The front-end early read can only source near levels: a line
         # that would miss to the LLC or DRAM has no value available by
         # rename time, so no prediction is made.
@@ -147,28 +117,61 @@ class DlvpPredictor(ValuePredictor):
         conflict = ctx.store_inflight_to_addr(predicted_addr) is not None
         if predicted_addr == uop.addr and not conflict:
             # The early cache read returns the architectural value.
-            return Prediction(uop.value, source=source)
+            return Prediction(uop.value, None, source)
         if conflict:
             self.conflicting += 1
-        return Prediction(uop.value ^ _POISON, source=source)
+        return Prediction(uop.value ^ _POISON, None, source)
 
     def train_execute(self, uop: MicroOp, ctx: EngineContext,
                       used_prediction: Optional[Prediction],
                       correct: bool) -> None:
         if uop.op != opcodes.LOAD:
             return
-        self.sap.train(uop.pc, uop.addr)
-        self.cap.train(uop.pc, ctx.history, uop.addr)
-        if used_prediction is not None and not correct:
+        probed = self._probed
+        if probed is None or probed[0] is not uop \
+                or probed[1] != ctx.seq or probed[2] != ctx.history:
+            probed = self._probe(uop, ctx)
+        self._probed = None
+        addr = uop.addr
+        # SAP: a repeated stride (0 included) builds confidence.
+        sap = self.sap
+        slot = probed[3]
+        if slot < 0:
+            sap.allocate(uop.pc, addr)
+        else:
+            stride = (addr - sap.value[slot]) & ADDR_MASK
+            if stride == sap.extra[slot]:
+                if sap.conf[slot] < 7:
+                    sap.conf[slot] += 1
+                if sap.useful[slot] < 3:
+                    sap.useful[slot] += 1
+            else:
+                sap.extra[slot] = stride
+                sap.conf[slot] = 0
+            sap.value[slot] = addr
+        # CAP: the same address in the same context builds confidence.
+        cap = self.cap
+        slot = probed[5]
+        if slot < 0:
+            cap.allocate(probed[4], addr)
+        elif cap.value[slot] == addr:
+            if cap.conf[slot] < 7:
+                cap.conf[slot] += 1
+            if cap.useful[slot] < 3:
+                cap.useful[slot] += 1
+        else:
+            cap.value[slot] = addr
+            cap.conf[slot] = 0
+        if used_prediction is not None:
             counter = self._conflicts.get(uop.pc, 0)
-            self._conflicts[uop.pc] = min(counter + 1, 3)
-        elif used_prediction is not None and correct:
-            counter = self._conflicts.get(uop.pc, 0)
-            if counter:
+            if not correct:
+                self._conflicts[uop.pc] = min(counter + 1, 3)
+            elif counter:
                 self._conflicts[uop.pc] = counter - 1
 
     def storage_bits(self) -> int:
-        bits = self.sap.storage_bits() + self.cap.storage_bits()
+        bits = (self.sap.capacity * SAP_ENTRY_BITS
+                + self.cap.capacity * CAP_ENTRY_BITS)
         if self.conflict_filter:
             bits += 2 * max(len(self._conflicts), 64)
         return bits

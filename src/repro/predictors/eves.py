@@ -16,7 +16,6 @@ confident stride subsumes a constant: stride 0).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.isa import opcodes
@@ -32,7 +31,11 @@ ESTRIDE_ENTRY_BITS = 11 + 64 + 16 + 4 + 2
 
 
 class EvesPredictor(ValuePredictor):
-    """EVES: E-Stride in front of an E-VTAGE."""
+    """EVES: E-Stride in front of an E-VTAGE.
+
+    :meth:`predict` keeps the E-Stride slot it probed (and E-VTAGE its
+    own probe) for the same op's :meth:`train_execute`.
+    """
 
     name = "eves"
 
@@ -42,7 +45,7 @@ class EvesPredictor(ValuePredictor):
                  history_lengths=(2, 4, 8, 16, 32, 64),
                  conf_threshold: int = 7,
                  loads_only: bool = True) -> None:
-        self.estride = TaggedTable(stride_entries, ways=2)
+        self.estride = TaggedTable(stride_entries)
         self.evtage = VtagePredictor(
             base_entries=vtage_base_entries,
             tagged_entries=vtage_tagged_entries,
@@ -52,53 +55,67 @@ class EvesPredictor(ValuePredictor):
         self.conf_threshold = conf_threshold
         self.loads_only = loads_only
         self._rng = XorShift(0xE7E5)
-
-    def _wants(self, uop: MicroOp) -> bool:
-        if uop.dest is None:
-            return False
-        return not (self.loads_only and uop.op != opcodes.LOAD)
+        # (uop, seq, E-Stride slot) of the last predicted op, until its
+        # train_execute consumes it.
+        self._probed: Optional[tuple] = None
 
     def predict(self, uop: MicroOp, ctx: EngineContext) -> Optional[Prediction]:
-        if not self._wants(uop):
+        if uop.dest is None or (self.loads_only and uop.op != opcodes.LOAD):
             return None
-        entry = self.estride.lookup(uop.pc)
-        if entry is not None and entry.confidence >= self.conf_threshold + 2:
-            predicted = (entry.value + entry.extra) & VALUE_MASK
-            return Prediction(predicted, source="estride")
-        inner = self.evtage.predict(uop, ctx)
-        if inner is not None:
-            inner = replace(inner, source="evtage")
-        return inner
+        estride = self.estride
+        # TaggedTable.find, inlined.
+        mixed = (uop.pc * 0x9E3779B1) & 0xFFFFFFFF
+        tag = (mixed >> 12) & 0x7FF
+        slot = (mixed % estride.sets) << 1
+        tags = estride.tag
+        if tags[slot] != tag:
+            slot = slot + 1 if tags[slot + 1] == tag else -1
+        self._probed = (uop, ctx.seq, slot)
+        if slot >= 0 and estride.conf[slot] >= self.conf_threshold + 2:
+            return Prediction(
+                (estride.value[slot] + estride.extra[slot]) & VALUE_MASK,
+                None, "estride")
+        value = self.evtage._probe(uop, ctx)[5]
+        if value is None:
+            return None
+        return Prediction(value, None, "evtage")
 
     def train_execute(self, uop: MicroOp, ctx: EngineContext,
                       used_prediction: Optional[Prediction],
                       correct: bool) -> None:
-        if not self._wants(uop):
+        if uop.dest is None or (self.loads_only and uop.op != opcodes.LOAD):
             return
-        entry = self.estride.lookup(uop.pc)
-        if entry is None:
+        estride = self.estride
+        probed = self._probed
+        self._probed = None
+        if probed is not None and probed[0] is uop and probed[1] == ctx.seq:
+            slot = probed[2]
+        else:
+            slot = estride.find(uop.pc)
+        value = uop.value
+        if slot < 0:
             # E-Stride allocation is gated on long-latency ops (the
             # benefit-driven policy): always allocate loads that left
             # L1, probabilistically allocate the rest.
             if not ctx.l1_hit or self._rng.below(1, 4):
-                entry = self.estride.allocate(uop.pc, uop.value)
-                if entry is not None:
-                    entry.value = uop.value
+                estride.allocate(uop.pc, value)
         else:
-            new_stride = (uop.value - entry.value) & VALUE_MASK
+            new_stride = (value - estride.value[slot]) & VALUE_MASK
             narrow = new_stride < (1 << 15) or \
                 new_stride > VALUE_MASK - (1 << 15)
-            if narrow and new_stride == entry.extra:
+            if narrow and new_stride == estride.extra[slot]:
                 # Benefit-scaled confidence ramp: faster for misses.
                 num = 4 if not ctx.l1_hit else 1
-                if self._rng.below(num, 8):
-                    entry.confidence = min(entry.confidence + 1, 15)
-                entry.useful = min(entry.useful + 1, 3)
+                if self._rng.below(num, 8) and estride.conf[slot] < 15:
+                    estride.conf[slot] += 1
+                if estride.useful[slot] < 3:
+                    estride.useful[slot] += 1
             else:
-                entry.extra = new_stride if narrow else 0
-                entry.confidence = 0
-                entry.useful = max(entry.useful - 1, 0)
-            entry.value = uop.value
+                estride.extra[slot] = new_stride if narrow else 0
+                estride.conf[slot] = 0
+                if estride.useful[slot]:
+                    estride.useful[slot] -= 1
+            estride.value[slot] = value
         self.evtage.train_execute(uop, ctx, used_prediction, correct)
 
     def storage_bits(self) -> int:

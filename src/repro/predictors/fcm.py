@@ -43,8 +43,8 @@ class FcmPredictor(ValuePredictor):
 
     def __init__(self, l1_entries: int = 256, l2_entries: int = 512,
                  conf_threshold: int = 5, loads_only: bool = True) -> None:
-        self.l1 = TaggedTable(l1_entries, ways=2)
-        self.l2 = TaggedTable(l2_entries, ways=2)
+        self.l1 = TaggedTable(l1_entries)
+        self.l2 = TaggedTable(l2_entries)
         self.conf_threshold = conf_threshold
         self.loads_only = loads_only
 
@@ -59,12 +59,13 @@ class FcmPredictor(ValuePredictor):
     def predict(self, uop: MicroOp, ctx: EngineContext) -> Optional[Prediction]:
         if not self._wants(uop):
             return None
-        l1_entry = self.l1.lookup(uop.pc)
-        if l1_entry is None:
+        l1_slot = self.l1.find(uop.pc)
+        if l1_slot < 0:
             return None
-        l2_entry = self.l2.lookup(self._l2_key(uop.pc, l1_entry.extra))
-        if l2_entry is not None and l2_entry.confidence >= self.conf_threshold:
-            return Prediction(l2_entry.value, source="fcm")
+        l2 = self.l2
+        l2_slot = l2.find(self._l2_key(uop.pc, self.l1.extra[l1_slot]))
+        if l2_slot >= 0 and l2.conf[l2_slot] >= self.conf_threshold:
+            return Prediction(l2.value[l2_slot], None, "fcm")
         return None
 
     def train_execute(self, uop: MicroOp, ctx: EngineContext,
@@ -72,28 +73,27 @@ class FcmPredictor(ValuePredictor):
                       correct: bool) -> None:
         if not self._wants(uop):
             return
-        l1_entry = self.l1.lookup(uop.pc)
-        if l1_entry is None:
-            l1_entry = self.l1.allocate(uop.pc)
-            if l1_entry is None:
-                return
-            l1_entry.extra = _mix(0, uop.value)
+        l1 = self.l1
+        l1_slot = l1.find(uop.pc)
+        if l1_slot < 0:
+            l1_slot = l1.allocate(uop.pc)
+            if l1_slot >= 0:
+                l1.extra[l1_slot] = _mix(0, uop.value)
             return
-        history_hash = l1_entry.extra
-        l2_entry = self.l2.lookup(self._l2_key(uop.pc, history_hash))
-        if l2_entry is None:
-            l2_entry = self.l2.allocate(
-                self._l2_key(uop.pc, history_hash), uop.value)
-            if l2_entry is not None:
-                l2_entry.value = uop.value
-        elif l2_entry.value == uop.value:
-            l2_entry.confidence = min(l2_entry.confidence + 1, 7)
-            l2_entry.useful = min(l2_entry.useful + 1, 3)
+        history_hash = l1.extra[l1_slot]
+        l2 = self.l2
+        key = self._l2_key(uop.pc, history_hash)
+        l2_slot = l2.find(key)
+        if l2_slot < 0:
+            l2.allocate(key, uop.value)
+        elif l2.value[l2_slot] == uop.value:
+            l2.conf[l2_slot] = min(l2.conf[l2_slot] + 1, 7)
+            l2.useful[l2_slot] = min(l2.useful[l2_slot] + 1, 3)
         else:
-            l2_entry.value = uop.value
-            l2_entry.confidence = 0
-            l2_entry.useful = max(l2_entry.useful - 1, 0)
-        l1_entry.extra = _mix(history_hash, uop.value)
+            l2.value[l2_slot] = uop.value
+            l2.conf[l2_slot] = 0
+            l2.useful[l2_slot] = max(l2.useful[l2_slot] - 1, 0)
+        l1.extra[l1_slot] = _mix(history_hash, uop.value)
 
     def storage_bits(self) -> int:
         return (self.l1.capacity * L1_ENTRY_BITS

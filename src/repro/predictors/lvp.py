@@ -39,7 +39,7 @@ class LastValuePredictor(ValuePredictor):
 
     def __init__(self, entries: int = 256, conf_threshold: int = 7,
                  conf_prob: int = 1, loads_only: bool = True) -> None:
-        self.table = TaggedTable(entries, ways=2)
+        self.table = TaggedTable(entries)
         self.conf_threshold = conf_threshold
         self.conf_prob = conf_prob
         self.loads_only = loads_only
@@ -50,9 +50,10 @@ class LastValuePredictor(ValuePredictor):
             return None
         if uop.dest is None:
             return None
-        entry = self.table.lookup(uop.pc)
-        if entry is not None and entry.confidence >= self.conf_threshold:
-            return Prediction(entry.value, source="lv")
+        table = self.table
+        slot = table.find(uop.pc)
+        if slot >= 0 and table.conf[slot] >= self.conf_threshold:
+            return Prediction(table.value[slot], None, "lv")
         return None
 
     def train_execute(self, uop: MicroOp, ctx: EngineContext,
@@ -62,21 +63,19 @@ class LastValuePredictor(ValuePredictor):
             return
         if uop.dest is None:
             return
-        entry = self.table.lookup(uop.pc)
-        if entry is None:
-            entry = self.table.allocate(uop.pc, uop.value)
-            if entry is None:
-                return
-            entry.value = uop.value
+        table = self.table
+        slot = table.find(uop.pc)
+        if slot < 0:
+            table.allocate(uop.pc, uop.value)
             return
-        if entry.value == uop.value:
+        if table.value[slot] == uop.value:
             if self._rng.below(self.conf_prob, 16):
-                entry.confidence = min(entry.confidence + 1, 7)
-            entry.useful = min(entry.useful + 1, 3)
+                table.conf[slot] = min(table.conf[slot] + 1, 7)
+            table.useful[slot] = min(table.useful[slot] + 1, 3)
         else:
-            entry.value = uop.value
-            entry.confidence = 0
-            entry.useful = 0
+            table.value[slot] = uop.value
+            table.conf[slot] = 0
+            table.useful[slot] = 0
 
     def storage_bits(self) -> int:
         return self.table.capacity * ENTRY_BITS

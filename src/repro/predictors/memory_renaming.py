@@ -49,7 +49,7 @@ class MemoryRenaming(ValuePredictor):
     def __init__(self, sl_entries: int = 136, vf_entries: int = 40,
                  conf_threshold: int = 4) -> None:
         # load PC -> associated store PC (with confidence).
-        self.assoc = TaggedTable(sl_entries, ways=2)
+        self.assoc = TaggedTable(sl_entries)
         self.vf_entries = vf_entries
         self.conf_threshold = conf_threshold
         #: Value File: load-PC keyed view of in-flight store data.
@@ -84,23 +84,25 @@ class MemoryRenaming(ValuePredictor):
             return None
         if uop.op != opcodes.LOAD:
             return None
-        entry = self.assoc.lookup(uop.pc)
-        if entry is None or entry.confidence < self.conf_threshold:
+        assoc = self.assoc
+        slot = assoc.find(uop.pc)
+        if slot < 0 or assoc.conf[slot] < self.conf_threshold:
             return None
         record = self._value_file.get(uop.pc)
         if record is None:
             return None
         store_seq, store_value = record
         self.renames += 1
-        return Prediction(store_value, store_seq=store_seq, source="mr")
+        return Prediction(store_value, store_seq, "mr")
 
     def _store_allocates(self, uop: MicroOp, ctx: EngineContext) -> None:
         """A store with a confident association publishes its SQID (and
         data) into the Value File for its partner load PC."""
-        entry = self.assoc.lookup(uop.pc)
-        if entry is None or entry.confidence < self.conf_threshold:
+        assoc = self.assoc
+        slot = assoc.find(uop.pc)
+        if slot < 0 or assoc.conf[slot] < self.conf_threshold:
             return
-        load_pc = entry.value  # partner PC stashed in the value field
+        load_pc = assoc.value[slot]  # partner PC stashed in the value field
         if len(self._value_file) >= self.vf_entries and \
                 load_pc not in self._value_file:
             self._value_file.pop(next(iter(self._value_file)))
@@ -111,39 +113,29 @@ class MemoryRenaming(ValuePredictor):
                       store_seq: int) -> None:
         """LSQ observed a forwarding: learn/strengthen both directions
         of the pair (the Store/Load cache holds loads and stores)."""
-        load_entry = self.assoc.lookup(load_pc)
-        if load_entry is None:
-            load_entry = self.assoc.allocate(load_pc)
-            if load_entry is not None:
-                load_entry.value = store_pc
-                self.associations_learned += 1
-        elif load_entry.value == store_pc:
-            load_entry.confidence = min(load_entry.confidence + 1, 7)
-            load_entry.useful = min(load_entry.useful + 1, 3)
-        else:
-            load_entry.value = store_pc
-            load_entry.confidence = 0
-
-        store_entry = self.assoc.lookup(store_pc)
-        if store_entry is None:
-            store_entry = self.assoc.allocate(store_pc)
-            if store_entry is not None:
-                store_entry.value = load_pc
-        elif store_entry.value == load_pc:
-            store_entry.confidence = min(store_entry.confidence + 1, 7)
-            store_entry.useful = min(store_entry.useful + 1, 3)
-        else:
-            store_entry.value = load_pc
-            store_entry.confidence = 0
+        assoc = self.assoc
+        value, conf, useful = assoc.value, assoc.conf, assoc.useful
+        for is_load, pc, partner in ((True, load_pc, store_pc),
+                                     (False, store_pc, load_pc)):
+            slot = assoc.find(pc)
+            if slot < 0:
+                if assoc.allocate(pc, partner) >= 0 and is_load:
+                    self.associations_learned += 1
+            elif value[slot] == partner:
+                conf[slot] = min(conf[slot] + 1, 7)
+                useful[slot] = min(useful[slot] + 1, 3)
+            else:
+                value[slot] = partner
+                conf[slot] = 0
 
     def train_execute(self, uop: MicroOp, ctx: EngineContext,
                       used_prediction: Optional[Prediction],
                       correct: bool) -> None:
         if used_prediction is not None and used_prediction.source == "mr" \
                 and not correct:
-            entry = self.assoc.lookup(uop.pc)
-            if entry is not None:
-                entry.confidence = 0
+            slot = self.assoc.find(uop.pc)
+            if slot >= 0:
+                self.assoc.conf[slot] = 0
 
     def storage_bits(self) -> int:
         return (self.assoc.capacity * SL_ENTRY_BITS

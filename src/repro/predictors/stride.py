@@ -31,7 +31,7 @@ class StridePredictor(ValuePredictor):
 
     def __init__(self, entries: int = 256, conf_threshold: int = 6,
                  loads_only: bool = True) -> None:
-        self.table = TaggedTable(entries, ways=2)
+        self.table = TaggedTable(entries)
         self.conf_threshold = conf_threshold
         self.loads_only = loads_only
         #: In-flight prediction distance: consecutive dynamic instances
@@ -43,10 +43,11 @@ class StridePredictor(ValuePredictor):
             return None
         if uop.dest is None:
             return None
-        entry = self.table.lookup(uop.pc)
-        if entry is not None and entry.confidence >= self.conf_threshold:
-            predicted = (entry.value + entry.extra) & VALUE_MASK
-            return Prediction(predicted, source="stride")
+        table = self.table
+        slot = table.find(uop.pc)
+        if slot >= 0 and table.conf[slot] >= self.conf_threshold:
+            predicted = (table.value[slot] + table.extra[slot]) & VALUE_MASK
+            return Prediction(predicted, None, "stride")
         return None
 
     def train_execute(self, uop: MicroOp, ctx: EngineContext,
@@ -56,25 +57,24 @@ class StridePredictor(ValuePredictor):
             return
         if uop.dest is None:
             return
-        entry = self.table.lookup(uop.pc)
-        if entry is None:
-            entry = self.table.allocate(uop.pc, uop.value)
-            if entry is not None:
-                entry.value = uop.value
+        table = self.table
+        slot = table.find(uop.pc)
+        if slot < 0:
+            table.allocate(uop.pc, uop.value)
             return
-        new_stride = (uop.value - entry.value) & VALUE_MASK
+        new_stride = (uop.value - table.value[slot]) & VALUE_MASK
         # Interpret strides as signed 16-bit (hardware stride fields are
         # narrow); anything wider is treated as a non-stride.
         if new_stride >= 1 << 15 and new_stride < VALUE_MASK - (1 << 15):
-            entry.confidence = 0
-            entry.extra = 0
-        elif new_stride == entry.extra:
-            entry.confidence = min(entry.confidence + 1, 7)
-            entry.useful = min(entry.useful + 1, 3)
+            table.conf[slot] = 0
+            table.extra[slot] = 0
+        elif new_stride == table.extra[slot]:
+            table.conf[slot] = min(table.conf[slot] + 1, 7)
+            table.useful[slot] = min(table.useful[slot] + 1, 3)
         else:
-            entry.extra = new_stride
-            entry.confidence = 0
-        entry.value = uop.value
+            table.extra[slot] = new_stride
+            table.conf[slot] = 0
+        table.value[slot] = uop.value
 
     def storage_bits(self) -> int:
         return self.table.capacity * ENTRY_BITS

@@ -15,7 +15,6 @@ from repro.analysis import (
     format_table,
     geomean,
     mean,
-    shape_check,
 )
 from repro.analysis.metrics import SuiteResult
 from repro.pipeline.results import SimResult
@@ -78,19 +77,6 @@ class TestWorkloadRun:
                              make_run("b", "Server", 1, 1.0)])
         assert suite.gain == pytest.approx(0.1, abs=0.01)
         assert suite.coverage == pytest.approx(0.2, abs=0.01)
-
-
-class TestShapeCheck:
-    def test_same_ordering_passes(self):
-        paper = {"a": 0.04, "b": 0.02, "c": 0.01}
-        measured = {"a": 0.08, "b": 0.05, "c": 0.02}
-        assert all(shape_check(measured, paper).values())
-
-    def test_inverted_ordering_fails(self):
-        paper = {"a": 0.04, "b": 0.01}
-        measured = {"a": 0.01, "b": 0.04}
-        outcome = shape_check(measured, paper)
-        assert not outcome["a"] and not outcome["b"]
 
 
 class TestRendering:

@@ -1,8 +1,11 @@
 """Unit tests for the baseline value predictors (LVP, stride, FCM,
 VTAGE/D-VTAGE, EVES)."""
 
+import pytest
+
 from tests.helpers import drive
 
+from repro.errors import ConfigError
 from repro.isa import alu, load
 from repro.predictors import (
     EvesPredictor,
@@ -12,6 +15,7 @@ from repro.predictors import (
     VtagePredictor,
     make_predictor,
 )
+from repro.predictors.common import TaggedTable
 
 
 def train_constant(predictor, ctx, pc=0x400000, value=42, rounds=400):
@@ -19,6 +23,72 @@ def train_constant(predictor, ctx, pc=0x400000, value=42, rounds=400):
     for _ in range(rounds):
         drive(predictor, uop, ctx)
     return predictor.predict(uop, ctx)
+
+
+def same_set_keys(table, count, bank=0):
+    """``count`` keys that share a set of ``table`` with distinct tags;
+    returns (keys, the set's way-0 slot)."""
+    by_set = {}
+    key = 0
+    while True:
+        key += 1
+        mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
+        group = by_set.setdefault(mixed % table.sets, {})
+        group.setdefault((mixed >> 12) & 0x7FF, key)
+        if len(group) == count:
+            first = bank * table.entries + 2 * (mixed % table.sets)
+            return list(group.values()), first
+
+
+class TestTaggedTable:
+    def test_replacement_order(self):
+        """An invalid way first (way 0, then way 1), then the way with
+        the lowest utility, decaying both ways while neither is 0."""
+        table = TaggedTable(8)
+        (a, b, c, d), way0 = same_set_keys(table, 4)
+        assert table.find(a) == -1
+        assert table.allocate(a, 10) == way0
+        assert table.allocate(b, 20) == way0 + 1
+        assert [table.value[way0], table.value[way0 + 1]] == [10, 20]
+        table.useful[way0], table.useful[way0 + 1] = 2, 1
+        # Contention: both ways still useful, so both decay and the
+        # caller gets no slot.
+        assert table.allocate(c, 30) == -1
+        assert table.useful[way0:way0 + 2] == [1, 0]
+        assert table.find(c) == -1
+        # Way 1 now has the lowest utility (0): it is the victim, and
+        # its fields are reset.
+        table.conf[way0 + 1] = table.extra[way0 + 1] = 5
+        assert table.allocate(c, 30) == way0 + 1
+        assert (table.value[way0 + 1], table.conf[way0 + 1],
+                table.useful[way0 + 1], table.extra[way0 + 1]) == (30, 0, 0, 0)
+        assert table.find(b) == -1 and table.find(c) == way0 + 1
+        # A tie at utility 0 evicts way 0.
+        table.useful[way0] = 0
+        assert table.allocate(d, 40) == way0
+        assert table.find(a) == -1
+
+    def test_allocating_a_present_key_keeps_its_entry(self):
+        table = TaggedTable(8)
+        (a,), way0 = same_set_keys(table, 1)
+        slot = table.allocate(a, 10)
+        table.conf[slot] = 3
+        assert table.allocate(a, 99) == slot
+        assert (table.value[slot], table.conf[slot]) == (10, 3)
+
+    def test_banks_are_separate(self):
+        table = TaggedTable(8, banks=3)
+        assert table.capacity == 24
+        (a,), first = same_set_keys(table, 1, bank=2)
+        assert table.allocate(a, 7, bank=2) == first
+        assert 16 <= first < 24
+        assert table.find(a, bank=2) == first
+        assert table.find(a) == table.find(a, bank=1) == -1
+
+    def test_geometry_is_checked(self):
+        for entries, banks in ((0, 1), (7, 1), (8, 0)):
+            with pytest.raises(ConfigError):
+                TaggedTable(entries, banks)
 
 
 class TestLvp:

@@ -169,6 +169,29 @@ class TestComposite:
                 hits += 1
         assert hits > 100
 
+    def test_value_filter_skips_eves_but_keeps_training_it(self, ctx):
+        """Two value-path mispredictions of a PC stop the Composite from
+        asking EVES about it; EVES still trains on the PC, probing its
+        table itself since its predict did not run for the op."""
+        predictor = CompositePredictor.at_budget(8)
+        ctx.probe_level = lambda addr: "DRAM"  # no address-path predictions
+        uop = load(0x400000, dest=0, addr=0x1000, value=42)
+        for _ in range(600):
+            drive(predictor, uop, ctx)
+        for _ in range(2):
+            prediction = drive(predictor, uop, ctx, correct_value=43)
+            assert prediction.source in ("estride", "evtage")
+        assert predictor.stats()["value_filtered"] == 1
+        assert predictor.predict(uop, ctx) is None
+        estride = predictor.eves.estride
+        slot = estride.find(0x400000)
+        assert slot >= 0
+        for value in (100, 200, 300):
+            assert drive(predictor, load(0x400000, dest=0, addr=0x1000,
+                                         value=value), ctx) is None
+            assert estride.value[slot] == value
+        assert estride.extra[slot] == 100  # the stride 200 -> 300 repeated
+
     def test_budget_scales_storage(self):
         small = CompositePredictor.at_budget(1)
         big = CompositePredictor.at_budget(8)

@@ -190,7 +190,9 @@ class TestMemoryDependencePath:
         ld = load(self.LOAD_PC, dest=2, addr=0x3000, value=8)
         prediction = drive(predictor, ld, ctx)
         assert prediction is not None and prediction.value == 7
-        assert predictor.mr.assoc.lookup(self.LOAD_PC).confidence == 0
+        assoc = predictor.mr.assoc
+        slot = assoc.find(self.LOAD_PC)
+        assert slot >= 0 and assoc.conf[slot] == 0
 
 
 class TestVariants:

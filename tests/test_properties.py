@@ -84,25 +84,27 @@ def test_fold_stays_in_width(bits, width):
 @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1,
                 max_size=200))
 @settings(max_examples=40, deadline=None)
-def test_tagged_table_lookup_returns_allocated_or_none(keys):
-    table = TaggedTable(32, ways=2)
+def test_tagged_table_find_returns_allocated_or_miss(keys):
+    table = TaggedTable(32)
     allocated = {}
-    owner = {}  # id(entry) -> key whose store last won the slot
+    owner = {}  # slot -> key whose store last won it
     for key in keys:
-        entry = table.allocate(key, key)
-        if entry is not None:
-            entry.value = key
-            allocated[key] = entry
-            owner[id(entry)] = key
+        slot = table.allocate(key, key)
+        if slot >= 0:
+            assert table.find(key) == slot
+            table.value[slot] = key
+            allocated[key] = slot
+            owner[slot] = key
     for key in keys:
-        entry = table.lookup(key)
-        if entry is not None and key in allocated:
-            # A surviving entry must carry what we stored.  Identity
+        slot = table.find(key)
+        assert -1 <= slot < table.capacity
+        if slot >= 0 and allocated.get(key) == slot:
+            # A surviving entry must carry what we stored.  The slot
             # alone is not enough: a tag-colliding later key can win
-            # the same slot object back from allocate(), so only
-            # assert when this key's store was the last one.
-            if entry is allocated[key] and owner[id(entry)] == key:
-                assert entry.value == key
+            # the same slot back from allocate(), so only assert when
+            # this key's store was the last one.
+            if owner[slot] == key:
+                assert table.value[slot] == key
 
 
 # ----------------------------------------------------------------------
