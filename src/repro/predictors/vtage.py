@@ -181,7 +181,8 @@ class VtagePredictor(ValuePredictor):
                 if self.with_stride else last
             base_missed = expected != value
             if not base_missed:
-                if self._rng.below(self.conf_prob, 16) and base.conf[slot] < 7:
+                if self._rng.below(self.conf_prob, 16) \
+                        and base.conf[slot] < 7:
                     base.conf[slot] += 1
                 if base.useful[slot] < 3:
                     base.useful[slot] += 1
@@ -197,7 +198,8 @@ class VtagePredictor(ValuePredictor):
             tagged = self.tagged
             provider_missed = tagged.value[provider] != value
             if not provider_missed:
-                if self._rng.below(self.conf_prob, 16) and tagged.conf[provider] < 7:
+                if self._rng.below(self.conf_prob, 16) \
+                        and tagged.conf[provider] < 7:
                     tagged.conf[provider] += 1
                 if tagged.useful[provider] < 3:
                     tagged.useful[provider] += 1
