@@ -41,6 +41,7 @@ from repro.isa import opcodes
 from repro.isa.instruction import MicroOp
 from repro.pipeline.vp_interface import (EngineContext, Prediction,
                                          ValuePredictor)
+from repro.predictors.common import TAG_MASK, TAG_SHIFT
 from repro.predictors.memory_renaming import MemoryRenaming
 
 #: Table I: the RAT-PC extension — one PC (11 tracked bits) per
@@ -143,9 +144,10 @@ class FVP(ValuePredictor):
     # The two per-op hooks.  Both inline their table probes, so an op
     # costs at most one CIT, one Value Table and one Memory Renaming
     # probe per hook.  The Value Table and the MR Store/Load cache hash
-    # a key the same way (ValueTable.lookup, TaggedTable.find):
-    # ``mixed = key * 0x9E3779B1 mod 2**32`` selects the set
-    # (``mixed % sets``) and the tag (``mixed >> 12``, 11 bits).  The
+    # a key the same way (ValueTable.lookup, TaggedTable.find; a test
+    # in tests/test_fvp.py ties the two): ``mixed = key * 0x9E3779B1 mod
+    # 2**32`` selects the set (``mixed % sets``) and the tag (``mixed >>
+    # TAG_SHIFT``, 11 bits).  The
     # CIT is direct-mapped on the PC (CriticalInstructionTable.record).
     # ------------------------------------------------------------------
     def predict(self, uop: MicroOp, ctx: EngineContext) -> Optional[Prediction]:
@@ -164,7 +166,7 @@ class FVP(ValuePredictor):
         # for its partner load; loads check MR before the Value Table.
         mr_slot = -1
         if self.use_mr and (is_load or is_store):
-            tag = (mixed >> 12) & 0x7FF
+            tag = (mixed >> TAG_SHIFT) & TAG_MASK
             tags = self._mr_tags
             mr_slot = (mixed % self._mr_sets) << 1
             if tags[mr_slot] != tag:

@@ -784,15 +784,6 @@ class CampaignEngine:
         :class:`~repro.errors.CampaignError` carrying the ledger.
         When False, :meth:`run_jobs` returns the partial results and
         leaves the ledger on ``self.ledger`` / ``self.failures``.
-    preload_vector_backend:
-        Before forking a pool that simulates a job without a predictor
-        (the only runs the default vector backend times; predictor runs
-        take the scalar loop), import the backend's numpy dependency
-        here, so the workers inherit it instead of each paying ~0.15 s
-        to import it.  The numpy pages then stay resident in this
-        process: :class:`~repro.experiments.runner.Runner`, which lives
-        for one command, turns it on; the long-lived daemon leaves it
-        off.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -801,8 +792,7 @@ class CampaignEngine:
                  timeout: Optional[float] = None,
                  retries: int = 2,
                  backoff: float = 0.25,
-                 strict: bool = True,
-                 preload_vector_backend: bool = False) -> None:
+                 strict: bool = True) -> None:
         if timeout is not None and timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {timeout}")
         if retries < 0:
@@ -814,7 +804,6 @@ class CampaignEngine:
         self.retries = retries
         self.backoff = backoff
         self.strict = strict
-        self.preload_vector_backend = preload_vector_backend
         self.stats = CampaignStats()
         #: Quarantined failures accumulated across campaigns run on
         #: this engine (one Runner = one engine = many run_jobs calls).
@@ -1035,12 +1024,6 @@ class CampaignEngine:
         workers = min(self.jobs, len(jobs))
         traces = _TraceSupply(
             jobs if ctx.get_start_method() == "fork" else ())
-        if self.preload_vector_backend and ctx.get_start_method() == "fork" \
-                and any(job.spec in (None, "baseline") for job in jobs):
-            try:
-                import repro.trace.soa  # noqa: F401 - inherited by forks
-            except ImportError:
-                pass  # no numpy: every job runs the scalar loop
         #: (job, attempt, not_before) — ready once monotonic() >= not_before.
         queue: List[Tuple[Job, int, float]] = [(job, 1, 0.0)
                                                for job in jobs]

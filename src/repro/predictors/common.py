@@ -13,8 +13,13 @@ from typing import List
 
 from repro.errors import ConfigError
 
-#: Every tagged table keeps 11-bit partial tags (the entry-bit budgets
-#: of the predictor modules count 11 tag bits).
+#: A :class:`TaggedTable` key hashes to ``mixed = (key * HASH_MUL) &
+#: 0xFFFFFFFF``; ``mixed % sets`` selects the set and ``(mixed >>
+#: TAG_SHIFT) & TAG_MASK`` is the partial tag.  Every tagged table keeps
+#: 11-bit tags (the entry-bit budgets of the predictor modules count 11
+#: tag bits).
+HASH_MUL = 0x9E3779B1
+TAG_SHIFT = 12
 TAG_MASK = 0x7FF
 
 
@@ -49,9 +54,15 @@ class TaggedTable:
     components) keeps bank ``b`` in slots ``b * entries`` to
     ``(b + 1) * entries - 1``, so one walk covers every bank.
 
-    A key hashes to ``mixed = key * 0x9E3779B1 mod 2**32``: ``mixed %
-    sets`` selects the set and ``(mixed >> 12) & 0x7FF`` is the 11-bit
-    tag.  The predictors' per-op hooks inline :meth:`find`'s probe.
+    A key hashes as :data:`HASH_MUL` says.  The per-op hooks inline
+    :meth:`find`'s probe, reading the hash constants from this module
+    and assuming the two ways (slots ``2 * set`` and ``2 * set + 1``):
+    ``VtagePredictor._probe`` (the banks and the base),
+    ``EvesPredictor.predict`` (E-Stride), ``DlvpPredictor._probe`` (SAP
+    and CAP) and ``FVP.predict`` (the Memory Renaming Store/Load cache).
+    A change to the hash or the way count changes them too;
+    ``tests/test_prior_art_hook_identity.py`` and
+    ``tests/test_fvp_hook_identity.py`` pin their results.
     """
 
     __slots__ = ("entries", "sets", "banks", "tag", "value", "conf",
@@ -75,8 +86,8 @@ class TaggedTable:
     def find(self, key: int, bank: int = 0) -> int:
         """Slot holding ``key``'s tag in ``bank``, or -1; no state
         change."""
-        mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
-        tag = (mixed >> 12) & TAG_MASK
+        mixed = (key * HASH_MUL) & 0xFFFFFFFF
+        tag = (mixed >> TAG_SHIFT) & TAG_MASK
         slot = bank * self.entries + ((mixed % self.sets) << 1)
         tags = self.tag
         if tags[slot] == tag:
@@ -92,8 +103,8 @@ class TaggedTable:
         with the lower ``useful`` counter (way 0 on a tie) when that
         counter is 0.  When both ways still have utility, both counters
         decay and -1 is returned: the caller retries on a later event."""
-        mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
-        tag = (mixed >> 12) & TAG_MASK
+        mixed = (key * HASH_MUL) & 0xFFFFFFFF
+        tag = (mixed >> TAG_SHIFT) & TAG_MASK
         slot = bank * self.entries + ((mixed % self.sets) << 1)
         tags = self.tag
         if tags[slot] == tag:

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.isa import opcodes
 from repro.isa.instruction import MicroOp
 from repro.pipeline.vp_interface import EngineContext, Prediction, ValuePredictor
-from repro.predictors.common import TaggedTable
+from repro.predictors.common import HASH_MUL, TAG_MASK, TAG_SHIFT, TaggedTable
 
 ADDR_MASK = (1 << 48) - 1
 _POISON = 0xD1B7_BAD0_DEAD_BEEF
@@ -75,14 +75,14 @@ class DlvpPredictor(ValuePredictor):
         key = (pc ^ (pc >> 13)
                ^ ((history & CAP_HISTORY_MASK) * 2654435761)) & 0x3FFFFFFF
         # TaggedTable.find, inlined for both tables.
-        mixed = (pc * 0x9E3779B1) & 0xFFFFFFFF
-        tag = (mixed >> 12) & 0x7FF
+        mixed = (pc * HASH_MUL) & 0xFFFFFFFF
+        tag = (mixed >> TAG_SHIFT) & TAG_MASK
         sap_slot = (mixed % self.sap.sets) << 1
         tags = self.sap.tag
         if tags[sap_slot] != tag:
             sap_slot = sap_slot + 1 if tags[sap_slot + 1] == tag else -1
-        mixed = (key * 0x9E3779B1) & 0xFFFFFFFF
-        tag = (mixed >> 12) & 0x7FF
+        mixed = (key * HASH_MUL) & 0xFFFFFFFF
+        tag = (mixed >> TAG_SHIFT) & TAG_MASK
         cap_slot = (mixed % self.cap.sets) << 1
         tags = self.cap.tag
         if tags[cap_slot] != tag:

@@ -21,7 +21,8 @@ from typing import Optional
 from repro.isa import opcodes
 from repro.isa.instruction import MicroOp
 from repro.pipeline.vp_interface import EngineContext, Prediction, ValuePredictor
-from repro.predictors.common import TaggedTable, XorShift
+from repro.predictors.common import (HASH_MUL, TAG_MASK, TAG_SHIFT,
+                                     TaggedTable, XorShift)
 from repro.predictors.vtage import VtagePredictor
 
 VALUE_MASK = (1 << 64) - 1
@@ -64,8 +65,8 @@ class EvesPredictor(ValuePredictor):
             return None
         estride = self.estride
         # TaggedTable.find, inlined.
-        mixed = (uop.pc * 0x9E3779B1) & 0xFFFFFFFF
-        tag = (mixed >> 12) & 0x7FF
+        mixed = (uop.pc * HASH_MUL) & 0xFFFFFFFF
+        tag = (mixed >> TAG_SHIFT) & TAG_MASK
         slot = (mixed % estride.sets) << 1
         tags = estride.tag
         if tags[slot] != tag:

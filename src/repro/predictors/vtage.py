@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 from repro.isa import opcodes
 from repro.isa.instruction import MicroOp
 from repro.pipeline.vp_interface import EngineContext, Prediction, ValuePredictor
-from repro.predictors.common import TaggedTable, XorShift
+from repro.predictors.common import (HASH_MUL, TAG_MASK, TAG_SHIFT,
+                                     TaggedTable, XorShift)
 
 VALUE_MASK = (1 << 64) - 1
 
@@ -112,9 +113,10 @@ class VtagePredictor(ValuePredictor):
         first = self._top
         provider = -1
         # TaggedTable.find, inlined (here and for the base).
+        mul, shift, mask = HASH_MUL, TAG_SHIFT, TAG_MASK
         for folded_history in folded[1]:
-            mixed = ((pcx ^ folded_history) * 0x9E3779B1) & 0xFFFFFFFF
-            tag = (mixed >> 12) & 0x7FF
+            mixed = ((pcx ^ folded_history) * mul) & 0xFFFFFFFF
+            tag = (mixed >> shift) & mask
             slot = first + ((mixed % sets) << 1)
             if tags[slot] == tag:
                 provider = slot
@@ -124,8 +126,8 @@ class VtagePredictor(ValuePredictor):
                 break
             first -= size
         table = self.base
-        mixed = (pc * 0x9E3779B1) & 0xFFFFFFFF
-        tag = (mixed >> 12) & 0x7FF
+        mixed = (pc * mul) & 0xFFFFFFFF
+        tag = (mixed >> shift) & mask
         base = (mixed % table.sets) << 1
         tags = table.tag
         if tags[base] != tag:

@@ -320,10 +320,11 @@ class TestParallelExecution:
 
     @pytest.mark.parametrize("runner", [True, False])
     def test_only_the_runner_preloads_numpy_for_its_workers(self, runner):
-        """A Runner's pool imports the vector backend's numpy before it
-        forks baseline jobs; a bare CampaignEngine (the daemon's) never
-        imports it in the parent.  Each case runs in a fresh
-        interpreter, whose ``sys.modules`` starts without numpy."""
+        """``Runner.results`` imports the vector backend's numpy before
+        it runs baseline jobs, so its forked workers inherit it; a bare
+        CampaignEngine (the daemon's) never imports it in the parent.
+        Each case runs in a fresh interpreter, whose ``sys.modules``
+        starts without numpy."""
         code = textwrap.dedent(f"""
             import sys
             from repro.experiments.campaign import CampaignEngine, Job
@@ -331,9 +332,13 @@ class TestParallelExecution:
             assert "numpy" not in sys.modules
             jobs = [Job("astar", "skylake", spec, {LENGTH}, {WARMUP})
                     for spec in (None, "lvp")]
-            engine = Runner(jobs=2).engine if {runner} \\
-                else CampaignEngine(jobs=2)
-            engine.run_jobs(jobs)
+            if {runner}:
+                owner = Runner(jobs=2, use_cache=False)
+                owner.results(jobs)
+                engine = owner.engine
+            else:
+                engine = CampaignEngine(jobs=2)
+                engine.run_jobs(jobs)
             assert engine.stats.fallbacks == 0
             print("numpy" in sys.modules)
         """)

@@ -142,6 +142,19 @@ class TestMemoryDependencePath:
     STORE_PC = 0x600000
     LOAD_PC = 0x600010
 
+    def test_value_table_and_mr_cache_hash_a_key_alike(self):
+        """FVP.predict hashes the PC once for its Value Table and its
+        Memory Renaming probe, so both tables must select the same set
+        and tag for a key."""
+        from repro.core.value_table import ValueTable
+        from repro.predictors.common import TaggedTable
+        vt = ValueTable(entries=96)
+        assoc = TaggedTable(96)
+        for key in range(0x400000, 0x400000 + 4096, 4):
+            slot = assoc.allocate(key)
+            assert (slot >> 1, assoc.tag[slot]) == vt._set_tag(key)
+            assoc.tag[slot] = -1
+
     def run_pair(self, predictor, ctx, rounds=200):
         hits = 0
         for i in range(rounds):
