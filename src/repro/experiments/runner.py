@@ -228,15 +228,6 @@ class Runner:
         todo = [job for job in dict.fromkeys(jobs)
                 if job not in self._results and job not in failed]
         if todo:
-            if any(job.spec in (None, "baseline") for job in todo):
-                # The default vector backend times only runs without a
-                # predictor, and its trace windows need numpy: import it
-                # here once, so forked pool workers inherit it instead
-                # of each spending ~0.15 s on the import.
-                try:
-                    import repro.trace.soa  # noqa: F401
-                except ImportError:
-                    pass  # no numpy: every job runs the scalar loop
             self._results.update(self.engine.run_jobs(todo))
         return {job: self._results[job] for job in jobs
                 if job in self._results}

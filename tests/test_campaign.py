@@ -3,9 +3,6 @@ parallel fan-out, and the redesigned Runner/SuiteResult surface."""
 
 import os
 import pickle
-import subprocess
-import sys
-import textwrap
 import weakref
 
 import pytest
@@ -317,37 +314,6 @@ class TestParallelExecution:
             jobs=2, cache=ResultCache(str(tmp_path / "cache")))
         assert rerun.run_jobs(jobs) == expected
         assert (rerun.stats.hits, rerun.stats.simulated) == (len(jobs), 0)
-
-    @pytest.mark.parametrize("runner", [True, False])
-    def test_only_the_runner_preloads_numpy_for_its_workers(self, runner):
-        """``Runner.results`` imports the vector backend's numpy before
-        it runs baseline jobs, so its forked workers inherit it; a bare
-        CampaignEngine (the daemon's) never imports it in the parent.
-        Each case runs in a fresh interpreter, whose ``sys.modules``
-        starts without numpy."""
-        code = textwrap.dedent(f"""
-            import sys
-            from repro.experiments.campaign import CampaignEngine, Job
-            from repro.experiments.runner import Runner
-            assert "numpy" not in sys.modules
-            jobs = [Job("astar", "skylake", spec, {LENGTH}, {WARMUP})
-                    for spec in (None, "lvp")]
-            if {runner}:
-                owner = Runner(jobs=2, use_cache=False)
-                owner.results(jobs)
-                engine = owner.engine
-            else:
-                engine = CampaignEngine(jobs=2)
-                engine.run_jobs(jobs)
-            assert engine.stats.fallbacks == 0
-            print("numpy" in sys.modules)
-        """)
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith("REPRO_")}
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.split() == [str(runner)]
 
     def test_simresult_round_trips_through_pickle(self):
         result = execute_job(Job("astar", "skylake", "fvp",
