@@ -57,10 +57,6 @@ REGISTRY: Dict[str, EnvVar] = {
                "override the default warmup prefix outright",
                "40% of length, capped at 100k",
                "repro.experiments.runner"),
-        EnvVar("REPRO_ENGINE_BACKEND",
-               "timing-loop backend: vector or scalar",
-               "vector (scalar when numpy is unavailable)",
-               "repro.pipeline.engine"),
         EnvVar("REPRO_CHECK_INVARIANTS",
                "1 arms the post-run pipeline-invariant audit",
                "0 (audit off, zero-cost)", "repro.pipeline.engine"),

@@ -25,20 +25,17 @@ exactly, and every component publishes its statistics into one
 Two implementations of the per-op loop coexist (docs/PERF.md,
 docs/VECTOR.md):
 
-* the **vector** backend (:mod:`repro.pipeline.engine_vector`) — the
-  default when numpy is importable.  It consumes structure-of-arrays
-  windows, batches the program-order machines into per-window
-  pre-passes, and falls back per window (store→load aliasing) or per
-  run (predictor hooks, event collection) to the scalar loop.
-* the **scalar** backend, :meth:`Engine._time_trace` — the optimized
-  per-op hot path.  It precomputes op-class dispatch tables, inlines
-  the bandwidth machines and the fetch-line check, keeps headline
-  counters in locals, and skips engine→predictor calls that resolve
-  to the no-op base-class implementations.
-
-Selection: the ``backend=`` engine parameter wins, then the
-registered ``REPRO_ENGINE_BACKEND`` environment variable, then the
-default (``vector``, or ``scalar`` without numpy).
+* the **scalar** backend, :meth:`Engine._time_trace` — the default,
+  optimized per-op hot path.  It precomputes op-class dispatch tables,
+  inlines the bandwidth machines and the fetch-line check, keeps
+  headline counters in locals, and skips engine→predictor calls that
+  resolve to the no-op base-class implementations.
+* the **vector** backend (:mod:`repro.pipeline.engine_vector`), run
+  only when a caller passes ``backend="vector"``, so no default run
+  imports numpy.  It consumes structure-of-arrays windows, batches the
+  program-order machines into per-window pre-passes, and falls back
+  per window (store→load aliasing) or per run (predictor hooks, event
+  collection) to the scalar loop.
 
 Both produce **bit-identical**
 :class:`~repro.pipeline.results.SimResult` objects for any
@@ -127,19 +124,6 @@ BACKENDS = ("scalar", "vector")
 _HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
-def _backend_requested() -> Optional[str]:
-    """The ``REPRO_ENGINE_BACKEND`` environment selection, or ``None``
-    when unset/empty."""
-    text = os.environ.get("REPRO_ENGINE_BACKEND", "")
-    if not text:
-        return None
-    if text not in BACKENDS:
-        raise ConfigError(
-            f"REPRO_ENGINE_BACKEND must be one of {BACKENDS}, "
-            f"got {text!r}")
-    return text
-
-
 def _invariants_requested() -> bool:
     """True when ``REPRO_CHECK_INVARIANTS`` arms the post-run audit."""
     return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
@@ -191,11 +175,10 @@ class Engine:
         sentinel.  See docs/ROBUSTNESS.md.
     backend:
         Which timing-loop implementation runs (docs/VECTOR.md):
-        ``"vector"`` or ``"scalar"``.  ``None`` (the
-        default) defers to ``REPRO_ENGINE_BACKEND``, then ``vector``
-        when numpy is importable (``scalar`` otherwise).  Both backends
-        are bit-identical; an explicit ``"vector"`` without numpy
-        raises :class:`~repro.errors.ConfigError` at run time.
+        ``"scalar"`` (also what ``None``, the default, runs) or
+        ``"vector"``.  Both backends are bit-identical; ``"vector"``
+        without numpy raises :class:`~repro.errors.ConfigError` at run
+        time.
     """
 
     def __init__(self, config: CoreConfig,
@@ -363,31 +346,24 @@ class Engine:
 
     # ------------------------------------------------------------------
     def _resolve_backend(self) -> str:
-        """Which timing loop this run uses (docs/VECTOR.md).
-
-        Precedence: the explicit ``backend=`` constructor argument,
-        then the registered ``REPRO_ENGINE_BACKEND`` environment
-        variable, then the default — ``vector`` when numpy is
-        importable, ``scalar`` otherwise.  An explicit ``vector``
-        request without numpy is a :class:`ConfigError` rather than a
-        silent downgrade."""
-        backend = self.backend
-        if backend is None:
-            backend = _backend_requested()
-        if backend is None:
-            return "vector" if _HAVE_NUMPY else "scalar"
-        if backend == "vector" and not _HAVE_NUMPY:
+        """Which timing loop this run uses (docs/VECTOR.md): ``vector``
+        only when the constructor asked for it, ``scalar`` otherwise.
+        A ``vector`` request without numpy is a :class:`ConfigError`
+        rather than a silent downgrade."""
+        if self.backend != "vector":
+            return "scalar"
+        if not _HAVE_NUMPY:
             raise ConfigError(
                 "the vector engine backend requires numpy, which is not "
                 "importable here; select backend='scalar' instead")
-        return backend
+        return "vector"
 
     def _time_trace_vector(self, trace: TraceSource, warmup: int,
                            result: SimResult, gap_hist) -> None:
         """Vectorized structure-of-arrays loop (the ``vector``
         backend).  Thin delegator: the implementation lives in
         :mod:`repro.pipeline.engine_vector`, imported lazily so the
-        scalar backends never pay the numpy import."""
+        scalar loop never pays the numpy import."""
         from repro.pipeline import engine_vector
         engine_vector.time_trace_vector(self, trace, warmup, result,
                                         gap_hist)
@@ -1076,9 +1052,8 @@ def simulate(trace: Union[TraceSource, Sequence[MicroOp]], *,
     max_cycles:
         Optional non-termination watchdog budget — see :class:`Engine`.
     backend:
-        Timing-loop backend pin (``"scalar"`` / ``"vector"``; ``None``
-        defers to the environment and the numpy autodetect —
-        docs/VECTOR.md).
+        Timing-loop backend (``"scalar"``, the default, or
+        ``"vector"`` — docs/VECTOR.md).
 
     >>> from repro.isa import alu
     >>> r = simulate([alu(0x400000 + 4 * i, dest=0, value=i)

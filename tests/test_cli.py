@@ -2,6 +2,10 @@
 
 import os
 import shlex
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,80 @@ class TestOneCampaignPerCommand:
         assert len(campaigns) == 1
         assert sorted(builds) == sorted(
             {job.workload for job in campaigns[0]})
+
+
+#: Runs FIGURE, then RUN on the trace file named by argv[2], with numpy
+#: blocked as argv[1] says, and exits with the first non-zero code.
+_NUMPY_BLOCK_SCRIPT = textwrap.dedent("""
+    import importlib.abc, importlib.machinery, sys
+
+    class NumpyTripwire(importlib.abc.MetaPathFinder, importlib.abc.Loader):
+        # Finds numpy, so a probe for it sees it installed, and fails
+        # the import itself.
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] != "numpy":
+                return None
+            return importlib.machinery.ModuleSpec(name, self)
+
+        def create_module(self, spec):
+            raise ImportError(spec.name + " imported by a default run")
+
+        def exec_module(self, module):
+            pass
+
+    block, trace_file = sys.argv[1:]
+    if block == "absent":
+        sys.modules["numpy"] = None
+    elif block == "tripwire":
+        sys.meta_path.insert(0, NumpyTripwire())
+    from repro.cli import main
+    for argv in (FIGURE, RUN + ["--trace-file", trace_file]):
+        code = main(argv)
+        if code:
+            sys.exit(code)
+""")
+
+
+class TestNoNumpyOnTheDefaultPath:
+    """No command imports numpy: the default timing loop is the scalar
+    one, and only an explicit ``backend="vector"`` reaches the numpy
+    backend (docs/VECTOR.md).  Forked pool workers inherit the block,
+    so the figure covers the pool and ``run --jobs 1`` the serial
+    lane.  ``absent`` is an interpreter without numpy; ``tripwire``
+    keeps numpy findable, so a loop chosen by probing for numpy would
+    import it and fail."""
+
+    FIGURE = ["figure", "10", "--per-category", "1", "--length", "3000",
+              "--warmup", "800", "--no-cache", "--jobs", "2"]
+    RUN = ["run", "astar", "--no-cache", "--jobs", "1"]
+
+    @pytest.fixture(scope="class")
+    def trace_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("numpy-free") / "astar.rvt"
+        assert main(["trace", "build", "astar", "--length", "3000",
+                     "-o", str(path)]) == 0
+        return path
+
+    def _stdout(self, block, trace_file):
+        script = (f"FIGURE = {self.FIGURE!r}\nRUN = {self.RUN!r}\n"
+                  + _NUMPY_BLOCK_SCRIPT)
+        repo = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", script, block, str(trace_file)],
+            capture_output=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(repo / "src")})
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    @pytest.fixture(scope="class")
+    def unblocked(self, trace_file):
+        return self._stdout("none", trace_file)
+
+    @pytest.mark.parametrize("block", ["absent", "tripwire"])
+    def test_same_bytes_without_numpy(self, block, trace_file, unblocked):
+        out = self._stdout(block, trace_file)
+        assert b"Figure 10" in out and b"speedup over baseline" in out
+        assert out == unblocked
 
 
 class TestCacheCommand:

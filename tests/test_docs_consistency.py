@@ -146,10 +146,12 @@ class TestFlagsAndEnvVars:
         # its printed command: the checkpoint manifests under
         # ``campaigns/``, ``sweep --resume`` and ``doctor --stale-age``
         # are retired too, and so is the reference timing loop:
-        # tests/oracle.py is the model's spec now.  Every predictor spec
-        # is a registry string, so the callable-spec label, the reuse
-        # claim and ValuePredictor.reset are gone, and the worker pool
-        # is the watchdog pool, one process and pipe per job.  The
+        # tests/oracle.py is the model's spec now; only ``backend=``
+        # picks a loop, so no environment variable does.  Every
+        # predictor spec is a registry string, so the callable-spec
+        # label, the reuse claim and ValuePredictor.reset are gone, and
+        # the worker pool is the watchdog pool, one process and pipe
+        # per job.  The
         # result cache has no size budget and the service queue no
         # priorities: both served a multi-tenant tier nothing used.
         pages = [REPO / name for name in (
@@ -161,7 +163,7 @@ class TestFlagsAndEnvVars:
             for stale in ("repro bench", "perf_baseline.json", "BENCH_",
                           "--resume", "--stale-age", "campaigns/",
                           "perf harness", "_time_trace_reference",
-                          "REPRO_ENGINE_BACKEND=reference",
+                          "REPRO_ENGINE_BACKEND",
                           "<callable>", "_claimed_by_job",
                           "ValuePredictor.reset", "ProcessPoolExecutor",
                           "REPRO_CACHE_BUDGET", "--cache-budget",

@@ -1,5 +1,5 @@
 """Unit tests for the vector engine backend (docs/VECTOR.md): backend
-resolution precedence, eligibility/fallback/delegation telemetry, and
+resolution, eligibility/fallback/delegation telemetry, and
 the structure-of-arrays window view.
 
 The two-loop *identity* contract itself lives in
@@ -18,6 +18,7 @@ from repro.errors import ConfigError
 from repro.experiments.campaign import build_predictor
 from repro.isa import opcodes
 from repro.isa.instruction import MicroOp
+from repro.pipeline import engine as engine_module
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.engine import BACKENDS, Engine, simulate
 from repro.trace import build_trace
@@ -28,13 +29,6 @@ from repro.trace.workloads import get_profile
 
 LENGTH = 4000
 WARMUP = 1000
-
-
-@pytest.fixture(autouse=True)
-def _clean_backend_env(monkeypatch):
-    """Backend resolution reads one env var; scrub it so tests see
-    only what they set themselves."""
-    monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
 
 
 def _engine(backend=None, **kwargs):
@@ -54,39 +48,28 @@ def _engine_stat(result, name):
 
 
 class TestBackendResolution:
-    def test_default_is_vector_when_numpy_importable(self):
-        assert _engine()._resolve_backend() == "vector"
+    def test_default_is_scalar_with_numpy_importable(self):
+        assert _engine()._resolve_backend() == "scalar"
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_env_var_selects_backend(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
-        assert _engine()._resolve_backend() == backend
-
-    def test_env_var_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "turbo")
-        with pytest.raises(ConfigError, match="REPRO_ENGINE_BACKEND"):
-            _engine()._resolve_backend()
-
-    def test_empty_env_var_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "")
-        assert _engine()._resolve_backend() == "vector"
-
-    def test_constructor_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "vector")
-        assert _engine(backend="scalar")._resolve_backend() == "scalar"
+    def test_constructor_selects_backend(self, backend):
+        assert _engine(backend=backend)._resolve_backend() == backend
 
     def test_constructor_rejects_unknown_backend(self):
         with pytest.raises(ConfigError, match="backend"):
             _engine(backend="turbo")
 
-    def test_retired_reference_backend_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "reference")
+    def test_retired_reference_backend_is_rejected(self):
         with pytest.raises(ConfigError) as excinfo:
-            _engine()._resolve_backend()
+            _engine(backend="reference")
         assert "'scalar'" in str(excinfo.value)
         assert "'vector'" in str(excinfo.value)
-        with pytest.raises(ConfigError):
-            _engine(backend="reference")
+
+    def test_vector_without_numpy_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_HAVE_NUMPY", False)
+        assert _engine()._resolve_backend() == "scalar"
+        with pytest.raises(ConfigError, match="numpy"):
+            _engine(backend="vector")._resolve_backend()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_simulate_backend_passthrough(self, backend):

@@ -5,7 +5,7 @@ fold the Criticality Epoch into training, and the scalar loop derives
 the retirement-stall signal in O(1) instead of bisecting for the ROB
 head.  None of that may change a result.  Every FVP registry variant,
 an oracle-criticality FVP and the override specs ``fvp:epoch=3000``
-and ``fvp:vt_entries=96,vf_entries=128`` run on the scalar and default
+and ``fvp:vt_entries=96,vf_entries=128`` run on the scalar and vector
 backends; the whole ``SimResult`` (telemetry included,
 bar the ``engine.*`` group that names the backend) and
 ``predictor.stats()`` must agree.  The short epoch makes CIT resets
@@ -43,7 +43,7 @@ WORKLOADS = ("mcf", "hadoop")
 VARIANTS = tuple(name for name in predictor_names()
                  if name.startswith("fvp") and name != "fvp-oracle") + (
     "fvp:epoch=3000", "fvp:vt_entries=96,vf_entries=128", "fvp-oracle")
-BACKENDS = ("scalar", None)  # None: the default backend
+BACKENDS = ("scalar", "vector")
 STAT_KEYS = ("lv_predictions", "cv_predictions", "mr_predictions",
              "walks", "lt_hits", "cit_recordings", "cit_epoch_resets",
              "vt_allocs")

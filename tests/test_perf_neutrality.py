@@ -4,8 +4,8 @@ The engine keeps two per-op loop implementations:
 
 * ``_time_trace`` — the scalar loop (``backend="scalar"``),
 * ``engine_vector.time_trace_vector`` — the vectorized
-  structure-of-arrays loop (``backend="vector"``, the default when
-  numpy is importable).
+  structure-of-arrays loop (``backend="vector"``, run only when asked
+  for: the scalar loop is the default).
 
 Every optimization must be invisible in results: the same trace under
 the same predictor must produce bit-identical ``SimResult.to_dict()``
@@ -268,7 +268,7 @@ def test_million_op_streaming_run_is_rss_bounded(tmp_path):
     The whole point of the streaming redesign: peak resident state is
     one decode window, not the trace.  The child process generates the
     trace straight to disk (ProfileSource), replays it mmap-backed on
-    the scalar loop and then on the default backend, and reports its
+    the scalar loop and then on the vector loop, and reports its
     own peak RSS; the budget is the acceptance criterion from the
     redesign, with the generous margin covering the interpreter
     baseline.
@@ -286,8 +286,8 @@ def test_million_op_streaming_run_is_rss_bounded(tmp_path):
         assert count >= 1_000_000, count
         with open_trace(path) as source:
             scalar = simulate(source, warmup=40_000, backend="scalar")
-            default = simulate(source, warmup=40_000)
-        assert scalar.cycles == default.cycles > 0
+            vector = simulate(source, warmup=40_000, backend="vector")
+        assert scalar.cycles == vector.cycles > 0
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         if sys.platform == "darwin":
             peak_kb //= 1024

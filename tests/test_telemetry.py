@@ -160,7 +160,7 @@ class TestStatGroup:
 
 
 WORKLOADS = ("astar", "milc", "omnetpp")
-BACKENDS = ("scalar", None)  # None: the default backend
+BACKENDS = ("scalar", "vector")
 
 
 @pytest.fixture(scope="module")
