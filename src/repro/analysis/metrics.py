@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence as SequenceABC
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.pipeline.results import SimResult
 
@@ -117,7 +117,7 @@ class SuiteResult(SequenceABC):
         return {category: SuiteResult(group)
                 for category, group in by_category(self.runs).items()}
 
-    def category_summary(self) -> Dict[str, Dict[str, float]]:
+    def category_summary(self) -> Dict[str, Dict[str, Optional[float]]]:
         """Figures-6/7-shaped per-category summary (see
         :func:`category_summary`)."""
         return category_summary(self.runs)
@@ -141,10 +141,13 @@ def by_category(runs: Sequence[WorkloadRun]) -> Dict[str, List[WorkloadRun]]:
     return groups
 
 
-def category_summary(runs: Sequence[WorkloadRun]) -> Dict[str, Dict[str, float]]:
+def category_summary(runs: Sequence[WorkloadRun]
+                     ) -> Dict[str, Dict[str, Optional[float]]]:
     """Per-category geomean speedup and mean coverage, plus an overall
-    'Geomean' row — the structure of Figures 6/7/13."""
-    summary: Dict[str, Dict[str, float]] = {}
+    'Geomean' row — the structure of Figures 6/7/13.  With no runs (a
+    campaign that quarantined every workload) the 'Geomean' row is the
+    only one, and its gain and coverage are None: undefined."""
+    summary: Dict[str, Dict[str, Optional[float]]] = {}
     for category, group in sorted(by_category(runs).items()):
         summary[category] = {
             "gain": geomean(r.speedup for r in group) - 1.0,
@@ -152,8 +155,8 @@ def category_summary(runs: Sequence[WorkloadRun]) -> Dict[str, Dict[str, float]]
             "workloads": len(group),
         }
     summary["Geomean"] = {
-        "gain": geomean(r.speedup for r in runs) - 1.0,
-        "coverage": mean(r.coverage for r in runs),
+        "gain": geomean(r.speedup for r in runs) - 1.0 if runs else None,
+        "coverage": mean(r.coverage for r in runs) if runs else None,
         "workloads": len(runs),
     }
     return summary

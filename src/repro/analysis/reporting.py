@@ -30,8 +30,15 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_percent(value: float, digits: int = 1) -> str:
+def format_percent(value: Optional[float], digits: int = 1) -> str:
+    """A signed percentage; ``-`` for an undefined (None) value."""
+    if value is None:
+        return "-"
     return f"{100 * value:+.{digits}f}%"
+
+
+def _coverage(value: Optional[float]) -> str:
+    return "-" if value is None else f"{100 * value:.0f}%"
 
 
 def format_category_summary(title: str,
@@ -41,7 +48,7 @@ def format_category_summary(title: str,
     for category, stats in summary.items():
         rows.append((category,
                      format_percent(stats["gain"]),
-                     f"{100 * stats['coverage']:.0f}%",
+                     _coverage(stats["coverage"]),
                      int(stats.get("workloads", 0))))
     table = format_table(("category", "IPC gain", "coverage", "n"), rows)
     return f"{title}\n{table}"
@@ -49,14 +56,13 @@ def format_category_summary(title: str,
 
 def format_bar_comparison(title: str,
                           bars: Mapping[str, Mapping[str, float]]) -> str:
-    """Render a Figures-10/11-style predictor comparison."""
+    """Render a Figures-10/11-style predictor comparison; an undefined
+    (None) gain or coverage prints as ``-``."""
     rows = []
     for label, stats in bars.items():
-        coverage = stats.get("coverage")
         rows.append((label,
                      format_percent(stats["gain"]),
-                     f"{100 * coverage:.0f}%" if coverage is not None
-                     else "-"))
+                     _coverage(stats.get("coverage"))))
     table = format_table(("predictor", "IPC gain", "coverage"), rows)
     return f"{title}\n{table}"
 

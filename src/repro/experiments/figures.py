@@ -71,6 +71,9 @@ FIG10_PREDICTORS = ("mr-8kb", "composite-8kb", "fvp", "mr-1kb",
                     "composite-1kb")
 FIG12_PREDICTORS = ("fvp-l1-miss-only", "fvp-l1-miss", "fvp")
 
+#: ``{spec: {"gain", "coverage"}}``; None where a bar is undefined.
+Bars = Dict[str, Dict[str, Optional[float]]]
+
 #: The ``(predictor spec, core)`` cells each figure reads, in the
 #: order its driver reads them.
 CELLS: Dict[int, List[Tuple[str, str]]] = {
@@ -103,10 +106,13 @@ def _read(runner: Optional[Runner], cells: List[Tuple[str, str]]
 
 
 def bars(runner: Optional[Runner], cells: List[Tuple[str, str]]
-         ) -> Dict[str, Dict[str, float]]:
+         ) -> Bars:
     """``{spec: {"gain", "coverage"}}`` of one core's ``cells``, run as
-    one campaign: the bars of a prior-art or sensitivity comparison."""
-    return {spec: {"gain": suite.gain, "coverage": suite.coverage}
+    one campaign: the bars of a prior-art or sensitivity comparison.
+    A cell whose every workload was quarantined has None for both:
+    its bar is undefined."""
+    return {spec: {"gain": suite.gain if suite.runs else None,
+                   "coverage": suite.coverage if suite.runs else None}
             for (spec, _), suite in zip(cells, _read(runner, cells))}
 
 
@@ -176,22 +182,22 @@ def render_figure9(data: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 # Figures 10/11: prior-art comparison at 8 KB and 1 KB.
 # ----------------------------------------------------------------------
-def figure10(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
+def figure10(runner: Optional[Runner] = None) -> Bars:
     """MR / Composite / FVP on Skylake (Figure 10)."""
     return bars(runner, CELLS[10])
 
 
-def figure11(runner: Optional[Runner] = None) -> Dict[str, Dict[str, float]]:
+def figure11(runner: Optional[Runner] = None) -> Bars:
     """Same comparison on Skylake-2X (Figure 11)."""
     return bars(runner, CELLS[11])
 
 
-def render_figure10(bars: Dict[str, Dict[str, float]]) -> str:
+def render_figure10(bars: Bars) -> str:
     return format_bar_comparison(
         "Figure 10 — prior art vs FVP (Skylake)", bars)
 
 
-def render_figure11(bars: Dict[str, Dict[str, float]]) -> str:
+def render_figure11(bars: Bars) -> str:
     return format_bar_comparison(
         "Figure 11 — prior art vs FVP (Skylake-2X)", bars)
 
@@ -200,14 +206,14 @@ def render_figure11(bars: Dict[str, Dict[str, float]]) -> str:
 # Figure 12: criticality-detection quality.
 # ----------------------------------------------------------------------
 def figure12(runner: Optional[Runner] = None,
-             include_oracle: bool = True) -> Dict[str, Dict[str, float]]:
+             include_oracle: bool = True) -> Bars:
     """Criticality heuristics vs the DDG oracle (Figure 12).  Each
     ``fvp-oracle`` job takes its critical roots from a DDG analysis of
     its own trace and core."""
     return bars(runner, figure_cells([12], include_oracle))
 
 
-def render_figure12(bars: Dict[str, Dict[str, float]]) -> str:
+def render_figure12(bars: Bars) -> str:
     return format_bar_comparison(
         "Figure 12 — sensitivity to criticality criteria", bars)
 

@@ -112,10 +112,13 @@ class FrontEnd:
 
     @property
     def mispredict_penalty(self) -> int:
+        """Cycles a mispredicted control op costs (Table II: 20)."""
         return self.config.mispredict_penalty
 
     @property
     def mispredict_rate(self) -> float:
+        """Fraction of control ops mispredicted (0.0 before the
+        first)."""
         if not self.control_ops:
             return 0.0
         return self.mispredicts / self.control_ops

@@ -10,38 +10,50 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.errors import ConfigError
 from repro.frontend.history import GlobalHistory
 
 
-class _TargetEntry:
-    __slots__ = ("tag", "target", "confidence")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.target = 0
-        self.confidence = 0
-
-
 class Ittage:
-    """Indirect target predictor sharing the TAGE global history."""
+    """Indirect target predictor sharing the TAGE global history.
+
+    Its tagged tables and their folds are built on the first indirect
+    jump, so a run without one costs ITTAGE nothing per branch.  A fold
+    registered then starts from the current history and so matches one
+    that had been kept since the first branch.
+    """
 
     def __init__(self, history: GlobalHistory,
                  history_lengths: List[int] = (8, 32, 96),
                  log_table_size: int = 8, tag_bits: int = 9) -> None:
+        for length in history_lengths:
+            if length > history.max_length:
+                raise ConfigError(
+                    f"history_length {length} exceeds max "
+                    f"{history.max_length}")
         self.history = history
+        self.history_lengths = tuple(history_lengths)
         self.log_table_size = log_table_size
         self.tag_bits = tag_bits
         self._mask = (1 << log_table_size) - 1
         self._tag_mask = (1 << tag_bits) - 1
         self.base = {}  # pc -> target (unbounded dict models a big table)
-        self.tables = []
-        for length in history_lengths:
-            index_fold = history.register_fold(length, log_table_size)
-            tag_fold = history.register_fold(length, tag_bits)
-            entries = [_TargetEntry() for _ in range(1 << log_table_size)]
-            self.tables.append((index_fold, tag_fold, entries))
+        # Per table, shortest history first: (index fold, tag fold,
+        # tags, targets, confidences); None until the first indirect
+        # jump.
+        self.tables = None
         self.lookups = 0
         self.mispredicts = 0
+
+    def _build_tables(self) -> None:
+        history = self.history
+        size = 1 << self.log_table_size
+        self.tables = [
+            (history.register_fold(length, self.log_table_size),
+             history.register_fold(length, self.tag_bits),
+             [-1] * size, [0] * size, [0] * size)
+            for length in self.history_lengths
+        ]
 
     def _index(self, pc: int, fold) -> int:
         return (pc ^ (pc >> self.log_table_size) ^ fold.value) & self._mask
@@ -51,10 +63,11 @@ class Ittage:
 
     def predict(self, pc: int) -> int:
         """Predicted target (0 when the predictor has nothing)."""
-        for index_fold, tag_fold, entries in reversed(self.tables):
-            entry = entries[self._index(pc, index_fold)]
-            if entry.tag == self._tag(pc, tag_fold):
-                return entry.target
+        for index_fold, tag_fold, tags, targets, _conf in \
+                reversed(self.tables or ()):
+            idx = self._index(pc, index_fold)
+            if tags[idx] == self._tag(pc, tag_fold):
+                return targets[idx]
         return self.base.get(pc, 0)
 
     def predict_and_train(self, pc: int, target: int) -> bool:
@@ -64,6 +77,8 @@ class Ittage:
         into the shared global history (the TAGE wrapper does this so
         history is pushed exactly once per control op).
         """
+        if self.tables is None:
+            self._build_tables()
         self.lookups += 1
         predicted = self.predict(pc)
         correct = predicted == target
@@ -74,24 +89,26 @@ class Ittage:
 
     def _train(self, pc: int, target: int, correct: bool) -> None:
         matched = False
-        for index_fold, tag_fold, entries in reversed(self.tables):
-            entry = entries[self._index(pc, index_fold)]
-            if entry.tag == self._tag(pc, tag_fold):
+        for index_fold, tag_fold, tags, targets, confidence in \
+                reversed(self.tables):
+            idx = self._index(pc, index_fold)
+            if tags[idx] == self._tag(pc, tag_fold):
                 matched = True
-                if entry.target == target:
-                    entry.confidence = min(entry.confidence + 1, 3)
-                elif entry.confidence > 0:
-                    entry.confidence -= 1
+                if targets[idx] == target:
+                    confidence[idx] = min(confidence[idx] + 1, 3)
+                elif confidence[idx] > 0:
+                    confidence[idx] -= 1
                 else:
-                    entry.target = target
+                    targets[idx] = target
                 break
         self.base[pc] = target
         if not correct and not matched:
             # Allocate in the shortest-history table whose slot is weak.
-            for index_fold, tag_fold, entries in self.tables:
-                entry = entries[self._index(pc, index_fold)]
-                if entry.confidence == 0:
-                    entry.tag = self._tag(pc, tag_fold)
-                    entry.target = target
-                    entry.confidence = 1
+            for index_fold, tag_fold, tags, targets, confidence in \
+                    self.tables:
+                idx = self._index(pc, index_fold)
+                if confidence[idx] == 0:
+                    tags[idx] = self._tag(pc, tag_fold)
+                    targets[idx] = target
+                    confidence[idx] = 1
                     break

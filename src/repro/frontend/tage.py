@@ -17,21 +17,13 @@ from repro.errors import ConfigError
 from repro.frontend.history import GlobalHistory
 
 
-class _TaggedEntry:
-    __slots__ = ("tag", "counter", "useful")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.counter = 0  # signed: >=0 predicts taken
-        self.useful = 0
-
-
 class _TaggedTable:
-    """One tagged TAGE component."""
+    """One tagged TAGE component, stored as three columns (``tags``,
+    ``counters``, ``useful``) indexed by :meth:`index`."""
 
     __slots__ = ("log_size", "tag_bits", "history_length",
-                 "index_fold", "tag_fold", "tag_fold2", "entries",
-                 "index_mask", "tag_mask")
+                 "index_fold", "tag_fold", "tag_fold2", "packed",
+                 "tags", "counters", "useful", "index_mask", "tag_mask")
 
     def __init__(self, log_size: int, tag_bits: int, history_length: int,
                  history: GlobalHistory) -> None:
@@ -41,16 +33,27 @@ class _TaggedTable:
         self.index_fold = history.register_fold(history_length, log_size)
         self.tag_fold = history.register_fold(history_length, tag_bits)
         self.tag_fold2 = history.register_fold(history_length, tag_bits - 1)
+        self.packed = history.packed
         self.index_mask = (1 << log_size) - 1
         self.tag_mask = (1 << tag_bits) - 1
-        self.entries = [_TaggedEntry() for _ in range(1 << log_size)]
+        size = 1 << log_size
+        self.tags = [-1] * size
+        self.counters = [0] * size  # signed: >=0 predicts taken
+        self.useful = [0] * size
 
     def index(self, pc: int) -> int:
-        return (pc ^ (pc >> self.log_size) ^ self.index_fold.value) \
+        """The slot ``pc`` maps to under the current history."""
+        fold = self.index_fold
+        return (pc ^ (pc >> self.log_size)
+                ^ (self.packed[fold.group] >> fold.offset)) \
             & self.index_mask
 
     def tag(self, pc: int) -> int:
-        return (pc ^ self.tag_fold.value ^ (self.tag_fold2.value << 1)) \
+        """The partial tag ``pc`` carries under the current history."""
+        fold, fold2 = self.tag_fold, self.tag_fold2
+        packed = self.packed
+        return (pc ^ (packed[fold.group] >> fold.offset)
+                ^ ((packed[fold2.group] >> fold2.offset) << 1)) \
             & self.tag_mask
 
 
@@ -106,14 +109,21 @@ class Tage:
                          length, self.history)
             for length in lengths
         ]
-        # predict_and_train()'s probe constants, longest history first:
-        # one tuple unpack per table instead of attribute reads.
+        # predict_and_train()'s probe constants, longest history first.
+        # Every table has the same widths, so its folds sit in the same
+        # three packed registers (two when log_table_size == tag_bits)
+        # and only their offsets differ.
+        self._first = first = self.tables[0]
+        self._packed = self.history.packed
+        self._fold_groups = (first.index_fold.group, first.tag_fold.group,
+                             first.tag_fold2.group)
         self._probe_order = [
-            (num, table.entries, table.log_size, table.index_fold,
-             table.index_mask, table.tag_fold, table.tag_fold2,
-             table.tag_mask)
+            (num, table.tags, table.index_fold.offset,
+             table.tag_fold.offset, table.tag_fold2.offset)
             for num, table in reversed(list(enumerate(self.tables)))
         ]
+        self._counters = [table.counters for table in self.tables]
+        self._useful = [table.useful for table in self.tables]
         self.bimodal = [0] * (1 << self.config.log_bimodal_size)
         self._bimodal_mask = len(self.bimodal) - 1
         self._ctr_max = (1 << (self.config.counter_bits - 1)) - 1
@@ -145,32 +155,45 @@ class Tage:
         the bimodal update are all inline.
         """
         self.lookups += 1
-        provider = alt = None
-        provider_num = -1
-        for table_num, entries, log_size, index_fold, index_mask, \
-                tag_fold, tag_fold2, tag_mask in self._probe_order:
-            entry = entries[(pc ^ (pc >> log_size) ^ index_fold.value)
-                            & index_mask]
-            if entry.tag == (pc ^ tag_fold.value
-                             ^ (tag_fold2.value << 1)) & tag_mask:
-                if provider is None:
-                    provider = entry
+        provider_num = alt_num = -1
+        first = self._first
+        index_pc = pc ^ (pc >> first.log_size)
+        index_mask = first.index_mask
+        tag_mask = first.tag_mask
+        packed = self._packed
+        index_group, tag_group, tag2_group = self._fold_groups
+        index_reg = packed[index_group]
+        tag_reg = packed[tag_group]
+        # The spare bit below each field is 0, so shifting the whole
+        # register once equals shifting each field read from it.
+        tag2_reg = packed[tag2_group] << 1
+        for table_num, tags, index_offset, tag_offset, tag2_offset \
+                in self._probe_order:
+            idx = (index_pc ^ (index_reg >> index_offset)) & index_mask
+            if tags[idx] == (pc ^ (tag_reg >> tag_offset)
+                             ^ (tag2_reg >> tag2_offset)) & tag_mask:
+                if provider_num < 0:
                     provider_num = table_num
+                    provider_idx = idx
                 else:
-                    alt = entry
+                    alt_num = table_num
+                    alt_idx = idx
                     break
         bimodal = self.bimodal
         bim_idx = pc & self._bimodal_mask
         bim_ctr = bimodal[bim_idx]
 
-        if provider is None:
+        if provider_num < 0:
             prediction = bim_ctr >= 0
             allocate = prediction != taken
         else:
-            counter = provider.counter
-            useful = provider.useful
+            counters = self._counters[provider_num]
+            useful_col = self._useful[provider_num]
+            counter = counters[provider_idx]
+            useful = useful_col[provider_idx]
             prediction = provider_pred = counter >= 0
-            alt_pred = bim_ctr >= 0 if alt is None else alt.counter >= 0
+            alt_pred = bim_ctr >= 0 if alt_num < 0 \
+                else self._counters[alt_num][alt_idx] >= 0
             if provider_pred != alt_pred:
                 # A newly allocated (weak, never useful) entry may be
                 # worse than the alternate prediction.
@@ -186,19 +209,19 @@ class Tage:
                 # Useful bit: provider was right where altpred was wrong.
                 if provider_pred == taken:
                     if useful < 3:
-                        provider.useful = useful + 1
+                        useful_col[provider_idx] = useful + 1
                 elif useful > 0:
-                    provider.useful = useful - 1
+                    useful_col[provider_idx] = useful - 1
             if taken:
                 if counter < self._ctr_max:
-                    provider.counter = counter + 1
+                    counters[provider_idx] = counter + 1
             elif counter > self._ctr_min:
-                provider.counter = counter - 1
+                counters[provider_idx] = counter - 1
             allocate = provider_pred != taken
 
         # The bimodal table trains when it provided the prediction or
         # served as altpred.
-        if alt is None:
+        if alt_num < 0:
             if taken:
                 if bim_ctr < 1:
                     bimodal[bim_idx] = bim_ctr + 1
@@ -218,36 +241,34 @@ class Tage:
 
     def _allocate(self, pc: int, taken: bool, provider_table: int) -> None:
         """Allocate one entry in a longer-history table on mispredict."""
-        candidates = [
-            t for t in range(provider_table + 1, len(self.tables))
-            if self.tables[t].entries[self.tables[t].index(pc)].useful == 0
-        ]
+        longer = self.tables[provider_table + 1:]
+        candidates = [table for table in longer
+                      if table.useful[table.index(pc)] == 0]
         if not candidates:
             # Decay useful bits on all longer tables (standard policy).
-            for t in range(provider_table + 1, len(self.tables)):
-                table = self.tables[t]
-                entry = table.entries[table.index(pc)]
-                if entry.useful > 0:
-                    entry.useful -= 1
+            for table in longer:
+                idx = table.index(pc)
+                if table.useful[idx] > 0:
+                    table.useful[idx] -= 1
             return
         # Prefer shorter histories with probability weighting (2:1).
-        choice = candidates[0]
+        table = candidates[0]
         if len(candidates) > 1 and self._rand(3) == 0:
-            choice = candidates[1]
-        table = self.tables[choice]
+            table = candidates[1]
         idx = table.index(pc)
-        entry = table.entries[idx]
-        entry.tag = table.tag(pc)
-        entry.counter = 0 if taken else -1
-        entry.useful = 0
+        table.tags[idx] = table.tag(pc)
+        table.counters[idx] = 0 if taken else -1
+        table.useful[idx] = 0
 
     def _age_useful(self) -> None:
         for table in self.tables:
-            for entry in table.entries:
-                entry.useful >>= 1
+            # In place: _useful and the tables share these lists.
+            table.useful[:] = [useful >> 1 for useful in table.useful]
 
     @property
     def accuracy(self) -> float:
+        """Fraction of conditional branches predicted correctly (1.0
+        before the first)."""
         if not self.lookups:
             return 1.0
         return 1.0 - self.mispredicts / self.lookups

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import campaign
+from repro.testing import faults
 from tests.helpers import spy_campaigns
 
 
@@ -141,6 +142,23 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert "fvp" in out and "lvp" in out and "geomean gain" in out
         assert "resume with" not in err  # no cache, nothing to resume
+
+    @pytest.mark.parametrize("number", [6, 10, 13])
+    def test_figure_with_every_baseline_quarantined(self, capsys, number):
+        """Every gain needs a baseline: with all of them quarantined a
+        figure prints ``-`` for each undefined value, then the
+        quarantine summary, and exits 1 (as ``sweep`` does)."""
+        plan = [faults.FaultSpec("crash", match="baseline", times=99)]
+        with faults.installed(plan):
+            code = main(["figure", str(number), "--per-category", "1",
+                         "--length", "2000", "--warmup", "500",
+                         "--no-cache", "--jobs", "2", "--retries", "0"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        rows = out.splitlines()[3:]
+        assert rows and all(row.split()[1:3] == ["-", "-"] for row in rows)
+        assert "4 job(s) failed and were quarantined" in err
+        assert "Traceback" not in err
 
     def test_sweep_per_workload(self, capsys):
         code = main(["sweep", "fvp", "--length", "3000",

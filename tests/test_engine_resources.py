@@ -147,3 +147,14 @@ class TestEngineLifetime:
         added = len(gc.get_objects()) - before
         assert memory.llc.num_sets == 8192
         assert added < 100
+
+    def test_engine_allocates_nothing_per_predictor_entry(self,
+                                                          collector_off):
+        """TAGE's five tables hold 2,560 entries and ITTAGE's three 768;
+        an object per entry (or per cache set) tracked by the cycle
+        collector would show up here."""
+        before = len(gc.get_objects())
+        engine = Engine(CoreConfig.skylake())
+        added = len(gc.get_objects()) - before
+        assert len(engine.frontend.tage.tables) == 5
+        assert added <= 200

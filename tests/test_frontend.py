@@ -9,6 +9,7 @@ from repro.experiments.runner import core_config
 from repro.frontend.fetch import FrontEnd, FrontEndConfig
 from repro.frontend.history import GlobalHistory
 from repro.frontend.ittage import Ittage
+from repro.frontend.tage import Tage, TageConfig
 from repro.isa import opcodes
 from repro.trace import builder
 from repro.trace.workloads import get_profile
@@ -151,3 +152,94 @@ def test_frontend_golden_pin(workload):
            fe.tage.mispredicts, fe.tage.use_alt_on_new_alloc,
            fe.tage._rng_state, fe.ittage.mispredicts, fe.btb_misses)
     assert got == FRONTEND_PINS[workload]
+
+
+def indirect_jump_stream(n=6000, seed=21):
+    """Control ops (pc, op, taken, target key) mixing conditional
+    branches, direct jumps and four indirect jumps; an indirect jump's
+    target key is resolved against the live history by the caller."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.6:
+            pc = 0x400000 + 4 * rng.randrange(24)
+            taken = rng.random() < (0.9 if pc & 4 else 0.5)
+            ops.append((pc, opcodes.BRANCH, taken, pc + 0x40))
+        elif r < 0.65:
+            pc = 0x410000 + 4 * rng.randrange(4)
+            ops.append((pc, opcodes.JUMP, True, pc + 0x1000))
+        else:
+            key = rng.randrange(4)
+            ops.append((0x420000 + 16 * key, opcodes.IJUMP, True, key))
+    return ops
+
+
+def state_digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_indirect_jump_golden_pin():
+    """History-correlated indirect targets through a Skylake front end:
+    each indirect jump picks one of four targets from two history bits
+    at depth 1, 6, 20 or 70, so all three ITTAGE tables allocate and
+    hit.  Pinned: sha256 of the outcomes, final history bits,
+    tage.mispredicts, ittage.lookups, ittage.mispredicts, btb_misses,
+    front-end mispredicts, and a digest of ITTAGE's tables (tag,
+    target, confidence per slot, then the base table), all computed
+    before the tables became columns."""
+    fe = FrontEnd(core_config("skylake").frontend)
+    outcomes = bytearray()
+    for pc, op, taken, target in indirect_jump_stream():
+        if op == opcodes.IJUMP:
+            depth = (1, 6, 20, 70)[target]
+            target = (0x500000 + 0x1000 * target
+                      + 0x40 * ((fe.history.bits >> depth) & 3))
+        outcomes.append(fe.process_control(pc, op, taken, target))
+    tables = [list(zip(tags, targets, confidence))
+              for _index, _tag, tags, targets, confidence
+              in fe.ittage.tables]
+    got = (hashlib.sha256(bytes(outcomes)).hexdigest(), fe.history.bits,
+           fe.tage.mispredicts, fe.ittage.lookups, fe.ittage.mispredicts,
+           fe.btb_misses, fe.mispredicts,
+           state_digest([tables, sorted(fe.ittage.base.items())]))
+    assert got == (
+        "de6a8925a156b2f2bced15dd8f9feace2b3a3663df175dae09a07e5bc2e03412",
+        0xefff7dbdfcffffffdf7f9dff7fdff775efbfedf7b99ff7fffbfeff7fedfffffe,
+        1151, 2132, 779, 1052, 1952,
+        "e315e742f269f6c9b9018195617fc2dd91e8b777a15e91f022b17735367b0530")
+
+
+def test_tage_useful_aging_golden_pin():
+    """A TAGE whose useful bits age every 256 branches, driven for 6000
+    branches (23 agings) over twelve PCs: four copy a random leading
+    outcome, four are random, four follow short periods.  Pinned:
+    sha256 of the outcomes, final history bits, mispredicts,
+    use_alt_on_new_alloc, the xorshift state, and a digest of every
+    table (tag, counter, useful per slot, then the bimodal table), all
+    computed before the tables became columns.  The default aging
+    period gives other outcomes on the same stream."""
+    tage = Tage(TageConfig(useful_reset_period=256))
+    rng = random.Random(5)
+    outcomes = bytearray()
+    lead = False
+    for i in range(6000):
+        k = rng.randrange(12)
+        if k < 4:
+            taken = lead
+        elif k < 8:
+            taken = rng.random() < 0.5
+        else:
+            taken = (i // (k - 5)) % 3 != 0
+        if k == 11:
+            lead = rng.random() < 0.5
+        outcomes.append(tage.predict_and_train(0x400000 + 8 * k, taken))
+    tables = [list(zip(table.tags, table.counters, table.useful))
+              for table in tage.tables]
+    got = (hashlib.sha256(bytes(outcomes)).hexdigest(), tage.history.bits,
+           tage.mispredicts, tage.use_alt_on_new_alloc, tage._rng_state,
+           state_digest([tables, tage.bimodal]))
+    assert got == (
+        "118c4ba7ec2841e03a94089ca3b85cbe6c03487ec0db2d0bd2eb76aee400c17e",
+        0x51b7a0df4429b5017b78051e9db88090, 2473, 4, 1506124356,
+        "644f7518495166cb3b6460f31afadbaefd721ef235d0947c38e0b3e7296fe7e1")

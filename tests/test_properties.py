@@ -62,6 +62,49 @@ def test_folded_history_matches_reference(outcomes, geometry):
     assert fold_reg.value == hist.direct_fold(history_length, width)
 
 
+#: A (length, width) view: widths 1-12, half of the lengths a multiple
+#: of the width (the outgoing bit re-enters at bit 0, where the
+#: entering bit also lands).
+fold_geometry = st.integers(min_value=1, max_value=12).flatmap(
+    lambda width: st.tuples(
+        st.one_of(st.integers(min_value=1, max_value=16).map(
+                      lambda multiple: multiple * width),
+                  st.integers(min_value=1, max_value=192)),
+        st.just(width)))
+
+
+@given(st.lists(fold_geometry, min_size=1, max_size=24),
+       st.lists(st.booleans(), max_size=300),
+       st.integers(min_value=0, max_value=300),
+       st.integers(min_value=0, max_value=24))
+@settings(max_examples=60, deadline=None)
+def test_packed_folds_match_reference(geometries, outcomes, late_after,
+                                      split):
+    """Many folds packed side by side in one register per width stay
+    equal to the direct fold: a carry leaking out of one field into its
+    neighbour would show.  Folds registered after some pushes start
+    from the live history, and a repeated (length, width) gets the
+    existing fold back."""
+    hist = GlobalHistory(max_length=192)
+    folds = {}
+
+    def register(geometry):
+        fold = hist.register_fold(*geometry)
+        assert folds.setdefault(geometry, fold) is fold
+
+    for geometry in geometries[:split]:
+        register(geometry)
+    for i, outcome in enumerate(outcomes):
+        if i == late_after:
+            for geometry in geometries[split:] + geometries[:split]:
+                register(geometry)
+        hist.push(outcome)
+    for geometry in geometries:
+        register(geometry)
+    for (length, width), fold in folds.items():
+        assert fold.value == hist.direct_fold(length, width)
+
+
 @given(st.lists(st.booleans(), min_size=1, max_size=200))
 @settings(max_examples=40, deadline=None)
 def test_recent_is_suffix(outcomes):
